@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import analytics
-from .adversary import observe_eavesdropper
 from .graphs import load_edge_list
 from .harness import (
     CSV_COLUMNS,
@@ -22,8 +21,9 @@ from .harness import (
     GraphSpec,
     run_experiment,
     sweep,
+    trial_trace,
 )
-from .spreading import SpreadParams, simulate_diffusion, simulate_trickle, trace_to_csv, trial_stream
+from .spreading import SpreadParams, trace_to_csv
 
 
 def _int_list(text):
@@ -84,7 +84,6 @@ def _spec_from_args(args):
         lam=args.lam,
         max_time=args.t,
         max_infections=args.max_infections,
-        seed=args.seed,
     )
     adversary = AdversarySpec(
         model=args.adversary,
@@ -180,14 +179,8 @@ def cmd_theory(args):
 def cmd_simulate(args):
     spec = _spec_from_args(args)
     if args.dump_trace:
-        rng = trial_stream(spec.master_seed, 0)
-        from .harness import _build_graph, _trial_graph
-
-        g = _trial_graph(spec, _build_graph(spec.graph, spec.master_seed))
-        sim = simulate_trickle if args.protocol == "trickle" else simulate_diffusion
-        trace = sim(g, spec.params, rng)
         with open(args.dump_trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_csv(trace))
+            fh.write(trace_to_csv(trial_trace(spec)))
     report = run_experiment(spec)
     rows = [report.csv_fields()]
     _emit(_rows_to_output(rows, CSV_COLUMNS, _config_header(args), args.format), args.out)

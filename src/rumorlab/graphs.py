@@ -154,7 +154,6 @@ def build_regular_tree(d, depth):
         raise ValueError(f"depth must be >= 0, got {depth}")
     adjacency = [[]]
     frontier = [0]
-    levels = {0: 0}
     for level in range(depth):
         next_frontier = []
         for v in frontier:
@@ -163,7 +162,6 @@ def build_regular_tree(d, depth):
                 child = len(adjacency)
                 adjacency.append([v])
                 adjacency[v].append(child)
-                levels[child] = level + 1
                 next_frontier.append(child)
         frontier = next_frontier
     return ExplicitGraph(adjacency, degree_hint=d)

@@ -4,7 +4,11 @@ An ExperimentSpec bundles a graph recipe, spreading parameters, an adversary,
 an estimator id, a trial count, and a master seed.  run_experiment derives an
 independent rng stream per trial from (master_seed, trial index), simulates,
 observes, estimates, and aggregates hits into a DetectionReport with a Wilson
-95% interval and, where a closed form applies, a theory overlay.
+95% interval and, where a closed form applies, a theory overlay.  sweep runs
+one spec per axis value and run_experiment is its one-point case: each
+distinct (GraphSpec, master_seed) graph is built once, in the calling process,
+and shared by every point and worker; with workers > 1 all points run on one
+process pool, which is shut down before the call returns.
 
 Reports are reproducible bit-for-bit: streams are keyed by trial index, not
 worker, so the result is independent of the worker count; all tie-break draws
@@ -14,7 +18,7 @@ happen on the trial's own stream after its simulation draws.
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import analytics
 from .adversary import observe_eavesdropper, observe_snapshot, observe_spy
@@ -53,8 +57,10 @@ class GraphSpec:
     """Recipe for the trial topology.
 
     kind: 'tree' (lazy infinite regular tree, fresh instance per trial),
-    'balanced-tree' (explicit, needs depth), 'random-regular' (needs n; built
-    once per experiment from the master seed), or 'file' (edge list path).
+    'balanced-tree' (explicit, needs depth), 'random-regular' (needs n; seeded
+    by the master seed), or 'file' (edge list path).  An explicit graph is
+    built once per sweep, in the calling process, and shared by every point
+    and worker.
     root_degree modifies only the lazy tree's root (the diffusion
     first-timestamp closed form is exact for root_degree = d - 2).
     """
@@ -128,6 +134,8 @@ def _check_compatible(spec):
         raise ValueError("rumor centers is the snapshot baseline")
     if est == "reporting-centrality" and spec.graph.kind in ("random-regular", "file"):
         raise ValueError("reporting centrality is defined on trees")
+    if est == "timestamp-rumor-centrality" and spec.graph.kind in ("random-regular", "file"):
+        raise ValueError("timestamp rumor centrality counts orderings on trees only")
 
 
 @dataclass
@@ -198,27 +206,34 @@ def _build_graph(gspec, master_seed):
     return None  # lazy tree: fresh instance per trial
 
 
-def _trial_graph(spec, shared):
+def _start_trial(spec, shared, index):
+    """(rng, graph, source) of one trial.  Generated graphs carry the source at
+    node 0; loaded snapshots draw a uniform source first on the trial's stream.
+    """
+    rng = trial_stream(spec.master_seed, index)
     if spec.graph.kind == "tree":
-        return lazy_regular_tree(spec.graph.d, root_degree=spec.graph.root_degree)
-    return shared
+        return rng, lazy_regular_tree(spec.graph.d, root_degree=spec.graph.root_degree), 0
+    return rng, shared, rng.randrange(shared.node_count) if spec.graph.kind == "file" else 0
 
 
-def _pick_source(spec, g, rng):
-    # Generated graphs carry the source at node 0; loaded snapshots get a
-    # uniform random source per trial (drawn before any simulation draws).
-    if spec.graph.kind == "file":
-        return rng.randrange(g.node_count)
-    return 0
+def _simulate(spec, g, rng, source):
+    sim = simulate_trickle if spec.params.protocol == "trickle" else simulate_diffusion
+    return sim(g, spec.params, rng, source=source)
+
+
+def trial_trace(spec, index=0):
+    """Full spread of trial ``index`` on the graph, source and stream run_trial uses."""
+    rng, g, source = _start_trial(spec, _build_graph(spec.graph, spec.master_seed), index)
+    return _simulate(spec, g, rng, source)
 
 
 def run_trial(spec, shared_graph, index):
-    """One trial: (hit, strict_win or None, stop_time or None)."""
-    rng = trial_stream(spec.master_seed, index)
-    g = _trial_graph(spec, shared_graph)
-    source = _pick_source(spec, g, rng)
-    est = spec.estimator
-    adv = spec.adversary
+    """One trial: (hit, strict_win or None, stop_time or None).
+
+    A trial in which the adversary observed nothing is a counted miss.
+    """
+    rng, g, source = _start_trial(spec, shared_graph, index)
+    est, adv = spec.estimator, spec.adversary
 
     if est == "first-timestamp" and adv.model == "eavesdropper" and adv.estimation_time is None:
         # Exact t = infinity shortcut: nothing after the first report can
@@ -226,34 +241,24 @@ def run_trial(spec, shared_graph, index):
         res = first_report_trial(g, spec.params, rng, source=source)
         if not res.reporters:
             return (False, False, None)
-        strict = res.reporters == frozenset([source])
         ordered = sorted(res.reporters)
-        if len(ordered) == 1:
-            hit = ordered[0] == source
-        else:
-            hit = ordered[rng.randrange(len(ordered))] == source
-        return (hit, strict, res.time)
+        hit = ordered[rng.randrange(len(ordered)) if len(ordered) > 1 else 0] == source
+        return (hit, res.reporters == {source}, res.time)
 
-    if spec.params.protocol == "trickle":
-        trace = simulate_trickle(g, spec.params, rng, source=source)
-    else:
-        trace = simulate_diffusion(g, spec.params, rng, source=source)
+    trace = _simulate(spec, g, rng, source)
     t = adv.estimation_time if adv.estimation_time is not None else trace.stop_time
 
     if adv.model == "eavesdropper":
-        keep_all = est == "timestamp-rumor-centrality"
-        obs = observe_eavesdropper(trace, t, keep_all=keep_all)
+        obs = observe_eavesdropper(trace, t, keep_all=est == "timestamp-rumor-centrality")
+        if not obs.first_reports:
+            return (False, False, trace.stop_time)
         if est == "first-timestamp":
-            if not obs.first_reports:
-                return (False, False, trace.stop_time)
             result = first_timestamp(obs, rng)
-            strict = result.candidates == frozenset([source])
-            return (result.chosen == source, strict, trace.stop_time)
+            return (result.chosen == source, result.candidates == {source}, trace.stop_time)
         if est == "ball-centrality":
             result = ball_centrality(obs, g, rng)
         elif est == "timestamp-rumor-centrality":
-            result = timestamp_rumor_centrality(obs, g, int(t), rng,
-                                                theta=spec.params.theta)
+            result = timestamp_rumor_centrality(obs, g, int(t), rng, theta=spec.params.theta)
         else:
             result = reporting_centrality(obs, g, rng=rng)
         return (result.chosen == source, None, trace.stop_time)
@@ -275,11 +280,9 @@ def run_trial(spec, shared_graph, index):
     return (chosen == source, None, trace.stop_time)
 
 
-def _run_block(spec, lo, hi):
-    shared = _build_graph(spec.graph, spec.master_seed)
-    hits = strict = 0
+def _run_block(spec, shared, lo, hi):
+    hits = strict = stop_n = 0
     stop_sum = 0.0
-    stop_n = 0
     for i in range(lo, hi):
         hit, s, stop = run_trial(spec, shared, i)
         hits += bool(hit)
@@ -290,38 +293,49 @@ def _run_block(spec, lo, hi):
     return hits, strict, stop_sum, stop_n
 
 
+def _run_points(specs):
+    """One report per spec, in order (see the module docstring); a report's
+    wall_time is the time its spec added to the call."""
+    t0 = time.perf_counter()
+    graphs, points = {}, []
+    for spec in specs:
+        key = (spec.graph, spec.master_seed)
+        if key not in graphs:
+            graphs[key] = _build_graph(spec.graph, spec.master_seed)
+        chunk = math.ceil(spec.trials / max(1, spec.workers))
+        points.append([(spec, graphs[key], lo, min(lo + chunk, spec.trials))
+                       for lo in range(0, spec.trials, chunk)])
+    workers = max((spec.workers for spec in specs), default=1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    reports = []
+    try:
+        if pool is not None:
+            points = [[pool.submit(_run_block, *block) for block in blocks] for blocks in points]
+        for spec, blocks in zip(specs, points):
+            parts = [b.result() if pool is not None else _run_block(*b) for b in blocks]
+            now = time.perf_counter()
+            reports.append(_aggregate(spec, parts, now - t0))
+            t0 = now
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return reports
+
+
+def _aggregate(spec, parts, wall_time):
+    hits, strict, stop_sum, stop_n = (sum(column) for column in zip(*parts))
+    ft_trickle = spec.estimator == "first-timestamp" and spec.params.protocol == "trickle"
+    return DetectionReport(
+        spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
+        strict_win_rate=strict / spec.trials if ft_trickle else None,
+        theory=theory_overlay(spec), mean_stop_time=(stop_sum / stop_n) if stop_n else None,
+        wall_time=wall_time,
+    )
+
+
 def run_experiment(spec):
     """Execute every trial of the spec and aggregate a DetectionReport."""
-    t0 = time.perf_counter()
-    if spec.workers > 1:
-        chunk = max(1, math.ceil(spec.trials / spec.workers))
-        bounds = [(lo, min(lo + chunk, spec.trials))
-                  for lo in range(0, spec.trials, chunk)]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            parts = list(pool.map(_run_block, [spec] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
-    else:
-        parts = [_run_block(spec, 0, spec.trials)]
-    hits = sum(p[0] for p in parts)
-    strict = sum(p[1] for p in parts)
-    stop_sum = sum(p[2] for p in parts)
-    stop_n = sum(p[3] for p in parts)
-    lo, hi = wilson_interval(hits, spec.trials)
-    strict_rate = None
-    if spec.estimator == "first-timestamp" and spec.params.protocol == "trickle":
-        strict_rate = strict / spec.trials
-    return DetectionReport(
-        spec=spec,
-        hits=hits,
-        trials=spec.trials,
-        p_hat=hits / spec.trials,
-        ci_low=lo,
-        ci_high=hi,
-        strict_win_rate=strict_rate,
-        theory=theory_overlay(spec),
-        mean_stop_time=(stop_sum / stop_n) if stop_n else None,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _run_points([spec])[0]
 
 
 def theory_overlay(spec):
@@ -352,37 +366,23 @@ SWEEP_AXES = ("d", "theta", "t", "p", "trials")
 
 
 def sweep(base, axis, values):
-    """One report per axis value; theory overlay attached where applicable."""
+    """One report per axis value; theory overlay attached where applicable.
+
+    The points share one graph build per distinct graph and one process pool.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    reports = []
-    for value in values:
-        reports.append(run_experiment(_with_axis(base, axis, value)))
-    return reports
+    return _run_points([_with_axis(base, axis, value) for value in values])
 
 
 def _with_axis(spec, axis, value):
     if axis == "d":
         return replace(spec, graph=replace(spec.graph, d=int(value)))
     if axis == "theta":
-        params = replace(spec, params=_params_with(spec.params, theta=value))
-        return params
+        return replace(spec, params=replace(spec.params, theta=value))
     if axis == "t":
         spec = replace(spec, adversary=replace(spec.adversary, estimation_time=value))
-        return replace(spec, params=_params_with(spec.params, max_time=value))
+        return replace(spec, params=replace(spec.params, max_time=value))
     if axis == "p":
         return replace(spec, adversary=replace(spec.adversary, p=value))
     return replace(spec, trials=int(value))
-
-
-def _params_with(params, **kw):
-    merged = dict(
-        protocol=params.protocol,
-        theta=params.theta,
-        lam=params.lam,
-        max_time=params.max_time,
-        max_infections=params.max_infections,
-        seed=params.seed,
-    )
-    merged.update(kw)
-    return SpreadParams(**merged)

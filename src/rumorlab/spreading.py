@@ -21,7 +21,7 @@ results do not depend on scheduling or worker count.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush, heappop
 
 _MASK64 = (1 << 64) - 1
@@ -49,7 +49,6 @@ class SpreadParams:
     lam: float = 1.0
     max_time: float | None = None
     max_infections: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.protocol not in ("trickle", "diffusion"):

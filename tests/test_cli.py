@@ -7,6 +7,8 @@ import pytest
 
 from rumorlab.analytics import diffusion_ft
 from rumorlab.cli import main
+from rumorlab.graphs import load_edge_list
+from rumorlab.spreading import trial_stream
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +126,31 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "node,X,first_report_time,parent"
         assert len(lines) > 1
+
+    def test_dump_trace_on_file_graph_starts_at_trial_zero_source(self, tmp_path):
+        edges = tmp_path / "ring.edges"
+        edges.write_text("\n".join(f"{i} {(i + k) % 60}" for i in range(60) for k in (1, 7))
+                         + "\n")
+        dump = tmp_path / "trace.csv"
+        assert main(["simulate", "--protocol", "trickle", "--graph", "file",
+                     "--graph-file", str(edges), "--t", "6", "--trials", "5", "--seed", "5",
+                     "--dump-trace", str(dump), "--out", str(tmp_path / "r.csv")]) == 0
+        first = next(csv.DictReader(io.StringIO(dump.read_text())))
+        source = trial_stream(5, 0).randrange(load_edge_list(str(edges)).node_count)
+        assert source != 0
+        assert (int(first["node"]), first["X"], first["parent"]) == (source, "0", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--protocol", "trickle", "--estimator", "ball-centrality", "--d", "8", "--t", "2"),
+        ("--protocol", "diffusion", "--estimator", "reporting-centrality", "--d", "5",
+         "--t", "0.05"),
+    ])
+    def test_trials_without_reports_count_as_misses(self, tmp_path, argv):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", *argv, "--trials", "200", "--seed", "0",
+                     "--out", str(out)]) == 0
+        row = parse_report_csv(out.read_text())[0]
+        assert 0 <= int(row["hits"]) <= int(row["trials"]) == 200
 
 
 class TestSweepAndCompare:

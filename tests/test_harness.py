@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from rumorlab import harness
 from rumorlab.analytics import diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
 from rumorlab.harness import (
     AdversarySpec,
@@ -76,6 +79,19 @@ class TestValidation:
             GraphSpec(kind="file")
         with pytest.raises(ValueError):
             GraphSpec(kind="random-regular", d=4)
+
+    @pytest.mark.parametrize("graph", [GraphSpec(kind="random-regular", d=4, n=10),
+                                       GraphSpec(kind="file", path="g.edges")])
+    def test_trc_rejected_on_graphs_with_cycles(self, graph):
+        with pytest.raises(ValueError, match="trees"):
+            ExperimentSpec(
+                graph=graph,
+                params=SpreadParams("trickle", theta=1, max_time=5),
+                adversary=AdversarySpec("eavesdropper", estimation_time=5),
+                estimator="timestamp-rumor-centrality",
+                trials=10,
+                master_seed=0,
+            )
 
     def test_spy_needs_p(self):
         with pytest.raises(ValueError):
@@ -178,3 +194,63 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             sweep(ft_spec(), "lam", [1])
+
+
+def rr_spec(protocol="trickle", workers=1):
+    return ExperimentSpec(
+        graph=GraphSpec(kind="random-regular", d=4, n=60),
+        params=SpreadParams(protocol, theta=1.0),
+        adversary=AdversarySpec("eavesdropper"),
+        estimator="first-timestamp",
+        trials=41,
+        master_seed=12,
+        workers=workers,
+    )
+
+
+def outcome(report):
+    # mean_stop_time sums per worker block, so only its last bits may move
+    # with the worker count.
+    return (report.hits, report.trials, report.p_hat, report.ci_low, report.ci_high,
+            report.strict_win_rate, report.theory, pytest.approx(report.mean_stop_time))
+
+
+def point(spec, axis, value):
+    if axis == "d":
+        return dataclasses.replace(spec, graph=dataclasses.replace(spec.graph, d=value))
+    return dataclasses.replace(spec, params=dataclasses.replace(spec.params, theta=value))
+
+
+class TestSharedGraphSweep:
+    @pytest.mark.parametrize("protocol", ["trickle", "diffusion"])
+    @pytest.mark.parametrize("axis,values", [("theta", [1.0, 2.0, 5.0]), ("d", [4, 6])])
+    def test_same_reports_for_any_worker_count_and_as_single_runs(self, protocol, axis, values):
+        base = rr_spec(protocol)
+        seq = [outcome(r) for r in sweep(base, axis, values)]
+        par = [outcome(r) for r in sweep(dataclasses.replace(base, workers=2), axis, values)]
+        single = [outcome(run_experiment(point(base, axis, v))) for v in values]
+        assert seq == par == single
+
+    def test_one_build_per_distinct_graph(self, monkeypatch):
+        real = harness.build_random_regular
+        parent = os.getpid()
+        builds = []
+
+        def counting(*args, **kwargs):
+            assert os.getpid() == parent, "a worker process built the graph"
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_random_regular", counting)
+        thetas = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        sweep(rr_spec(), "theta", thetas)
+        assert len(builds) == 1
+        sweep(rr_spec(workers=2), "theta", thetas)
+        assert len(builds) == 2
+        sweep(rr_spec(), "d", [4, 6, 8])
+        assert [args[:2] for args in builds[2:]] == [(60, 4), (60, 6), (60, 8)]
+
+    def test_pool_shut_down_when_sweep_returns(self):
+        reports = sweep(rr_spec(workers=2), "theta", [1.0, 2.0])
+        assert len(reports) == 2
+        assert multiprocessing.active_children() == []
