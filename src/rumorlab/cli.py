@@ -69,36 +69,43 @@ def _add_experiment(p):
     _add_common(p)
 
 
+class UsageError(Exception):
+    """The flags describe an experiment that is rejected before it runs."""
+
+
 def _spec_from_args(args):
-    graph = GraphSpec(
-        kind=args.graph,
-        d=args.d,
-        n=args.n,
-        depth=args.depth,
-        path=args.graph_file,
-        root_degree=args.root_degree,
-    )
-    params = SpreadParams(
-        protocol=args.protocol,
-        theta=args.theta,
-        lam=args.lam,
-        max_time=args.t,
-        max_infections=args.max_infections,
-    )
-    adversary = AdversarySpec(
-        model=args.adversary,
-        p=args.spy_p,
-        estimation_time=args.t,
-    )
-    return ExperimentSpec(
-        graph=graph,
-        params=params,
-        adversary=adversary,
-        estimator=args.estimator,
-        trials=args.trials,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        graph = GraphSpec(
+            kind=args.graph,
+            d=args.d,
+            n=args.n,
+            depth=args.depth,
+            path=args.graph_file,
+            root_degree=args.root_degree,
+        )
+        params = SpreadParams(
+            protocol=args.protocol,
+            theta=args.theta,
+            lam=args.lam,
+            max_time=args.t,
+            max_infections=args.max_infections,
+        )
+        adversary = AdversarySpec(
+            model=args.adversary,
+            p=args.spy_p,
+            estimation_time=args.t,
+        )
+        return ExperimentSpec(
+            graph=graph,
+            params=params,
+            adversary=adversary,
+            estimator=args.estimator,
+            trials=args.trials,
+            master_seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from exc
 
 
 def _config_header(args, extra=None):
@@ -204,12 +211,11 @@ def cmd_compare(args):
     """Both protocols across one axis, long format for external plotting."""
     rows = []
     header = _config_header(args, extra={"protocol": "trickle+diffusion"})
+    specs = []
     for protocol in ("trickle", "diffusion"):
         args.protocol = protocol
-        theta = args.theta
-        if protocol == "trickle" and theta != int(theta):
-            raise ValueError("trickle needs integer theta")
-        spec = _spec_from_args(args)
+        specs.append(_spec_from_args(args))
+    for spec in specs:
         for report, value in zip(sweep(spec, args.axis, args.values), args.values):
             row = report.csv_fields()
             row["axis"] = args.axis
@@ -279,9 +285,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"rumorlab: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

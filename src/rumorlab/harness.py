@@ -37,7 +37,7 @@ from .spreading import (
     simulate_trickle,
     trial_stream,
 )
-from .trc import timestamp_rumor_centrality
+from .trc import check_setting, timestamp_rumor_centrality
 
 ESTIMATORS = (
     "first-timestamp",
@@ -48,8 +48,6 @@ ESTIMATORS = (
 )
 
 ADVERSARIES = ("eavesdropper", "spy", "snapshot")
-
-DEFAULT_RC_INFECTIONS = 500
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,22 @@ def _check_compatible(spec):
         raise ValueError("reporting centrality is defined on trees")
     if est == "timestamp-rumor-centrality" and spec.graph.kind in ("random-regular", "file"):
         raise ValueError("timestamp rumor centrality counts orderings on trees only")
+    p = spec.params
+    if (spec.graph.kind == "tree" and not _first_report_only(spec)
+            and p.max_time is None and p.max_infections is None):
+        raise ValueError("a full simulation on the infinite tree needs a horizon: "
+                         "max_time (--t) or max_infections (--max-infections)")
+    if est == "timestamp-rumor-centrality":
+        t = spec.adversary.estimation_time
+        check_setting(spec.graph.d, p.theta, p.max_time if t is None else t,
+                      spec.graph.root_degree if spec.graph.kind == "tree" else None)
+
+
+def _first_report_only(spec):
+    """Eavesdropper first-timestamp at t = infinity: the trial stops at the
+    first report, since nothing after it can change the argmin."""
+    return (spec.estimator == "first-timestamp" and spec.adversary.model == "eavesdropper"
+            and spec.adversary.estimation_time is None)
 
 
 @dataclass
@@ -235,9 +249,7 @@ def run_trial(spec, shared_graph, index):
     rng, g, source = _start_trial(spec, shared_graph, index)
     est, adv = spec.estimator, spec.adversary
 
-    if est == "first-timestamp" and adv.model == "eavesdropper" and adv.estimation_time is None:
-        # Exact t = infinity shortcut: nothing after the first report can
-        # change the argmin.
+    if _first_report_only(spec):
         res = first_report_trial(g, spec.params, rng, source=source)
         if not res.reporters:
             return (False, False, None)
@@ -281,16 +293,15 @@ def run_trial(spec, shared_graph, index):
 
 
 def _run_block(spec, shared, lo, hi):
-    hits = strict = stop_n = 0
-    stop_sum = 0.0
+    hits = strict = 0
+    stops = []
     for i in range(lo, hi):
         hit, s, stop = run_trial(spec, shared, i)
         hits += bool(hit)
         strict += bool(s)
         if stop is not None:
-            stop_sum += stop
-            stop_n += 1
-    return hits, strict, stop_sum, stop_n
+            stops.append(stop)
+    return hits, strict, stops
 
 
 def _run_points(specs):
@@ -323,12 +334,16 @@ def _run_points(specs):
 
 
 def _aggregate(spec, parts, wall_time):
-    hits, strict, stop_sum, stop_n = (sum(column) for column in zip(*parts))
+    hits, strict, stops = zip(*parts)
+    hits, strict = sum(hits), sum(strict)
+    stops = [stop for block in stops for stop in block]
+    # fsum is exact, so the mean does not depend on how blocks split the trials.
+    mean_stop = math.fsum(stops) / len(stops) if stops else None
     ft_trickle = spec.estimator == "first-timestamp" and spec.params.protocol == "trickle"
     return DetectionReport(
         spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
         strict_win_rate=strict / spec.trials if ft_trickle else None,
-        theory=theory_overlay(spec), mean_stop_time=(stop_sum / stop_n) if stop_n else None,
+        theory=theory_overlay(spec), mean_stop_time=mean_stop,
         wall_time=wall_time,
     )
 

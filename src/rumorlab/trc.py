@@ -20,17 +20,51 @@ Subtrees containing no observed node collapse to a count depending only on
 the infection time, which keeps the pass linear in the observed skeleton
 rather than in the radius-t ball.
 
+One dynamic program counts every slot window.  It walks the slot times in
+order; its state records which skeleton children already hold a slot and how
+many children of each fresh class do, where a class groups the children
+outside the skeleton whose counts agree at every slot time (one class on the
+infinite tree).  Giving a slot to a class with m members, u of them used,
+multiplies by m - u.  A node with s skeleton children thus costs
+O((d + theta) * 2^s * (s + 1)) per infection time on the infinite tree,
+polynomial in d for a bounded skeleton.
+
+A non-root node's table depends only on the directed edge (parent, node): its
+skeleton children are its neighbours other than the parent whose side holds a
+reporter, and neither they nor its taps depend on which candidate is the
+root.  One estimator call keeps every table, keyed by (node, parent), and the
+unobserved-subtree counts in one store shared by all of its candidates; the
+store is dropped when the call returns.
+
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
 ball-intersection feasibility test, which never discards a positive-count
-candidate.  Cost grows like (2d)^d per candidate, so degrees above 6 are
-refused unless explicitly allowed.
+candidate.  Degrees above 6 are refused unless explicitly allowed.
 """
-
-from itertools import permutations
 
 from .estimators import EstimateResult, InfeasibleObservationError, _pick_uniform
 from .graphs import hop_distance, tree_path
+
+
+def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
+    """Raise ValueError unless timestamp rumor centrality counts exactly with
+    degree d, theta taps and estimation time t: integer theta >= 1, a root of
+    degree d (root_degree None means unmodified), d <= 6 unless
+    allow_high_degree, and integer t >= d + theta (not checked for t None).
+    """
+    if theta != int(theta) or theta < 1:
+        raise ValueError(f"need integer theta >= 1, got {theta}")
+    if root_degree is not None and root_degree != d:
+        # A modified-degree root could land inside an "unobserved subtree",
+        # where the closed-form count assumes full regularity.
+        raise ValueError("ordering counts need an unmodified regular tree")
+    if not allow_high_degree and d > 6:
+        raise ValueError(
+            f"degree {d} exceeds the default guardrail of 6; "
+            "pass allow_high_degree=True to override"
+        )
+    if t is not None and (t != int(t) or t < d + theta):
+        raise ValueError(f"need integer t >= d + theta = {d + theta}, got {t}")
 
 
 def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
@@ -45,18 +79,9 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
         raise ValueError("timestamp rumor centrality needs an eavesdropper observation")
     if obs.all_reports is None:
         raise ValueError("timestamp rumor centrality needs keep_all report times")
-    if theta != int(theta) or theta < 1:
-        raise ValueError(f"need integer theta >= 1, got {theta}")
-    theta = int(theta)
     d = _infer_degree(g, obs)
-    if d > 6 and not allow_high_degree:
-        raise ValueError(
-            f"degree {d} exceeds the default guardrail (cost ~ (2d)^d); "
-            "pass allow_high_degree=True to override"
-        )
-    if t != int(t) or t < d + theta:
-        raise ValueError(f"need integer t >= d + theta = {d + theta}, got {t}")
-    t = int(t)
+    check_setting(d, theta, t, g.root_degree if g.is_lazy else None, allow_high_degree)
+    theta, t = int(theta), int(t)
     reports = {}
     for v, times in obs.all_reports.items():
         clean = tuple(sorted(times))
@@ -73,12 +98,10 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
         raise InfeasibleObservationError("no reports to estimate from")
 
     candidates = [v for v, tau in obs.first_reports.items() if tau <= d + theta]
+    store = _Store(g, reports, t, theta)
     scores = {}
     for v in candidates:
-        if _ball_feasible(g, v, obs.first_reports):
-            scores[v] = ordering_count(g, v, reports, t, theta)
-        else:
-            scores[v] = 0
+        scores[v] = store.count(v) if _ball_feasible(g, v, obs.first_reports) else 0
     best = max(scores.values(), default=0)
     if best <= 0:
         raise InfeasibleObservationError(
@@ -106,201 +129,159 @@ def ordering_count(g, root, reports, t, theta=1):
     """Exact number of feasible trickle executions through time t with source
     ``root`` matching ``reports`` (node -> sorted tuple of tap times <= t).
     """
-    parent = {root: None}
-    children = {root: []}
-    for w in reports:
-        if w == root:
-            continue
-        path = tree_path(g, root, w)
-        for a, b in zip(path, path[1:]):
-            if b not in parent:
-                parent[b] = a
-                children[b] = []
-                children[a].append(b)
-
-    if g.is_lazy:
-        if g.root_degree != g.d:
-            # A modified-degree root could land inside an "unobserved subtree",
-            # where the closed-form count assumes full regularity.
-            raise ValueError("ordering counts need an unmodified regular tree")
-        fresh = _RegularFresh(g.degree_hint, theta, t)
-    else:
-        fresh = _ExplicitFresh(g, theta, t)
-
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-
-    tables = {}
-    for w in reversed(order):
-        tables[w] = _node_table(g, w, parent[w], children[w], reports.get(w, ()),
-                                tables, fresh, t, theta, is_root=(w == root))
-    return tables[root].get(0, 0)
+    check_setting(g.degree_hint, theta, root_degree=g.root_degree if g.is_lazy else None,
+                  allow_high_degree=True)
+    return _Store(g, reports, t, theta).count(root)
 
 
-def _node_table(g, w, par, skel_kids, R, tables, fresh, t, theta, is_root):
-    """count[x] over feasible infection times x for skeleton node w."""
-    child_count = g.degree(w) - (0 if is_root else 1)
-    k = child_count + theta
-    hidden = theta - len(R)
+class _Store:
+    """The tables of one counting call, shared by all of its candidate roots:
+    skeleton tables keyed by (node, parent), and unobserved-subtree counts
+    keyed by infection time (by (node, parent, time) on explicit trees)."""
 
-    if is_root:
-        xs = [0]
-    elif R:
-        # Taps live in the slot window: R[-1] <= x + k and R[0] >= x + 1.
-        xs = range(max(1, R[-1] - k), R[0])
-    else:
-        # Unobserved: all theta taps must hide past t, so t - x <= k - theta.
-        xs = range(max(1, t - child_count), t + 1)
-
-    table = {}
-    for x in xs:
-        if x > t:
-            continue
-        e = min(x + k, t)
-        if hidden > k - (e - x):
-            continue  # not enough unrealized slots to hide the unseen taps
-        if R and (R[0] <= x or R[-1] > x + k):
-            continue
-        R_set = set(R)
-        child_times = [y for y in range(x + 1, e + 1) if y not in R_set]
-        if len(child_times) < len(skel_kids):
-            continue
-        count = _assign(g, w, par, child_times, skel_kids, tables, fresh,
-                        child_count)
-        if count:
-            table[x] = count
-    return table
-
-
-def _assign(g, w, par, child_times, skel_kids, tables, fresh, child_count):
-    """Sum over injective assignments of all of child_times onto distinct
-    children, with every skeleton child covered.  Children outside the
-    skeleton score via the unobserved-subtree count."""
-    n_fresh = child_count - len(skel_kids)
-    if g.is_lazy:
-        # Fresh children of one node are exchangeable on the regular tree.
-        total = 0
-        for assn in permutations(child_times, len(skel_kids)):
-            prod = 1
-            for c, y in zip(skel_kids, assn):
-                prod *= tables[c].get(y, 0)
-                if not prod:
-                    break
-            if not prod:
-                continue
-            rest = [y for y in child_times if y not in assn]
-            if len(rest) > n_fresh:
-                continue
-            ways = _falling(n_fresh, len(rest))
-            for y in rest:
-                ways *= fresh.count(None, None, y)
-                if not ways:
-                    break
-            total += prod * ways
-        return total
-
-    # Explicit graph: fresh subtrees are heterogeneous; bitmask DP over the
-    # actual children with per-child weights.
-    skel_set = set(skel_kids)
-    kids = list(skel_kids) + [u for u in g.neighbors(w)
-                              if u != par and u not in skel_set]
-    mandatory = (1 << len(skel_kids)) - 1
-    dp = {0: 1}
-    for y in child_times:
-        ndp = {}
-        for mask, val in dp.items():
-            for i, c in enumerate(kids):
-                if mask >> i & 1:
-                    continue
-                wgt = (tables[c].get(y, 0) if i < len(skel_kids)
-                       else fresh.count(c, w, y))
-                if wgt:
-                    nm = mask | (1 << i)
-                    ndp[nm] = ndp.get(nm, 0) + val * wgt
-        dp = ndp
-        if not dp:
-            return 0
-    return sum(v for m, v in dp.items() if m & mandatory == mandatory)
-
-
-def _falling(n, r):
-    out = 1
-    for i in range(r):
-        out *= n - i
-    return out
-
-
-class _RegularFresh:
-    """Execution count of a fully unobserved subtree of the infinite
-    d-regular tree, as a function of the subtree root's infection time x:
-    0 unless t - x <= d - 1 (else some tap fires by t), otherwise the
-    realized times x+1..t map injectively onto the d-1 fresh children."""
-
-    def __init__(self, d, theta, t):
-        self.d = d
-        self.t = t
-        self._memo = {}
-
-    def count(self, _node, _par, x):
-        t, d = self.t, self.d
-        if x >= t:
-            return 1 if x == t else 0
-        got = self._memo.get(x)
-        if got is not None:
-            return got
-        if t - x > d - 1:
-            out = 0
-        else:
-            out = _falling(d - 1, t - x)
-            for y in range(x + 1, t + 1):
-                out *= self.count(None, None, y)
-                if not out:
-                    break
-        self._memo[x] = out
-        return out
-
-
-class _ExplicitFresh:
-    """Same count on an explicit tree, where fresh subtrees differ in shape
-    (finite branches, leaves): injective-assignment DP over actual children."""
-
-    def __init__(self, g, theta, t):
+    def __init__(self, g, reports, t, theta):
         self.g = g
-        self.theta = theta
+        self.reports = reports
         self.t = t
-        self._memo = {}
+        self.theta = theta
+        self.tables = {}
+        self._fresh_counts = {}
 
-    def count(self, node, par, x):
+    def count(self, root):
+        """Ordering count with source ``root``."""
+        parent = {root: None}
+        children = {root: []}
+        for w in self.reports:
+            if w == root:
+                continue
+            path = tree_path(self.g, root, w)
+            for a, b in zip(path, path[1:]):
+                if b not in parent:
+                    parent[b] = a
+                    children[b] = []
+                    children[a].append(b)
+
+        order = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(children[v])
+
+        for w in reversed(order):
+            if (w, parent[w]) not in self.tables:
+                self.tables[w, parent[w]] = self._table(w, parent[w], children[w])
+        return self.tables[root, None].get(0, 0)
+
+    def _table(self, w, par, skel_kids):
+        """count[x] over feasible infection times x for skeleton node w."""
+        t, theta = self.t, self.theta
+        R = self.reports.get(w, ())
+        child_count = self.g.degree(w) - (par is not None)
+        k = child_count + theta
+        hidden = theta - len(R)
+
+        if par is None:
+            xs = [0]
+        elif R:
+            # Taps live in the slot window: R[-1] <= x + k and R[0] >= x + 1.
+            xs = range(max(1, R[-1] - k), R[0])
+        else:
+            # Unobserved: all theta taps must hide past t, so t - x <= k - theta.
+            xs = range(max(1, t - child_count), t + 1)
+
+        kid_tables = [self.tables[c, w] for c in skel_kids]
+        if not all(kid_tables):
+            return {}  # some skeleton child admits no infection time
+        R_set = set(R)
+        table = {}
+        for x in xs:
+            if x > t:
+                continue
+            e = min(x + k, t)
+            if hidden > k - (e - x):
+                continue  # not enough unrealized slots to hide the unseen taps
+            if R and (R[0] <= x or R[-1] > x + k):
+                continue
+            child_times = [y for y in range(x + 1, e + 1) if y not in R_set]
+            if len(child_times) < len(skel_kids):
+                continue
+            classes = [(1, [kt.get(y, 0) for y in child_times]) for kt in kid_tables]
+            classes += self._fresh_classes(w, par, skel_kids,
+                                           child_count - len(skel_kids), child_times)
+            count = _assign(classes, len(child_times), len(skel_kids))
+            if count:
+                table[x] = count
+        return table
+
+    def fresh(self, node, par, x):
+        """Execution count of the unobserved subtree below node (parent par)
+        infected at time x: all theta taps must land past t, so the realized
+        times x+1..t map injectively onto its children.  On the infinite tree
+        the count depends on x alone, and node and par are None."""
         t = self.t
         if x >= t:
             return 1 if x == t else 0
-        key = (node, par, x)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        children = [u for u in self.g.neighbors(node) if u != par]
-        k = len(children) + self.theta
-        if self.theta > k - (t - x):
-            out = 0  # a tap would be forced to fire by t
-        else:
-            dp = {0: 1}
-            for y in range(x + 1, t + 1):
-                ndp = {}
-                for mask, val in dp.items():
-                    for i, c in enumerate(children):
-                        if mask >> i & 1:
-                            continue
-                        wgt = self.count(c, node, y)
-                        if wgt:
-                            nm = mask | (1 << i)
-                            ndp[nm] = ndp.get(nm, 0) + val * wgt
-                dp = ndp
-                if not dp:
-                    break
-            out = sum(dp.values())
-        self._memo[key] = out
-        return out
+        key = x if node is None else (node, par, x)
+        got = self._fresh_counts.get(key)
+        if got is None:
+            kids = self.g.d - 1 if node is None else self.g.degree(node) - 1
+            ys = range(x + 1, t + 1)
+            got = 0
+            if t - x <= kids:  # else some tap fires by t
+                got = _assign(self._fresh_classes(node, par, (), kids, ys), len(ys), 0)
+            self._fresh_counts[key] = got
+        return got
+
+    def _fresh_classes(self, w, par, skel_kids, n_fresh, ys):
+        """Children of w outside the skeleton, grouped into classes whose
+        subtree counts agree at every time in ys, as (members, counts)."""
+        if self.g.is_lazy:
+            # The n_fresh fresh subtrees of the infinite tree are identical.
+            return [(n_fresh, [self.fresh(None, None, y) for y in ys])] if n_fresh else []
+        groups = {}
+        for c in self.g.neighbors(w):
+            if c != par and c not in skel_kids:
+                counts = tuple(self.fresh(c, w, y) for y in ys)
+                groups[counts] = groups.get(counts, 0) + 1
+        return [(m, counts) for counts, m in groups.items()]
+
+
+def _assign(classes, n_slots, required):
+    """Sum over injective assignments of every one of n_slots slots to a
+    distinct child, each of the first ``required`` classes given a slot.
+
+    A class is (m, counts): m children whose subtree count is counts[i] when
+    given slot i.  The first ``required`` classes are the single skeleton
+    children.  A state packs, per class, the number of its children holding a
+    slot into one bit field of an integer.
+    """
+    due = [0] * n_slots  # skeleton children past their last usable slot
+    fields = []
+    offset = 0
+    for j, (m, counts) in enumerate(classes):
+        if j < required:
+            last = max((i for i, c in enumerate(counts) if c), default=-1)
+            if last < 0:
+                return 0
+            due[last] |= 1 << offset
+        width = m.bit_length()
+        fields.append((m, 1 << offset, offset, (1 << width) - 1, counts))
+        offset += width
+    dp = {0: 1}
+    for i in range(n_slots):
+        ndp = {}
+        for m, one, off, mask, counts in fields:
+            wgt = counts[i]
+            if wgt:
+                for state, val in dp.items():
+                    used = state >> off & mask
+                    if used < m:
+                        nxt = state + one
+                        ndp[nxt] = ndp.get(nxt, 0) + val * wgt * (m - used)
+        if due[i]:
+            ndp = {s: v for s, v in ndp.items() if s & due[i] == due[i]}
+        if not ndp:
+            return 0
+        dp = ndp
+    return sum(dp.values())

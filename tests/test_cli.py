@@ -80,6 +80,27 @@ class TestUsageErrors:
             main(["simulate", "--protocol", "trickle", "--estimator", "psychic"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--t", "3"),
+        ("--estimator", "timestamp-rumor-centrality", "--d", "8", "--t", "9"),
+        ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--t", "5",
+         "--root-degree", "3"),
+        ("--estimator", "ball-centrality", "--d", "4"),
+        ("--adversary", "spy", "--spy-p", "0.5", "--d", "4"),
+    ])
+    def test_rejected_spec_exits_2_before_any_trial(self, capsys, argv):
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "trickle", *argv,
+                                 "--trials", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("rumorlab: error:")
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_rejected_sweep_spec_exits_2(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--protocol", "trickle", "--estimator",
+                               "first-timestamp", "--adversary", "spy", "--spy-p", "0.5",
+                               "--d", "4", "--axis", "theta", "--values", "1,2")
+        assert (code, out) == (2, "")
+
     def test_runtime_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "ingest", "--input", "/nonexistent/file")
         assert code == 1

@@ -93,6 +93,44 @@ class TestValidation:
                 master_seed=0,
             )
 
+    @pytest.mark.parametrize("protocol,adversary,estimator,t", [
+        ("trickle", AdversarySpec("eavesdropper"), "ball-centrality", None),
+        ("diffusion", AdversarySpec("eavesdropper"), "reporting-centrality", None),
+        ("diffusion", AdversarySpec("spy", p=0.5), "first-timestamp", None),
+        ("trickle", AdversarySpec("snapshot"), "rumor-centers", None),
+        ("trickle", AdversarySpec("eavesdropper", estimation_time=5), "first-timestamp", 5),
+    ])
+    def test_full_simulation_on_infinite_tree_needs_horizon(self, protocol, adversary,
+                                                             estimator, t):
+        # Without max_time or max_infections these trials would never end.
+        with pytest.raises(ValueError, match="horizon"):
+            ExperimentSpec(GraphSpec(kind="tree", d=4), SpreadParams(protocol, theta=1),
+                           adversary, estimator, trials=10, master_seed=0)
+        ExperimentSpec(GraphSpec(kind="balanced-tree", d=4, depth=3),
+                       SpreadParams(protocol, theta=1), adversary, estimator,
+                       trials=10, master_seed=0)
+
+    def test_first_report_shortcut_needs_no_horizon(self):
+        ft_spec(protocol="trickle")
+        ft_spec(protocol="diffusion")
+
+    @pytest.mark.parametrize("graph,t,match", [
+        (GraphSpec(kind="tree", d=4), 3, "t >= d"),
+        (GraphSpec(kind="balanced-tree", d=4, depth=6), 4.5, "t >= d"),
+        (GraphSpec(kind="tree", d=8), 9, "guardrail"),
+        (GraphSpec(kind="tree", d=4, root_degree=3), 5, "unmodified"),
+    ])
+    def test_trc_setting_rejected_when_spec_is_built(self, graph, t, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(
+                graph=graph,
+                params=SpreadParams("trickle", theta=1, max_time=t),
+                adversary=AdversarySpec("eavesdropper", estimation_time=t),
+                estimator="timestamp-rumor-centrality",
+                trials=10,
+                master_seed=0,
+            )
+
     def test_spy_needs_p(self):
         with pytest.raises(ValueError):
             AdversarySpec("spy")
@@ -209,10 +247,8 @@ def rr_spec(protocol="trickle", workers=1):
 
 
 def outcome(report):
-    # mean_stop_time sums per worker block, so only its last bits may move
-    # with the worker count.
     return (report.hits, report.trials, report.p_hat, report.ci_low, report.ci_high,
-            report.strict_win_rate, report.theory, pytest.approx(report.mean_stop_time))
+            report.strict_win_rate, report.theory, report.mean_stop_time)
 
 
 def point(spec, axis, value):

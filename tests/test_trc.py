@@ -8,7 +8,7 @@ import pytest
 from rumorlab.adversary import Observation, observe_eavesdropper
 from rumorlab.bruteforce import enumerate_histories, observation_atlas
 from rumorlab.estimators import InfeasibleObservationError
-from rumorlab.graphs import build_regular_tree, lazy_regular_tree
+from rumorlab.graphs import build_regular_tree, hop_distance, lazy_regular_tree, tree_path
 from rumorlab.spreading import SpreadParams, simulate_trickle, trial_stream
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
 
@@ -149,3 +149,86 @@ class TestEstimator:
                           all_reports={1: (1,), 2: (1,)})
         with pytest.raises(InfeasibleObservationError):
             timestamp_rumor_centrality(obs, g, 4)
+
+
+def simulated_observations(g_factory, d, theta, t, seed, n):
+    """(graph, reports, observation) of n simulated trickle trials."""
+    params = SpreadParams("trickle", theta=theta, max_time=t)
+    for i in range(n):
+        g = g_factory()
+        tr = simulate_trickle(g, params, trial_stream(seed, i))
+        obs = observe_eavesdropper(tr, t, keep_all=True)
+        if obs.first_reports:
+            yield g, {v: tuple(sorted(times)) for v, times in obs.all_reports.items()}, obs
+
+
+def candidates_of(obs, d, theta):
+    return [v for v, tau in obs.first_reports.items() if tau <= d + theta]
+
+
+def map_onto_balanced(lazy, root, nodes, explicit):
+    """Image of each of ``nodes`` in the balanced tree ``explicit`` with the
+    lazy tree's ``root`` at node 0: a node maps to the node reached by the same
+    sequence of child indices (children in neighbor order, minus the parent)."""
+    image = {}
+    for w in nodes:
+        e, e_parent, prev = 0, None, None
+        path = tree_path(lazy, root, w)
+        for a, b in zip(path, path[1:]):
+            index = [x for x in lazy.neighbors(a) if x != prev].index(b)
+            e, e_parent = [x for x in explicit.neighbors(e) if x != e_parent][index], e
+            prev = a
+        image[w] = e
+    return image
+
+
+class TestFastPathAgainstExplicitTree:
+    """The infinite tree counts every unobserved subtree by infection time
+    alone; the explicit tree counts each one from its real children, the path
+    the brute-force oracle tests verify.  A balanced tree with no leaf within
+    t hops of the root candidate looks like the infinite tree to every
+    execution, so the two counts must agree.  Each candidate is mapped to the
+    balanced tree's root, which keeps the trees small (rooted at the source,
+    they would need depth up to 2t)."""
+
+    @pytest.mark.parametrize("d,theta", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_lazy_counts_equal_explicit_counts(self, d, theta):
+        t = d + theta
+        compared = positive = 0
+        trees = {}
+        for g, reports, obs in simulated_observations(lambda: lazy_regular_tree(d),
+                                                      d, theta, t, 96 + d, 25):
+            for c in candidates_of(obs, d, theta):
+                depth = max([t + 1] + [hop_distance(g, c, w) for w in reports])
+                if depth not in trees:
+                    trees[depth] = build_regular_tree(d, depth)
+                explicit = trees[depth]
+                image = map_onto_balanced(g, c, reports, explicit)
+                mapped = {image[w]: times for w, times in reports.items()}
+                count = ordering_count(g, c, reports, t, theta)
+                assert ordering_count(explicit, 0, mapped, t, theta) == count, (c, reports)
+                compared += 1
+                positive += count > 0
+        assert positive >= 25 and compared > positive
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("d,theta,graph", [
+        (3, 1, "lazy"), (4, 2, "lazy"), (5, 1, "lazy"), (3, 2, "balanced"), (4, 1, "balanced"),
+    ])
+    def test_scores_equal_separate_counts(self, d, theta, graph):
+        # One estimator call shares its tables across candidates; each score
+        # must still equal a count made with tables of its own.
+        t = d + theta
+        tree = build_regular_tree(d, 4)
+        factory = (lambda: lazy_regular_tree(d)) if graph == "lazy" else (lambda: tree)
+        checked = 0
+        for g, reports, obs in simulated_observations(factory, d, theta, t, 97 + d, 30):
+            res = timestamp_rumor_centrality(obs, g, t, theta=theta)
+            for v in candidates_of(obs, d, theta):
+                if all(hop_distance(g, v, w) <= tau - 1 for w, tau in obs.first_reports.items()):
+                    assert res.score[v] == ordering_count(g, v, reports, t, theta), v
+                    checked += 1
+                else:
+                    assert res.score[v] == 0
+        assert checked >= 30
