@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -20,7 +21,8 @@ from .harness import (
     ExperimentSpec,
     GraphSpec,
     run_experiment,
-    sweep,
+    run_points,
+    sweep_specs,
     trial_trace,
 )
 from .spreading import SpreadParams, trace_to_csv
@@ -104,6 +106,16 @@ def _spec_from_args(args):
             master_seed=args.seed,
             workers=args.workers,
         )
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+
+
+def _points_from_args(args):
+    """Every point spec of the sweep the flags describe, each built (and so
+    checked) before any point runs."""
+    base = _spec_from_args(args)
+    try:
+        return sweep_specs(base, args.axis, args.values)
     except ValueError as exc:
         raise UsageError(exc) from exc
 
@@ -194,33 +206,30 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_sweep(args):
-    spec = _spec_from_args(args)
-    values = args.values
-    reports = sweep(spec, args.axis, values)
-    rows = [r.csv_fields() for r in reports]
-    columns = ("axis", "axis_value") + CSV_COLUMNS
-    for row, value in zip(rows, values):
+def _sweep_rows(args, specs):
+    """Run the points of one or more sweeps over args.values, in order."""
+    rows = [r.csv_fields() for r in run_points(specs)]
+    for row, value in zip(rows, itertools.cycle(args.values)):
         row["axis"] = args.axis
         row["axis_value"] = value
+    return rows
+
+
+def cmd_sweep(args):
+    rows = _sweep_rows(args, _points_from_args(args))
+    columns = ("axis", "axis_value") + CSV_COLUMNS
     _emit(_rows_to_output(rows, columns, _config_header(args), args.format), args.out)
     return 0
 
 
 def cmd_compare(args):
     """Both protocols across one axis, long format for external plotting."""
-    rows = []
     header = _config_header(args, extra={"protocol": "trickle+diffusion"})
     specs = []
     for protocol in ("trickle", "diffusion"):
         args.protocol = protocol
-        specs.append(_spec_from_args(args))
-    for spec in specs:
-        for report, value in zip(sweep(spec, args.axis, args.values), args.values):
-            row = report.csv_fields()
-            row["axis"] = args.axis
-            row["axis_value"] = value
-            rows.append(row)
+        specs += _points_from_args(args)
+    rows = _sweep_rows(args, specs)
     columns = ("axis", "axis_value") + CSV_COLUMNS
     _emit(_rows_to_output(rows, columns, header, args.format), args.out)
     return 0

@@ -109,20 +109,22 @@ def _ball(g, center, radius):
 # ---------------------------------------------------------------------------
 
 def _steiner_tree(g, terminals):
-    """Union of pairwise tree paths between terminals: adjacency dict."""
+    """Union of pairwise tree paths between terminals: adjacency dict.
+
+    Each terminal's path to the smallest one stops at the first node already
+    in the union, a subtree that holds the rest of that path.
+    """
     terminals = sorted(terminals)
     anchor = terminals[0]
-    nodes = {anchor}
     adj = {anchor: set()}
     for v in terminals[1:]:
-        path = tree_path(g, anchor, v)
+        path = tree_path(g, v, anchor)
         for a, b in zip(path, path[1:]):
-            for x in (a, b):
-                if x not in adj:
-                    adj[x] = set()
-                    nodes.add(x)
-            adj[a].add(b)
-            adj[b].add(a)
+            known = b in adj
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+            if known:
+                break
     return adj
 
 

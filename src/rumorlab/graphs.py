@@ -5,14 +5,13 @@ Two graph flavors share one read interface (``neighbors`` / ``degree`` /
 
 * ``ExplicitGraph``: finite simple undirected graph with dense node ids
   0..n-1, built by the generators here or ingested from an edge-list file.
-* ``LazyRegularTree``: an infinite d-regular tree materialized on first
-  access.  Simulations on "infinite" trees touch only the nodes the spread
-  reaches, so no truncation bias enters at the boundary.  Materialization is
-  purely additive: expanding a node never changes existing structure.
+* ``LazyRegularTree``: an infinite d-regular tree numbered breadth first,
+  whose parent and children of a node follow from its id by arithmetic.
+  Simulations on "infinite" trees touch only the nodes the spread reaches,
+  so no truncation bias enters at the boundary.
 
-Explicit graphs are immutable after construction and safe to share across
-threads/processes.  Lazy trees mutate on materialization; each Monte Carlo
-trial owns a private instance.
+Both flavors are immutable after construction and safe to share across
+threads/processes.
 """
 
 from collections import deque
@@ -73,11 +72,13 @@ class ExplicitGraph:
 
 
 class LazyRegularTree:
-    """Infinite d-regular tree, grown on demand from root node 0.
+    """Infinite d-regular tree rooted at node 0, numbered breadth first.
 
-    ``neighbors(v)`` materializes v's missing children with fresh ids, so the
-    first call and every later call return the same list.  Parent pointers and
-    depths are kept for O(depth) hop-distance and path queries.
+    The root's children are 1..root_degree and the children of node v >= 1
+    are r+(v-1)(d-1)+1 .. r+v(d-1), with r the root degree, so every parent
+    has a smaller id than its children.  ``neighbors(v)`` lists the parent
+    first, then the children in ascending order.  Nothing is stored per node:
+    the tree is immutable and one instance serves every trial and worker.
 
     ``root_degree`` (default d) gives the root a different number of
     neighbors while every other node keeps degree d.  root_degree = d - 2 is
@@ -97,49 +98,25 @@ class LazyRegularTree:
         self.d = d
         self.root_degree = root_degree
         self.degree_hint = d
-        self._adj = {0: []}
-        self._parent = {0: None}
-        self._depth = {0: 0}
-        self._next_id = 1
 
     def has_node(self, v):
-        return v in self._adj
-
-    def materialized_nodes(self):
-        return self._adj.keys()
-
-    @property
-    def node_count(self):
-        return len(self._adj)
+        return isinstance(v, int) and v >= 0
 
     def neighbors(self, v):
-        if v not in self._adj:
-            raise ValueError(f"unknown node {v}")
-        nbrs = self._adj[v]
-        want = self.root_degree if v == 0 else self.d
-        while len(nbrs) < want:
-            child = self._next_id
-            self._next_id += 1
-            self._adj[child] = [v]
-            self._parent[child] = v
-            self._depth[child] = self._depth[v] + 1
-            nbrs.append(child)
-        return nbrs
+        r = self.root_degree
+        if v == 0:
+            return list(range(1, r + 1))
+        c = self.d - 1
+        first = r + (v - 1) * c + 1
+        return [0 if v <= r else (v - r - 1) // c + 1, *range(first, first + c)]
 
     def degree(self, v):
-        if v not in self._adj:
-            raise ValueError(f"unknown node {v}")
         return self.root_degree if v == 0 else self.d
 
     def parent_of(self, v):
-        if v not in self._parent:
-            raise ValueError(f"unknown node {v}")
-        return self._parent[v]
-
-    def depth_of(self, v):
-        if v not in self._depth:
-            raise ValueError(f"unknown node {v}")
-        return self._depth[v]
+        if v <= self.root_degree:
+            return None if v == 0 else 0
+        return (v - self.root_degree - 1) // (self.d - 1) + 1
 
 
 def build_regular_tree(d, depth):
@@ -168,7 +145,7 @@ def build_regular_tree(d, depth):
 
 
 def lazy_regular_tree(d, root_degree=None):
-    """Infinite d-regular tree realized lazily (see LazyRegularTree)."""
+    """Infinite d-regular tree, numbered breadth first (see LazyRegularTree)."""
     return LazyRegularTree(d, root_degree=root_degree)
 
 
@@ -283,21 +260,15 @@ def hop_distance(g, u, v):
     if u == v:
         return 0
     if g.is_lazy:
-        # Walk the deeper endpoint up to the common ancestor.
-        du, dv = g.depth_of(u), g.depth_of(v)
+        # Parents have smaller ids than children, so the larger id is never
+        # the common ancestor: move it up until the two meet.
         dist = 0
-        while du > dv:
-            u = g.parent_of(u)
-            du -= 1
-            dist += 1
-        while dv > du:
-            v = g.parent_of(v)
-            dv -= 1
-            dist += 1
         while u != v:
-            u = g.parent_of(u)
-            v = g.parent_of(v)
-            dist += 2
+            if u > v:
+                u = g.parent_of(u)
+            else:
+                v = g.parent_of(v)
+            dist += 1
         return dist
     seen = {u}
     frontier = deque([(u, 0)])
@@ -315,17 +286,15 @@ def hop_distance(g, u, v):
 def tree_path(g, u, v):
     """Node sequence of the unique u..v path in a tree graph."""
     if g.is_lazy:
+        # Climb the larger id until both ends meet (see hop_distance).
         up, vp = [u], [v]
-        du, dv = g.depth_of(u), g.depth_of(v)
-        while du > dv:
-            up.append(g.parent_of(up[-1]))
-            du -= 1
-        while dv > du:
-            vp.append(g.parent_of(vp[-1]))
-            dv -= 1
-        while up[-1] != vp[-1]:
-            up.append(g.parent_of(up[-1]))
-            vp.append(g.parent_of(vp[-1]))
+        while u != v:
+            if u > v:
+                u = g.parent_of(u)
+                up.append(u)
+            else:
+                v = g.parent_of(v)
+                vp.append(v)
         return up + vp[-2::-1]
     # BFS parents from u, then walk back from v.
     parent = {u: None}
@@ -348,14 +317,15 @@ def tree_path(g, u, v):
 def subtree_partition(g, root, nodes=None):
     """Label every node (except root) with the root-neighbor subtree it is in.
 
-    ``nodes`` restricts the walk (defaults to all nodes of an explicit graph,
-    or to the materialized nodes of a lazy tree).  Raises if the restriction
-    is not a tree containing root.
+    ``nodes`` restricts the walk (defaults to all nodes of an explicit graph;
+    required on the infinite tree).  Raises if the restriction is not a tree
+    containing root.
     """
     if nodes is None:
-        universe = set(g.nodes()) if not g.is_lazy else set(g.materialized_nodes())
-    else:
-        universe = set(nodes)
+        if g.is_lazy:
+            raise ValueError("the infinite tree needs an explicit node set")
+        nodes = g.nodes()
+    universe = set(nodes)
     if root not in universe:
         raise ValueError(f"root {root} not among supplied nodes")
     labels = {}

@@ -54,11 +54,11 @@ ADVERSARIES = ("eavesdropper", "spy", "snapshot")
 class GraphSpec:
     """Recipe for the trial topology.
 
-    kind: 'tree' (lazy infinite regular tree, fresh instance per trial),
+    kind: 'tree' (infinite regular tree, numbered breadth first),
     'balanced-tree' (explicit, needs depth), 'random-regular' (needs n; seeded
-    by the master seed), or 'file' (edge list path).  An explicit graph is
-    built once per sweep, in the calling process, and shared by every point
-    and worker.
+    by the master seed), or 'file' (edge list path).  Every graph is immutable:
+    it is built once per sweep, in the calling process, and shared by every
+    point and worker.
     root_degree modifies only the lazy tree's root (the diffusion
     first-timestamp closed form is exact for root_degree = d - 2).
     """
@@ -141,7 +141,11 @@ def _check_compatible(spec):
                          "max_time (--t) or max_infections (--max-infections)")
     if est == "timestamp-rumor-centrality":
         t = spec.adversary.estimation_time
-        check_setting(spec.graph.d, p.theta, p.max_time if t is None else t,
+        if t is None:
+            t = p.max_time
+        if t is None:
+            raise ValueError("timestamp rumor centrality needs an estimation time (--t)")
+        check_setting(spec.graph.d, p.theta, t,
                       spec.graph.root_degree if spec.graph.kind == "tree" else None)
 
 
@@ -217,17 +221,15 @@ def _build_graph(gspec, master_seed):
         return build_random_regular(gspec.n, gspec.d, seed=master_seed)
     if gspec.kind == "file":
         return load_edge_list(gspec.path)
-    return None  # lazy tree: fresh instance per trial
+    return lazy_regular_tree(gspec.d, root_degree=gspec.root_degree)
 
 
 def _start_trial(spec, shared, index):
-    """(rng, graph, source) of one trial.  Generated graphs carry the source at
-    node 0; loaded snapshots draw a uniform source first on the trial's stream.
+    """(rng, source) of one trial.  Generated graphs carry the source at node
+    0; loaded snapshots draw a uniform source first on the trial's stream.
     """
     rng = trial_stream(spec.master_seed, index)
-    if spec.graph.kind == "tree":
-        return rng, lazy_regular_tree(spec.graph.d, root_degree=spec.graph.root_degree), 0
-    return rng, shared, rng.randrange(shared.node_count) if spec.graph.kind == "file" else 0
+    return rng, rng.randrange(shared.node_count) if spec.graph.kind == "file" else 0
 
 
 def _simulate(spec, g, rng, source):
@@ -237,16 +239,17 @@ def _simulate(spec, g, rng, source):
 
 def trial_trace(spec, index=0):
     """Full spread of trial ``index`` on the graph, source and stream run_trial uses."""
-    rng, g, source = _start_trial(spec, _build_graph(spec.graph, spec.master_seed), index)
+    g = _build_graph(spec.graph, spec.master_seed)
+    rng, source = _start_trial(spec, g, index)
     return _simulate(spec, g, rng, source)
 
 
-def run_trial(spec, shared_graph, index):
-    """One trial: (hit, strict_win or None, stop_time or None).
+def run_trial(spec, g, index):
+    """One trial on graph g: (hit, strict_win or None, stop_time or None).
 
     A trial in which the adversary observed nothing is a counted miss.
     """
-    rng, g, source = _start_trial(spec, shared_graph, index)
+    rng, source = _start_trial(spec, g, index)
     est, adv = spec.estimator, spec.adversary
 
     if _first_report_only(spec):
@@ -304,7 +307,7 @@ def _run_block(spec, shared, lo, hi):
     return hits, strict, stops
 
 
-def _run_points(specs):
+def run_points(specs):
     """One report per spec, in order (see the module docstring); a report's
     wall_time is the time its spec added to the call."""
     t0 = time.perf_counter()
@@ -350,7 +353,7 @@ def _aggregate(spec, parts, wall_time):
 
 def run_experiment(spec):
     """Execute every trial of the spec and aggregate a DetectionReport."""
-    return _run_points([spec])[0]
+    return run_points([spec])[0]
 
 
 def theory_overlay(spec):
@@ -385,9 +388,15 @@ def sweep(base, axis, values):
 
     The points share one graph build per distinct graph and one process pool.
     """
+    return run_points(sweep_specs(base, axis, values))
+
+
+def sweep_specs(base, axis, values):
+    """The spec of every sweep point; raises ValueError, before anything
+    runs, if any point is rejected."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    return _run_points([_with_axis(base, axis, value) for value in values])
+    return [_with_axis(base, axis, value) for value in values]
 
 
 def _with_axis(spec, axis, value):

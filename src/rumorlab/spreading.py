@@ -7,7 +7,9 @@ step, starting the step after it was infected.  Diffusion is the
 continuous-time SI process: every edge relays after an independent Exp(lam)
 delay, and each node's first adversary report fires after Exp(theta) (the
 minimum of theta unit-rate taps; one draw is distributionally identical and
-cheaper).
+cheaper).  simulate_diffusion needs no event heap: it draws the report with
+the infection and, the delays being memoryless, fires the pending relays one
+at a time.
 
 The ground truth lives in a SpreadTrace: per-node infection times X, per-node
 adversary report times, infection parents, and the realized horizon.
@@ -159,53 +161,55 @@ def simulate_trickle(g, params, rng, source=0):
 
 
 def simulate_diffusion(g, params, rng, source=0):
-    """Event-driven diffusion from ``source``.
+    """Continuous-time diffusion from ``source``, one relay at a time.
 
-    On infection at X_v, node v schedules one report event at X_v + Exp(theta)
-    followed by one infection event per currently-uninfected neighbor at
-    X_v + Exp(lam), in adjacency order (the order fixes the stream layout).
-    Infection events landing on already-infected nodes are discarded.
+    On infection at X_v, node v draws its report time X_v + Exp(theta) and
+    adds one pending relay per neighbor still uninfected at that moment.
+    With b relays pending, the next one fires after Exp(b * lam) and, the
+    delays being memoryless, is a uniform pick among them; a relay landing on
+    a node infected meanwhile has no effect.  This is exact in distribution
+    on every graph, cycles included.  Reports after the stop time are
+    dropped.  The run stops at the max_infections-th infection (that node
+    draws no report), at max_time, or when no relay is left; in the last
+    case without max_time the stop time is the latest infection or report.
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
     theta, lam = params.theta, params.lam
     max_time = params.max_time if params.max_time is not None else math.inf
-    max_inf = params.max_infections
+    max_inf = params.max_infections if params.max_infections is not None else math.inf
+    expovariate, randrange, neighbors = rng.expovariate, rng.randrange, g.neighbors
 
     X = {}
     parent = {}
-    reports = {}
     order = []
-    heap = []
-    seq = 0
-    heappush(heap, (0.0, seq, "infect", source, None))
-    stop_time = 0.0
-    while heap:
-        t, _, kind, node, par = heappop(heap)
+    report_times = []
+    pending = []  # (relay, target) pairs not yet fired
+    t, relay, v = 0.0, None, source
+    while True:
+        if v not in X:
+            X[v] = t
+            parent[v] = relay
+            order.append(v)
+            if len(order) >= max_inf:
+                stop_time = t
+                break
+            report_times.append(t + expovariate(theta))
+            pending += [(v, u) for u in neighbors(v) if u not in X]
+        if not pending:
+            # Used up: the latest infection or report, not the clock, which
+            # may have moved on through relays that had no effect.
+            stop_time = max_time if params.max_time is not None else max(
+                X[order[-1]], *report_times)
+            break
+        t += expovariate(lam * len(pending))
         if t > max_time:
             stop_time = max_time
             break
-        if kind == "infect":
-            if node in X:
-                continue
-            X[node] = t
-            parent[node] = par
-            order.append(node)
-            stop_time = t
-            if max_inf is not None and len(X) >= max_inf:
-                break
-            seq += 1
-            heappush(heap, (t + rng.expovariate(theta), seq, "report", node, None))
-            for u in g.neighbors(node):
-                if u not in X:
-                    seq += 1
-                    heappush(heap, (t + rng.expovariate(lam), seq, "infect", u, node))
-        else:
-            reports.setdefault(node, []).append(t)
-            stop_time = t
-    if params.max_time is not None and not (max_inf is not None and len(X) >= max_inf):
-        # Horizon is wall-clock unless the infection budget fired first.
-        stop_time = params.max_time
+        i = randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        relay, v = pending.pop()
+    reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
     return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
 
 

@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's own evaluation routes: special
 functions are recomputed by adaptive quadrature (scipy.integrate.quad),
-including a genuine principal-value integral for the exponential integral.
+including a genuine principal-value integral for the exponential integral,
+and diffusion is re-simulated with one timed event per relay and report.
 """
 
 import math
+from heapq import heappop, heappush
 
 from scipy.integrate import quad
+
+from rumorlab.spreading import SpreadTrace
 
 
 def ei_quadrature(x):
@@ -46,3 +50,53 @@ def trickle_ft_integral(d, theta):
     rho = (d - 1) / (d - 1 + theta)
     val, _ = quad(lambda x: rho ** (2.0 ** x), 0.0, d, limit=400)
     return theta / d * val
+
+
+def heap_simulate_diffusion(g, params, rng, source=0):
+    """Reference diffusion: every relay and report is its own timed event.
+
+    On infection at X_v, node v schedules one report event at X_v + Exp(theta)
+    and one infection event per currently-uninfected neighbor at
+    X_v + Exp(lam), all in one heap.  Infection events landing on
+    already-infected nodes are discarded.  Slow but direct; the package's
+    simulate_diffusion must agree with it in distribution.
+    """
+    theta, lam = params.theta, params.lam
+    max_time = params.max_time if params.max_time is not None else math.inf
+    max_inf = params.max_infections
+
+    X = {}
+    parent = {}
+    reports = {}
+    order = []
+    heap = []
+    seq = 0
+    heappush(heap, (0.0, seq, "infect", source, None))
+    stop_time = 0.0
+    while heap:
+        t, _, kind, node, par = heappop(heap)
+        if t > max_time:
+            stop_time = max_time
+            break
+        if kind == "infect":
+            if node in X:
+                continue
+            X[node] = t
+            parent[node] = par
+            order.append(node)
+            stop_time = t
+            if max_inf is not None and len(X) >= max_inf:
+                break
+            seq += 1
+            heappush(heap, (t + rng.expovariate(theta), seq, "report", node, None))
+            for u in g.neighbors(node):
+                if u not in X:
+                    seq += 1
+                    heappush(heap, (t + rng.expovariate(lam), seq, "infect", u, node))
+        else:
+            reports.setdefault(node, []).append(t)
+            stop_time = t
+    if params.max_time is not None and not (max_inf is not None and len(X) >= max_inf):
+        # Horizon is wall-clock unless the infection budget fired first.
+        stop_time = params.max_time
+    return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)

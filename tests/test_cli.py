@@ -87,6 +87,7 @@ class TestUsageErrors:
          "--root-degree", "3"),
         ("--estimator", "ball-centrality", "--d", "4"),
         ("--adversary", "spy", "--spy-p", "0.5", "--d", "4"),
+        ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--max-infections", "50"),
     ])
     def test_rejected_spec_exits_2_before_any_trial(self, capsys, argv):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "trickle", *argv,
@@ -100,6 +101,15 @@ class TestUsageErrors:
                                "first-timestamp", "--adversary", "spy", "--spy-p", "0.5",
                                "--d", "4", "--axis", "theta", "--values", "1,2")
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_sweep_point_rejected_when_built_exits_2(self, capsys, command):
+        # The base spec (t=5) is valid; the point t=3 is not, and no point runs.
+        code, out, err = run_cli(capsys, command, "--protocol", "trickle", "--estimator",
+                                 "timestamp-rumor-centrality", "--d", "4", "--t", "5",
+                                 "--axis", "t", "--values", "5,3", "--trials", "20")
+        assert (code, out) == (2, "")
+        assert "t >= d + theta" in err
 
     def test_runtime_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "ingest", "--input", "/nonexistent/file")

@@ -79,12 +79,16 @@ class TestLazyRegularTree:
         assert len(seen) == 17  # 1 + 4 + 12
 
     def test_materialization_is_additive(self):
+        # The tree is immutable: no query changes the answer to another, and
+        # every child lists its parent first.
         g = lazy_regular_tree(3)
-        g.neighbors(0)
-        before = {v: list(g.neighbors(v))[:1] for v in list(g.materialized_nodes())}
-        g.neighbors(max(g.materialized_nodes()))
-        for v, prefix in before.items():
-            assert list(g.neighbors(v))[:1] == prefix
+        before = {v: g.neighbors(v) for v in range(40)}
+        g.neighbors(10 ** 9)
+        assert {v: g.neighbors(v) for v in range(40)} == before
+        for v, nbrs in before.items():
+            for child in nbrs[1 if v else 0:]:
+                assert g.neighbors(child)[0] == v
+                assert g.parent_of(child) == v
 
     def test_root_degree_override(self):
         g = lazy_regular_tree(4, root_degree=2)
@@ -96,6 +100,25 @@ class TestLazyRegularTree:
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             lazy_regular_tree(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_numbered_like_the_balanced_tree(self, d, k):
+        # Both number the nodes breadth first, so they agree wherever the
+        # balanced tree has its full degree.
+        g, explicit = lazy_regular_tree(d), build_regular_tree(d, k)
+        for v in range(tree_node_count(d, k - 1)):
+            assert g.neighbors(v) == explicit.neighbors(v)
+            assert g.degree(v) == explicit.degree(v) == d
+
+    def test_root_degree_matches_hand_built_tree(self):
+        # d=3, root degree 2, depth 2: the root's children 1, 2 own 3, 4 and 5, 6.
+        explicit = ExplicitGraph([[1, 2], [0, 3, 4], [0, 5, 6], [1], [1], [2], [2]])
+        g = lazy_regular_tree(3, root_degree=2)
+        for v in range(3):
+            assert g.neighbors(v) == explicit.neighbors(v)
+        assert [g.parent_of(v) for v in range(7)] == [None, 0, 0, 1, 1, 2, 2]
+        assert g.neighbors(3) == [1, 7, 8]
 
 
 class TestRandomRegular:
@@ -200,17 +223,40 @@ class TestHopDistance:
     def test_lazy_matches_bfs_and_triangle_inequality(self, seed):
         g = lazy_regular_tree(3)
         rng = random.Random(seed)
-        frontier = [0]
-        for _ in range(4):
-            frontier = [u for v in frontier for u in g.neighbors(v)]
-        nodes = list(g.materialized_nodes())
+        nodes = ball(g, 0, 5)
         a, b, c = (rng.choice(nodes) for _ in range(3))
         explicit = ExplicitGraph(
-            [[u for u in g.neighbors(v) if u in set(nodes)] for v in sorted(nodes)]
+            [[u for u in g.neighbors(v) if u in set(nodes)] for v in nodes]
         )
         assert hop_distance(g, a, b) == hop_distance(explicit, a, b)
         assert hop_distance(g, a, b) == hop_distance(g, b, a)
         assert hop_distance(g, a, c) <= hop_distance(g, a, b) + hop_distance(g, b, c)
+
+
+def ball(g, center, radius):
+    """Sorted ids within radius hops of center, found by BFS."""
+    seen = {center}
+    frontier = [center]
+    for _ in range(radius):
+        frontier = [u for v in frontier for u in g.neighbors(v) if u not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("d,root_degree", [(2, None), (3, None), (5, None), (4, 2)])
+def test_lazy_path_queries_match_bfs_on_explicit_tree(d, root_degree):
+    g = lazy_regular_tree(d, root_degree=root_degree)
+    if root_degree is None:
+        explicit = build_regular_tree(d, 4)
+    else:  # no generator builds this one: take the lazy tree's radius-4 ball
+        ids = set(ball(g, 0, 4))
+        explicit = ExplicitGraph([[u for u in g.neighbors(v) if u in ids] for v in sorted(ids)])
+    nodes = list(explicit.nodes())
+    rng = random.Random(d)
+    for _ in range(200):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        assert hop_distance(g, a, b) == hop_distance(explicit, a, b)
+        assert tree_path(g, a, b) == tree_path(explicit, a, b)
 
 
 def load_edge_list_from_edges(edges):
@@ -225,10 +271,7 @@ def load_edge_list_from_edges(edges):
 class TestTreePath:
     def test_explicit_and_lazy_agree(self):
         g = lazy_regular_tree(2)
-        frontier = [0]
-        for _ in range(4):
-            frontier = [u for v in frontier for u in g.neighbors(v)]
-        nodes = sorted(g.materialized_nodes())
+        nodes = ball(g, 0, 5)
         explicit = ExplicitGraph(
             [[u for u in g.neighbors(v) if u in set(nodes)] for v in nodes]
         )
@@ -250,6 +293,12 @@ class TestSubtreePartition:
         labels = subtree_partition(g, 1)
         assert labels[3] == 2
         assert labels[0] == 0
+
+    def test_infinite_tree_needs_node_set(self):
+        g = lazy_regular_tree(3)
+        with pytest.raises(ValueError, match="node set"):
+            subtree_partition(g, 0)
+        assert subtree_partition(g, 0, nodes=[0, 1, 2, 4]) == {1: 1, 2: 2, 4: 1}
 
     def test_cycle_rejected(self):
         g = load_edge_list_from_edges([(0, 1), (1, 2), (2, 0)])

@@ -13,6 +13,7 @@ from rumorlab.harness import (
     GraphSpec,
     run_experiment,
     sweep,
+    sweep_specs,
     wilson_interval,
 )
 from rumorlab.spreading import SpreadParams
@@ -130,6 +131,23 @@ class TestValidation:
                 trials=10,
                 master_seed=0,
             )
+
+    def test_trc_needs_an_estimation_time(self):
+        # An infection budget alone leaves TRC's counting horizon undefined.
+        with pytest.raises(ValueError, match="estimation time"):
+            ExperimentSpec(GraphSpec(kind="tree", d=4),
+                           SpreadParams("trickle", theta=1, max_infections=50),
+                           AdversarySpec("eavesdropper"), "timestamp-rumor-centrality",
+                           trials=10, master_seed=0)
+
+    def test_sweep_specs_checks_every_point(self):
+        base = ExperimentSpec(GraphSpec(kind="tree", d=4),
+                              SpreadParams("trickle", theta=1, max_time=5),
+                              AdversarySpec("eavesdropper", estimation_time=5),
+                              "timestamp-rumor-centrality", trials=10, master_seed=0)
+        assert [s.params.max_time for s in sweep_specs(base, "t", [5, 6])] == [5, 6]
+        with pytest.raises(ValueError, match="t >= d"):
+            sweep_specs(base, "t", [5, 3])
 
     def test_spy_needs_p(self):
         with pytest.raises(ValueError):
@@ -285,6 +303,22 @@ class TestSharedGraphSweep:
         assert len(builds) == 2
         sweep(rr_spec(), "d", [4, 6, 8])
         assert [args[:2] for args in builds[2:]] == [(60, 4), (60, 6), (60, 8)]
+
+    def test_one_tree_per_sweep_and_none_per_trial(self, monkeypatch):
+        real = harness.lazy_regular_tree
+        parent = os.getpid()
+        builds = []
+
+        def counting(*args, **kwargs):
+            assert os.getpid() == parent, "a worker process built the tree"
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "lazy_regular_tree", counting)
+        sweep(ft_spec(trials=50), "theta", [1.0, 2.0, 4.0])
+        assert builds == [(4,)]
+        sweep(ft_spec(trials=50, workers=2), "d", [3, 5])
+        assert builds[1:] == [(3,), (5,)]
 
     def test_pool_shut_down_when_sweep_returns(self):
         reports = sweep(rr_spec(workers=2), "theta", [1.0, 2.0])

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import heap_simulate_diffusion
 
 from rumorlab.graphs import build_random_regular, build_regular_tree, lazy_regular_tree
 from rumorlab.spreading import (
@@ -195,6 +196,58 @@ class TestDiffusion:
         assert tr.reports
         for v, taps in tr.reports.items():
             assert min(taps) > tr.X[v]
+
+
+def sample_mean(values):
+    """(mean, standard error) of a sample."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+class TestDiffusionMatchesHeapReference:
+    """simulate_diffusion draws one relay at a time; the reference gives every
+    relay and report its own heap event.  The two must agree in distribution
+    (within 4 standard errors, on independent seeds)."""
+
+    TRIALS = 1500
+
+    def compare(self, g, params, stats):
+        runs = {}
+        for seed, sim in ((61, simulate_diffusion), (62, heap_simulate_diffusion)):
+            traces = [sim(g, params, trial_stream(seed, i)) for i in range(self.TRIALS)]
+            runs[sim] = [[stat(tr) for tr in traces] for stat in stats]
+        for new, ref in zip(runs[simulate_diffusion], runs[heap_simulate_diffusion]):
+            (m1, se1), (m2, se2) = sample_mean(new), sample_mean(ref)
+            assert abs(m1 - m2) < 4 * math.hypot(se1, se2), (m1, m2)
+
+    def test_infection_budget_on_tree(self):
+        self.compare(lazy_regular_tree(4),
+                     SpreadParams("diffusion", theta=1.0, max_infections=200),
+                     [lambda tr: tr.stop_time, lambda tr: len(tr.reports)])
+
+    def test_time_horizon_on_graph_with_cycles(self):
+        self.compare(build_random_regular(300, 4, seed=1),
+                     SpreadParams("diffusion", theta=1.0, max_time=1.5),
+                     [lambda tr: len(tr.X), lambda tr: len(tr.reports)])
+
+    def test_exhaustion_on_graph_with_cycles(self):
+        self.compare(build_random_regular(300, 4, seed=1),
+                     SpreadParams("diffusion", theta=1.0),
+                     [lambda tr: tr.stop_time])
+
+    def test_exhaustion_stops_at_last_event(self):
+        # Relays that land on infected nodes after the last event move no time.
+        g = build_random_regular(60, 4, seed=3)
+        for i in range(50):
+            tr = simulate_diffusion(g, SpreadParams("diffusion", theta=1.0), trial_stream(8, i))
+            assert len(tr.X) == 60 and len(tr.reports) == 60
+            last = max(max(tr.X.values()), max(t for ts in tr.reports.values() for t in ts))
+            assert tr.stop_time == last
+            for v in tr.infected_order[1:]:
+                assert tr.parent[v] in g.neighbors(v)
+                assert tr.X[v] > tr.X[tr.parent[v]]
 
 
 class TestDeterminism:

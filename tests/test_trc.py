@@ -143,7 +143,6 @@ class TestEstimator:
 
     def test_corrupt_observation_raises(self):
         g = lazy_regular_tree(2)
-        g.neighbors(0)  # materialize nodes 1 and 2
         obs = Observation("eavesdropper", 4,
                           first_reports={1: 1, 2: 1},
                           all_reports={1: (1,), 2: (1,)})
