@@ -16,7 +16,11 @@ import sys
 from . import analytics
 from .graphs import load_edge_list
 from .harness import (
+    ADVERSARIES,
     CSV_COLUMNS,
+    ESTIMATORS,
+    GRAPH_KINDS,
+    SWEEP_AXES,
     AdversarySpec,
     ExperimentSpec,
     GraphSpec,
@@ -46,14 +50,9 @@ def _add_common(p):
 
 def _add_experiment(p):
     p.add_argument("--protocol", choices=("trickle", "diffusion"), required=True)
-    p.add_argument("--estimator", default="first-timestamp",
-                   choices=("first-timestamp", "ball-centrality",
-                            "timestamp-rumor-centrality", "reporting-centrality",
-                            "rumor-centers"))
-    p.add_argument("--adversary", default="eavesdropper",
-                   choices=("eavesdropper", "spy", "snapshot"))
-    p.add_argument("--graph", default="tree",
-                   choices=("tree", "balanced-tree", "random-regular", "file"))
+    p.add_argument("--estimator", default="first-timestamp", choices=ESTIMATORS)
+    p.add_argument("--adversary", default="eavesdropper", choices=ADVERSARIES)
+    p.add_argument("--graph", default="tree", choices=GRAPH_KINDS)
     p.add_argument("--graph-file", help="edge list path for --graph file")
     p.add_argument("--d", type=int, help="tree degree")
     p.add_argument("--n", type=int, help="node count for random-regular")
@@ -271,13 +270,13 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run an experiment across one axis")
     _add_experiment(p)
-    p.add_argument("--axis", required=True, choices=("d", "theta", "t", "p", "trials"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", type=_float_list, required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="trickle vs diffusion across one axis")
     _add_experiment(p)
-    p.add_argument("--axis", required=True, choices=("d", "theta", "t", "p", "trials"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", type=_float_list, required=True)
     p.set_defaults(func=cmd_compare)
 

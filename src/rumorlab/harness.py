@@ -49,6 +49,8 @@ ESTIMATORS = (
 
 ADVERSARIES = ("eavesdropper", "spy", "snapshot")
 
+GRAPH_KINDS = ("tree", "balanced-tree", "random-regular", "file")
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -71,7 +73,7 @@ class GraphSpec:
     root_degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("tree", "balanced-tree", "random-regular", "file"):
+        if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if self.kind in ("tree", "balanced-tree", "random-regular") and not self.d:
             raise ValueError(f"graph kind {self.kind!r} needs d")
@@ -134,6 +136,8 @@ def _check_compatible(spec):
         raise ValueError("reporting centrality is defined on trees")
     if est == "timestamp-rumor-centrality" and spec.graph.kind in ("random-regular", "file"):
         raise ValueError("timestamp rumor centrality counts orderings on trees only")
+    if est == "rumor-centers" and spec.graph.kind in ("random-regular", "file"):
+        raise ValueError("rumor centers needs the infected set to be a tree (a tree graph)")
     p = spec.params
     if (spec.graph.kind == "tree" and not _first_report_only(spec)
             and p.max_time is None and p.max_infections is None):

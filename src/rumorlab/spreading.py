@@ -11,6 +11,11 @@ cheaper).  simulate_diffusion needs no event heap: it draws the report with
 the infection and, the delays being memoryless, fires the pending relays one
 at a time.
 
+Both simulators take a first_report stop rule: the run ends at the earliest
+adversary report, since nothing later can change who reported first.
+first_report_trial, the t = infinity first-timestamp experiment, is that rule
+and nothing more, so it honours max_time and max_infections like a full run.
+
 The ground truth lives in a SpreadTrace: per-node infection times X, per-node
 adversary report times, infection parents, and the realized horizon.
 Adversary models are applied afterwards (see rumorlab.adversary) so a single
@@ -24,7 +29,6 @@ results do not depend on scheduling or worker count.
 import math
 import random
 from dataclasses import dataclass
-from heapq import heappush, heappop
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,14 +102,16 @@ def _trickle_slots(g, v, infected, theta, rng):
     return pool
 
 
-def simulate_trickle(g, params, rng, source=0):
+def simulate_trickle(g, params, rng, source=0, *, first_report=False):
     """Discrete-time trickle from ``source`` (node 0 on generated graphs).
 
     Each infected node holds a permutation of its infection-time uninfected
     connections and serves one per step.  On non-tree graphs a slot aimed at a
     meanwhile-infected neighbor is consumed without effect (tallied in
     ``skipped``).  Taps append to the node's report list; the first entry is
-    the eavesdropper timestamp tau_v.
+    the eavesdropper timestamp tau_v.  With ``first_report`` the run stops at
+    the end of the first step in which a tap fires, before the nodes infected
+    in that step draw their slots.
     """
     if params.protocol != "trickle":
         raise ValueError(f"simulate_trickle got protocol {params.protocol!r}")
@@ -146,11 +152,13 @@ def simulate_trickle(g, params, rng, source=0):
                     stop = True
             else:
                 skipped += 1
+        if first_report and reports:
+            break
         for w in newly:
             queues[w] = (_trickle_slots(g, w, X, theta, rng), 0)
         active = still_active + newly
 
-    if max_inf is not None and len(X) >= max_inf:
+    if (first_report and reports) or (max_inf is not None and len(X) >= max_inf):
         stop_time = step
     elif params.max_time is not None:
         stop_time = params.max_time
@@ -160,7 +168,7 @@ def simulate_trickle(g, params, rng, source=0):
                        skipped=skipped)
 
 
-def simulate_diffusion(g, params, rng, source=0):
+def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     """Continuous-time diffusion from ``source``, one relay at a time.
 
     On infection at X_v, node v draws its report time X_v + Exp(theta) and
@@ -172,6 +180,8 @@ def simulate_diffusion(g, params, rng, source=0):
     dropped.  The run stops at the max_infections-th infection (that node
     draws no report), at max_time, or when no relay is left; in the last
     case without max_time the stop time is the latest infection or report.
+    With ``first_report`` it also stops at the earliest report drawn so far
+    once no relay can fire before it, so only that report is kept.
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
@@ -185,6 +195,7 @@ def simulate_diffusion(g, params, rng, source=0):
     order = []
     report_times = []
     pending = []  # (relay, target) pairs not yet fired
+    first = math.inf  # earliest report drawn so far, kept for first_report
     t, relay, v = 0.0, None, source
     while True:
         if v not in X:
@@ -194,15 +205,24 @@ def simulate_diffusion(g, params, rng, source=0):
             if len(order) >= max_inf:
                 stop_time = t
                 break
-            report_times.append(t + expovariate(theta))
+            report = t + expovariate(theta)
+            report_times.append(report)
+            if first_report and report < first:
+                first = report
             pending += [(v, u) for u in neighbors(v) if u not in X]
         if not pending:
+            if first_report and first <= max_time:
+                stop_time = first
+                break
             # Used up: the latest infection or report, not the clock, which
             # may have moved on through relays that had no effect.
             stop_time = max_time if params.max_time is not None else max(
                 X[order[-1]], *report_times)
             break
         t += expovariate(lam * len(pending))
+        if first <= t and first <= max_time:
+            stop_time = first
+            break
         if t > max_time:
             stop_time = max_time
             break
@@ -214,72 +234,20 @@ def simulate_diffusion(g, params, rng, source=0):
 
 
 def first_report_trial(g, params, rng, source=0):
-    """Run only until the earliest adversary report and return the tying set.
+    """The set of nodes tying for the earliest adversary report.
 
-    Later events cannot change the minimum, so this is exact for the
-    t = infinity first-timestamp experiment while touching a tiny prefix of
-    the spread.  A finite horizon with no report yields an explicit
-    FirstReport(frozenset(), None).
+    Runs the protocol's simulator with its first-report stop rule: nothing
+    after the earliest report can change the minimum, so this is exact for
+    the t = infinity first-timestamp experiment while touching a tiny prefix
+    of the spread.  The run also stops at max_time and at the
+    max_infections-th infection; with no report by then the result is an
+    explicit FirstReport(frozenset(), None).
     """
-    if params.protocol == "trickle":
-        return _first_report_trickle(g, params, rng, source)
-    return _first_report_diffusion(g, params, rng, source)
-
-
-def _first_report_trickle(g, params, rng, source):
-    theta = params.theta
-    max_time = params.max_time if params.max_time is not None else math.inf
-    X = {source: 0}
-    queues = {source: (_trickle_slots(g, source, X, theta, rng), 0)}
-    active = [source]
-    step = 0
-    while active and step + 1 <= max_time:
-        step += 1
-        reporters = []
-        newly = []
-        still_active = []
-        for v in active:
-            pool, pos = queues[v]
-            target = pool[pos]
-            pos += 1
-            if pos < len(pool):
-                queues[v] = (pool, pos)
-                still_active.append(v)
-            if target is TAP:
-                reporters.append(v)
-            elif target not in X:
-                X[target] = step
-                newly.append(target)
-        if reporters:
-            return FirstReport(frozenset(reporters), step)
-        for w in newly:
-            queues[w] = (_trickle_slots(g, w, X, theta, rng), 0)
-        active = still_active + newly
-    return FirstReport(frozenset(), None)
-
-
-def _first_report_diffusion(g, params, rng, source):
-    theta, lam = params.theta, params.lam
-    max_time = params.max_time if params.max_time is not None else math.inf
-    X = {}
-    heap = [(0.0, 0, "infect", source)]
-    seq = 0
-    while heap:
-        t, _, kind, node = heappop(heap)
-        if t > max_time:
-            break
-        if kind == "report":
-            return FirstReport(frozenset([node]), t)
-        if node in X:
-            continue
-        X[node] = t
-        seq += 1
-        heappush(heap, (t + rng.expovariate(theta), seq, "report", node))
-        for u in g.neighbors(node):
-            if u not in X:
-                seq += 1
-                heappush(heap, (t + rng.expovariate(lam), seq, "infect", u))
-    return FirstReport(frozenset(), None)
+    sim = simulate_trickle if params.protocol == "trickle" else simulate_diffusion
+    trace = sim(g, params, rng, source=source, first_report=True)
+    if not trace.reports:
+        return FirstReport(frozenset(), None)
+    return FirstReport(frozenset(trace.reports), trace.stop_time)
 
 
 def trace_to_csv(trace):

@@ -3,7 +3,9 @@
 These deliberately avoid the package's own evaluation routes: special
 functions are recomputed by adaptive quadrature (scipy.integrate.quad),
 including a genuine principal-value integral for the exponential integral,
-and diffusion is re-simulated with one timed event per relay and report.
+diffusion is re-simulated with one timed event per relay and report, and
+first-report trials are re-run by loops of their own that stop at the first
+report (the package folds that stop rule into its simulators).
 """
 
 import math
@@ -11,7 +13,7 @@ from heapq import heappop, heappush
 
 from scipy.integrate import quad
 
-from rumorlab.spreading import SpreadTrace
+from rumorlab.spreading import TAP, FirstReport, SpreadTrace
 
 
 def ei_quadrature(x):
@@ -100,3 +102,74 @@ def heap_simulate_diffusion(g, params, rng, source=0):
         # Horizon is wall-clock unless the infection budget fired first.
         stop_time = params.max_time
     return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
+
+
+def loop_first_report_trickle(g, params, rng, source=0):
+    """Reference trickle first-report trial: its own step loop, returning at
+    the end of the first step with a tap, before that step's new nodes draw
+    their slots.  It ignores max_infections.  The package's first_report_trial
+    must give the same reporters and time and leave the stream in the same
+    state."""
+    theta = params.theta
+    max_time = params.max_time if params.max_time is not None else math.inf
+
+    def slots(v):
+        pool = [u for u in g.neighbors(v) if u not in X]
+        pool.extend([TAP] * theta)
+        rng.shuffle(pool)
+        return pool
+
+    X = {source: 0}
+    queues = {source: (slots(source), 0)}
+    active = [source]
+    step = 0
+    while active and step + 1 <= max_time:
+        step += 1
+        reporters = []
+        newly = []
+        still_active = []
+        for v in active:
+            pool, pos = queues[v]
+            target = pool[pos]
+            pos += 1
+            if pos < len(pool):
+                queues[v] = (pool, pos)
+                still_active.append(v)
+            if target is TAP:
+                reporters.append(v)
+            elif target not in X:
+                X[target] = step
+                newly.append(target)
+        if reporters:
+            return FirstReport(frozenset(reporters), step)
+        for w in newly:
+            queues[w] = (slots(w), 0)
+        active = still_active + newly
+    return FirstReport(frozenset(), None)
+
+
+def heap_first_report_diffusion(g, params, rng, source=0):
+    """Reference diffusion first-report trial: one heap event per relay and
+    report, returning at the first report event.  It ignores max_infections.
+    The package's first_report_trial must agree with it in distribution."""
+    theta, lam = params.theta, params.lam
+    max_time = params.max_time if params.max_time is not None else math.inf
+    X = {}
+    heap = [(0.0, 0, "infect", source)]
+    seq = 0
+    while heap:
+        t, _, kind, node = heappop(heap)
+        if t > max_time:
+            break
+        if kind == "report":
+            return FirstReport(frozenset([node]), t)
+        if node in X:
+            continue
+        X[node] = t
+        seq += 1
+        heappush(heap, (t + rng.expovariate(theta), seq, "report", node))
+        for u in g.neighbors(node):
+            if u not in X:
+                seq += 1
+                heappush(heap, (t + rng.expovariate(lam), seq, "infect", u))
+    return FirstReport(frozenset(), None)

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from rumorlab.analytics import diffusion_ft
-from rumorlab.cli import main
+from rumorlab import harness
+from rumorlab.cli import build_parser, main
 from rumorlab.graphs import load_edge_list
 from rumorlab.spreading import trial_stream
 
@@ -110,6 +111,14 @@ class TestUsageErrors:
                                  "--axis", "t", "--values", "5,3", "--trials", "20")
         assert (code, out) == (2, "")
         assert "t >= d + theta" in err
+
+    def test_rumor_centers_on_graph_with_cycles_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion",
+                                 "--adversary", "snapshot", "--estimator", "rumor-centers",
+                                 "--graph", "random-regular", "--n", "200", "--d", "4",
+                                 "--t", "2", "--trials", "5")
+        assert (code, out) == (2, "")
+        assert "tree" in err
 
     def test_runtime_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "ingest", "--input", "/nonexistent/file")
@@ -237,3 +246,16 @@ class TestIngest:
         body = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert body[0] == "dense_id,original_id"
         assert body[1:] == ["0,5", "1,9", "2,70"]
+
+
+def test_parser_choices_are_the_harness_lists():
+    expected = {"estimator": harness.ESTIMATORS, "adversary": harness.ADVERSARIES,
+                "graph": harness.GRAPH_KINDS, "axis": harness.SWEEP_AXES}
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    seen = set()
+    for name in ("simulate", "sweep", "compare"):
+        for action in subparsers[name]._actions:
+            if action.dest in expected:
+                assert tuple(action.choices) == expected[action.dest], (name, action.dest)
+                seen.add((name, action.dest))
+    assert len(seen) == 11  # three experiment lists in each command, plus two axes

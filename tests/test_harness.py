@@ -94,6 +94,21 @@ class TestValidation:
                 master_seed=0,
             )
 
+    @pytest.mark.parametrize("graph", [GraphSpec(kind="random-regular", d=4, n=200),
+                                       GraphSpec(kind="file", path="g.edges")])
+    def test_rumor_centers_rejected_on_graphs_with_cycles(self, graph):
+        # The infected set on such a graph is rarely a tree; it used to fail
+        # only after simulating, with "infected set is not a tree".
+        with pytest.raises(ValueError, match="tree"):
+            ExperimentSpec(
+                graph=graph,
+                params=SpreadParams("diffusion", theta=1.0, max_time=2),
+                adversary=AdversarySpec("snapshot", estimation_time=2),
+                estimator="rumor-centers",
+                trials=5,
+                master_seed=0,
+            )
+
     @pytest.mark.parametrize("protocol,adversary,estimator,t", [
         ("trickle", AdversarySpec("eavesdropper"), "ball-centrality", None),
         ("diffusion", AdversarySpec("eavesdropper"), "reporting-centrality", None),

@@ -3,10 +3,12 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import heap_simulate_diffusion
+from oracles import heap_first_report_diffusion, heap_simulate_diffusion, loop_first_report_trickle
 
+from rumorlab.adversary import observe_eavesdropper
 from rumorlab.graphs import build_random_regular, build_regular_tree, lazy_regular_tree
 from rumorlab.spreading import (
+    FirstReport,
     SpreadParams,
     first_report_trial,
     simulate_diffusion,
@@ -310,6 +312,93 @@ class TestFirstReportTrial:
                                      trial_stream(12, i))
             hits += res.reporters == frozenset([0])
         assert hits / 300 > 0.97
+
+
+RANDOM_REGULAR_2000_8 = build_random_regular(2000, 8, seed=7)
+
+
+def argmin_reporters(trace):
+    """First reporters of a full trace, seen by an eavesdropper at its stop time."""
+    first = observe_eavesdropper(trace, trace.stop_time).first_reports
+    if not first:
+        return FirstReport(frozenset(), None)
+    t = min(first.values())
+    return FirstReport(frozenset(v for v, tau in first.items() if tau == t), t)
+
+
+class TestFirstReportStopRule:
+    """first_report_trial is each simulator run with its first-report stop
+    rule; it is checked against the stand-alone loops it replaced
+    (tests/oracles.py) and against full simulations."""
+
+    SEEDS = 2000
+
+    @pytest.mark.parametrize("graph, max_time", [
+        ("tree3", None), ("tree4", None), ("tree8", None), ("rr2000", None), ("tree4", 2),
+    ])
+    @pytest.mark.parametrize("theta", [1, 4])
+    def test_trickle_matches_reference_loop(self, graph, max_time, theta):
+        g = {"tree3": lazy_regular_tree(3), "tree4": lazy_regular_tree(4),
+             "tree8": lazy_regular_tree(8), "rr2000": RANDOM_REGULAR_2000_8}[graph]
+        params = SpreadParams("trickle", theta=theta, max_time=max_time)
+        for seed in range(self.SEEDS):
+            source = seed % 2000 if graph == "rr2000" else 0
+            rng_new, rng_ref = trial_stream(seed, 3), trial_stream(seed, 3)
+            new = first_report_trial(g, params, rng_new, source=source)
+            ref = loop_first_report_trickle(g, params, rng_ref, source=source)
+            assert (new.reporters, new.time) == (ref.reporters, ref.time), seed
+            # Same draws consumed: the harness tie-break continues the stream.
+            assert rng_new.random() == rng_ref.random(), seed
+
+    TRIALS = 3000
+
+    @pytest.mark.parametrize("graph, max_time", [
+        ("tree4", None), ("tree4", 0.5), ("rr2000", None), ("rr2000", 0.4),
+    ])
+    def test_diffusion_matches_heap_reference(self, graph, max_time):
+        g = {"tree4": lazy_regular_tree(4), "rr2000": RANDOM_REGULAR_2000_8}[graph]
+        params = SpreadParams("diffusion", theta=1.0, max_time=max_time)
+        stats = {}
+        for seed, trial in ((71, first_report_trial), (72, heap_first_report_diffusion)):
+            results = [trial(g, params, trial_stream(seed, i)) for i in range(self.TRIALS)]
+            assert all(len(res.reporters) <= 1 for res in results)
+            assert all(res.time is None or res.time <= (max_time or math.inf)
+                       for res in results)
+            stats[trial] = [
+                [float(res.reporters == frozenset([0])) for res in results],
+                [float(res.time is None) for res in results],
+                [res.time for res in results if res.time is not None],
+            ]
+        for new, ref in zip(stats[first_report_trial], stats[heap_first_report_diffusion]):
+            (m1, se1), (m2, se2) = sample_mean(new), sample_mean(ref)
+            assert abs(m1 - m2) <= 4 * math.hypot(se1, se2), (m1, m2)
+
+    @pytest.mark.parametrize("protocol, theta, sim", [
+        ("trickle", 1, simulate_trickle),
+        ("diffusion", 0.2, simulate_diffusion),
+    ])
+    @pytest.mark.parametrize("graph", ["tree4", "rr2000"])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_infection_budget_matches_full_simulation(self, protocol, theta, sim, graph, k):
+        g = {"tree4": lazy_regular_tree(4), "rr2000": RANDOM_REGULAR_2000_8}[graph]
+        params = SpreadParams(protocol, theta=theta, max_infections=k)
+        empty = 0
+        for i in range(500):
+            res = first_report_trial(g, params, trial_stream(81, i))
+            assert res == argmin_reporters(sim(g, params, trial_stream(81, i))), i
+            empty += not res.reporters
+        assert 0 < empty < 500
+
+    def test_stop_rule_keeps_only_first_reports(self):
+        g = lazy_regular_tree(4)
+        for i in range(200):
+            tr = simulate_diffusion(g, SpreadParams("diffusion", theta=0.5),
+                                    trial_stream(91, i), first_report=True)
+            assert len(tr.reports) == 1 and [tr.stop_time] in tr.reports.values()
+            assert all(x < tr.stop_time for x in tr.X.values())
+            tr = simulate_trickle(g, SpreadParams("trickle", theta=1),
+                                  trial_stream(91, i), first_report=True)
+            assert tr.reports and all(taps == [tr.stop_time] for taps in tr.reports.values())
 
 
 class TestTraceDump:
