@@ -27,7 +27,6 @@ def main():
     values = ",".join(str(v) for v in range(1, args.theta_max + 1))
     argv = [
         "compare",
-        "--protocol", "trickle",
         "--theta", "1",
         "--axis", "theta",
         "--values", values,

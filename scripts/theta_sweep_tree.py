@@ -23,7 +23,6 @@ def main():
     values = ",".join(str(v) for v in range(1, args.theta_max + 1))
     return cli_main([
         "compare",
-        "--protocol", "trickle",
         "--graph", "tree",
         "--d", str(args.d),
         "--theta", "1",

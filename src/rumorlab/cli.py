@@ -48,8 +48,9 @@ def _add_common(p):
     p.add_argument("--out", help="output path (default stdout)")
 
 
-def _add_experiment(p):
-    p.add_argument("--protocol", choices=("trickle", "diffusion"), required=True)
+def _add_experiment(p, protocol=True):
+    if protocol:  # compare runs both protocols
+        p.add_argument("--protocol", choices=("trickle", "diffusion"), required=True)
     p.add_argument("--estimator", default="first-timestamp", choices=ESTIMATORS)
     p.add_argument("--adversary", default="eavesdropper", choices=ADVERSARIES)
     p.add_argument("--graph", default="tree", choices=GRAPH_KINDS)
@@ -275,7 +276,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="trickle vs diffusion across one axis")
-    _add_experiment(p)
+    _add_experiment(p, protocol=False)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", type=_float_list, required=True)
     p.set_defaults(func=cmd_compare)

@@ -27,10 +27,6 @@ class EstimateResult:
     method: str
     score: dict | None = None
 
-    @property
-    def missed(self):
-        return self.chosen is None
-
 
 def _pick_uniform(candidates, rng):
     ordered = sorted(candidates)
@@ -108,75 +104,61 @@ def _ball(g, center, radius):
 # Centrality estimators on trees
 # ---------------------------------------------------------------------------
 
-def _steiner_tree(g, terminals):
-    """Union of pairwise tree paths between terminals: adjacency dict.
+def _steiner_parents(g, terminals):
+    """Steiner tree of the terminals as {node: parent}, rooted at the
+    smallest terminal and listing every parent before its children.
 
-    Each terminal's path to the smallest one stops at the first node already
-    in the union, a subtree that holds the rest of that path.
+    Each terminal's path toward the root stops at the first node already in
+    the tree, so a terminal adds only its new nodes.
     """
     terminals = sorted(terminals)
     anchor = terminals[0]
-    adj = {anchor: set()}
+    parent = {anchor: None}
     for v in terminals[1:]:
-        path = tree_path(g, v, anchor)
-        for a, b in zip(path, path[1:]):
-            known = b in adj
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-            if known:
-                break
-    return adj
+        path = tree_path(g, v, anchor, stop=parent)
+        for i in range(len(path) - 2, -1, -1):
+            parent[path[i]] = path[i + 1]
+    return parent
 
 
-def _subtree_counts(adj, weight):
-    """Rooted DFS + reroot: for every node, the weight in each neighbor-side
-    subtree.  Returns (total, {v: {neighbor: weight_beyond_that_neighbor}}).
-    """
-    root = next(iter(adj))
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                stack.append(u)
-    down = {v: weight.get(v, 0) for v in adj}
-    for v in reversed(order):
-        if parent[v] is not None:
-            down[parent[v]] += down[v]
-    total = down[root]
-    sides = {}
-    for v in adj:
-        per = {}
-        for u in adj[v]:
-            per[u] = down[u] if parent.get(u) == v else total - down[v]
-        sides[v] = per
-    return total, sides
+def _center_walk(parent, weighted):
+    """One reverse pass counts the weighted nodes below every node and keeps
+    its heaviest child; then walk from the root to the heaviest child while
+    it holds at least half of the total.  Every child side of the last node x
+    holds less than half.  Returns (x, weight on x's parent side, half)."""
+    count = dict.fromkeys(parent, 0)
+    count.update(dict.fromkeys(weighted, 1))
+    heavy = {}
+    for v, p in reversed(parent.items()):
+        if p is None:
+            continue
+        count[p] += count[v]
+        h = heavy.get(p)
+        if h is None or count[v] > count[h]:
+            heavy[p] = v
+    x = next(iter(parent))
+    total = count[x]
+    half = total / 2
+    while x in heavy and count[heavy[x]] >= half:
+        x = heavy[x]
+    return x, total - count[x], half
 
 
 def reporting_centrality(obs, g, reported_set_extractor=None, rng=None):
-    """Nodes whose every adjacent subtree holds strictly fewer than half of
-    the reporting nodes.  At most one such node exists; zero is an explicit
-    miss (chosen=None), counted against the estimator.
+    """The node whose every adjacent subtree holds strictly fewer than half
+    of the reporting nodes.  At most one such node exists, on the reporters'
+    Steiner tree; zero is an explicit miss (chosen=None), counted against the
+    estimator.  A single center needs no tie-break, so ``rng`` is not drawn.
     """
     if reported_set_extractor is None:
         reported_set_extractor = default_reporters
     reporters = set(reported_set_extractor(obs))
     if not reporters:
         raise NoReportsError("no reporting nodes")
-    adj = _steiner_tree(g, reporters)
-    weight = {v: 1 for v in reporters}
-    total, sides = _subtree_counts(adj, weight)
-    half = total / 2
-    centers = frozenset(
-        v for v, per in sides.items() if all(c < half for c in per.values())
-    )
-    if not centers:
+    center, up, half = _center_walk(_steiner_parents(g, reporters), reporters)
+    if up >= half:
         return EstimateResult(None, frozenset(), "reporting_centrality")
-    return EstimateResult(_pick_uniform(centers, rng), centers, "reporting_centrality")
+    return EstimateResult(center, frozenset([center]), "reporting_centrality")
 
 
 def default_reporters(obs):
@@ -191,29 +173,20 @@ def rumor_centers(g, infected_nodes):
     """All v whose every adjacent subtree holds at most N/2 infected nodes.
 
     The snapshot-adversary baseline; a nonempty tree has one or two centers.
+    ``g`` must be a tree and the infected set a connected part of it, or
+    ValueError is raised: the Steiner tree of the infected set may add no
+    other node, and on an explicit graph, which can have cycles, the infected
+    set must also span exactly N - 1 edges.  The infinite tree is a tree by
+    construction.
     """
     infected = set(infected_nodes)
     if not infected:
         raise ValueError("empty infected set")
-    if len(infected) == 1:
-        return set(infected)
-    adj = {v: set() for v in infected}
-    for v in infected:
-        for u in g.neighbors(v):
-            if u in infected:
-                adj[v].add(u)
-    seen = set()
-    stack = [next(iter(infected))]
-    edges = 0
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        edges += len(adj[v])
-        stack.extend(adj[v] - seen)
-    if seen != infected or edges // 2 != len(infected) - 1:
+    parent = _steiner_parents(g, infected)
+    n = len(infected)
+    edges = n - 1 if g.is_lazy else sum(u in infected for v in infected
+                                         for u in g.neighbors(v)) // 2
+    if len(parent) != n or edges != n - 1:
         raise ValueError("infected set is not a tree")
-    total, sides = _subtree_counts(adj, {v: 1 for v in infected})
-    half = total / 2
-    return {v for v, per in sides.items() if all(c <= half for c in per.values())}
+    center, up, half = _center_walk(parent, infected)
+    return {center, parent[center]} if up == half else {center}

@@ -283,31 +283,57 @@ def hop_distance(g, u, v):
     return INFINITY
 
 
-def tree_path(g, u, v):
-    """Node sequence of the unique u..v path in a tree graph."""
+def tree_path(g, u, v, stop=None):
+    """Node sequence of the unique u..v path in a tree graph.
+
+    With a node set ``stop`` the path ends at its first node in ``stop``.  On
+    an explicit graph the search from u ends at the nearest node of ``stop``,
+    which is that node when ``stop`` is a subtree holding v (the union of
+    earlier paths in a Steiner tree build).
+    """
     if g.is_lazy:
         # Climb the larger id until both ends meet (see hop_distance).
         up, vp = [u], [v]
-        while u != v:
+        if stop is None:
+            while u != v:
+                if u > v:
+                    u = g.parent_of(u)
+                    up.append(u)
+                else:
+                    v = g.parent_of(v)
+                    vp.append(v)
+            return up + vp[-2::-1]
+        # The climb from u ends once it enters stop; else scan v's half down.
+        while u != v and u not in stop:
             if u > v:
                 u = g.parent_of(u)
                 up.append(u)
             else:
                 v = g.parent_of(v)
                 vp.append(v)
-        return up + vp[-2::-1]
-    # BFS parents from u, then walk back from v.
+        if u not in stop:
+            for w in reversed(vp[:-1]):
+                up.append(w)
+                if w in stop:
+                    break
+        return up
+    # BFS parents from u until v (or a stop node) is found, then walk back.
+    stop = stop or ()
     parent = {u: None}
+    end = u if u == v or u in stop else None
     frontier = deque([u])
-    while frontier and v not in parent:
+    while frontier and end is None:
         w = frontier.popleft()
         for x in g.neighbors(w):
             if x not in parent:
                 parent[x] = w
+                if x == v or x in stop:
+                    end = x
+                    break
                 frontier.append(x)
-    if v not in parent:
+    if end is None:
         raise ValueError(f"nodes {u} and {v} are disconnected")
-    path = [v]
+    path = [end]
     while path[-1] != u:
         path.append(parent[path[-1]])
     path.reverse()

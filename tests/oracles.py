@@ -3,9 +3,11 @@
 These deliberately avoid the package's own evaluation routes: special
 functions are recomputed by adaptive quadrature (scipy.integrate.quad),
 including a genuine principal-value integral for the exponential integral,
-diffusion is re-simulated with one timed event per relay and report, and
+diffusion is re-simulated with one timed event per relay and report,
 first-report trials are re-run by loops of their own that stop at the first
-report (the package folds that stop rule into its simulators).
+report (the package folds that stop rule into its simulators), and tree
+centers are found by testing every side of every node of a Steiner tree
+built from whole tree paths (the package walks one rooted count).
 """
 
 import math
@@ -13,6 +15,7 @@ from heapq import heappop, heappush
 
 from scipy.integrate import quad
 
+from rumorlab.graphs import tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace
 
 
@@ -173,3 +176,67 @@ def heap_first_report_diffusion(g, params, rng, source=0):
                 seq += 1
                 heappush(heap, (t + rng.expovariate(lam), seq, "infect", u))
     return FirstReport(frozenset(), None)
+
+
+def steiner_tree(g, terminals):
+    """Union of pairwise tree paths between terminals: adjacency dict.
+
+    Each terminal's path to the smallest one stops at the first node already
+    in the union, a subtree that holds the rest of that path.
+    """
+    terminals = sorted(terminals)
+    anchor = terminals[0]
+    adj = {anchor: set()}
+    for v in terminals[1:]:
+        path = tree_path(g, v, anchor)
+        for a, b in zip(path, path[1:]):
+            known = b in adj
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+            if known:
+                break
+    return adj
+
+
+def subtree_counts(adj, weight):
+    """Rooted DFS + reroot: for every node, the weight in each neighbor-side
+    subtree.  Returns (total, {v: {neighbor: weight_beyond_that_neighbor}}).
+    """
+    root = next(iter(adj))
+    order = []
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                stack.append(u)
+    down = {v: weight.get(v, 0) for v in adj}
+    for v in reversed(order):
+        if parent[v] is not None:
+            down[parent[v]] += down[v]
+    total = down[root]
+    sides = {}
+    for v in adj:
+        per = {}
+        for u in adj[v]:
+            per[u] = down[u] if parent.get(u) == v else total - down[v]
+        sides[v] = per
+    return total, sides
+
+
+def reporting_centers(adj, weight):
+    """Nodes whose every side holds strictly fewer than half of the weight."""
+    total, sides = subtree_counts(adj, weight)
+    half = total / 2
+    return {v for v, per in sides.items() if all(c < half for c in per.values())}
+
+
+def rumor_centers(g, infected):
+    """Nodes of the infected tree whose every side holds at most half of it."""
+    adj = {v: {u for u in g.neighbors(v) if u in infected} for v in infected}
+    total, sides = subtree_counts(adj, dict.fromkeys(adj, 1))
+    half = total / 2
+    return {v for v, per in sides.items() if all(c <= half for c in per.values())}

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def experiment_args(command):
+    """compare runs both protocols and takes no --protocol."""
+    return [command] if command == "compare" else [command, "--protocol", "trickle"]
+
+
 def parse_report_csv(text):
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     return list(csv.DictReader(io.StringIO("\n".join(rows))))
@@ -98,7 +103,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_rejected_sweep_spec_exits_2(self, capsys, command):
-        code, out, _ = run_cli(capsys, command, "--protocol", "trickle", "--estimator",
+        code, out, _ = run_cli(capsys, *experiment_args(command), "--estimator",
                                "first-timestamp", "--adversary", "spy", "--spy-p", "0.5",
                                "--d", "4", "--axis", "theta", "--values", "1,2")
         assert (code, out) == (2, "")
@@ -106,7 +111,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_sweep_point_rejected_when_built_exits_2(self, capsys, command):
         # The base spec (t=5) is valid; the point t=3 is not, and no point runs.
-        code, out, err = run_cli(capsys, command, "--protocol", "trickle", "--estimator",
+        code, out, err = run_cli(capsys, *experiment_args(command), "--estimator",
                                  "timestamp-rumor-centrality", "--d", "4", "--t", "5",
                                  "--axis", "t", "--values", "5,3", "--trials", "20")
         assert (code, out) == (2, "")
@@ -220,7 +225,7 @@ class TestSweepAndCompare:
 
     def test_compare_long_format(self, tmp_path):
         out = tmp_path / "cmp.csv"
-        assert main(["compare", "--protocol", "trickle", "--d", "4", "--theta", "1",
+        assert main(["compare", "--d", "4", "--theta", "1",
                      "--axis", "theta", "--values", "1,2", "--trials", "400",
                      "--seed", "6", "--out", str(out)]) == 0
         rows = parse_report_csv(out.read_text())
@@ -234,6 +239,19 @@ class TestSweepAndCompare:
                 assert float(row["theory"]) == pytest.approx(
                     diffusion_ft(4, float(row["axis_value"])).value
                 )
+
+
+    def test_compare_takes_no_protocol(self, capsys):
+        # The FOUND command: compare runs both protocols without --protocol.
+        code, out, _ = run_cli(capsys, "compare", "--estimator", "first-timestamp",
+                               "--d", "4", "--axis", "theta", "--values", "1", "--trials", "10")
+        assert code == 0
+        assert '"protocol": "trickle+diffusion"' in out.splitlines()[0]
+        assert len(parse_report_csv(out)) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--protocol", "trickle", "--d", "4",
+                  "--axis", "theta", "--values", "1"])
+        assert exc.value.code == 2
 
 
 class TestIngest:

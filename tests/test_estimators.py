@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import oracles
 
 from rumorlab.adversary import Observation, observe_eavesdropper, observe_spy
 from rumorlab.analytics import diffusion_ft
@@ -10,6 +12,7 @@ from rumorlab.bruteforce import brute_force_posterior, enumerate_histories
 from rumorlab.estimators import (
     InfeasibleObservationError,
     NoReportsError,
+    _steiner_parents,
     ball_centrality,
     first_timestamp,
     reporting_centrality,
@@ -206,7 +209,7 @@ class TestReportingCentrality:
     def test_two_reporters_miss(self):
         obs = Observation("spy", 1.0, spy_times={4: 1, 5: 2}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
-        assert res.missed
+        assert res.chosen is None
         assert res.candidates == frozenset()
 
     def test_no_reporters_raises(self):
@@ -257,6 +260,102 @@ class TestRumorCenters:
                                 trial_stream(seed, 0))
         centers = rumor_centers(g, set(tr.X))
         assert 1 <= len(centers) <= 2
+
+
+def prufer_tree(seq):
+    """The labelled tree on len(seq) + 2 nodes with Pruefer sequence seq."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    adj = [[] for _ in range(n)]
+    for x in seq:
+        leaf = degree.index(1)
+        adj[leaf].append(x)
+        adj[x].append(leaf)
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u = degree.index(1)
+    v = degree.index(1, u + 1)
+    adj[u].append(v)
+    adj[v].append(u)
+    return ExplicitGraph(adj)
+
+
+def tree_cases():
+    """(graph, nodes to draw terminals from) on both tree kinds."""
+    for d, radius in ((3, 6), (4, 5), (5, 4)):
+        g = lazy_regular_tree(d)
+        yield g, sorted(_ball_nodes(g, radius))
+    for d, depth in ((3, 6), (4, 4)):
+        g = build_regular_tree(d, depth)
+        yield g, list(g.nodes())
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 60)
+        g = prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+        yield g, list(g.nodes())
+
+
+def _ball_nodes(g, radius):
+    seen = frontier = {0}
+    for _ in range(radius):
+        frontier = {u for v in frontier for u in g.neighbors(v)} - seen
+        seen = seen | frontier
+    return seen
+
+
+class TestTreeCenters:
+    """The rooted Steiner build and the center walk against the whole-path
+    Steiner tree and the every-side center tests of tests/oracles.py."""
+
+    def terminal_sets(self, nodes, rng, count=40):
+        for _ in range(count):
+            yield set(rng.sample(nodes, rng.randint(1, min(25, len(nodes)))))
+
+    def test_steiner_tree_matches_whole_paths(self):
+        rng = random.Random(1)
+        for g, nodes in tree_cases():
+            for terminals in self.terminal_sets(nodes, rng):
+                parent = _steiner_parents(g, terminals)
+                adj = oracles.steiner_tree(g, terminals)
+                assert set(parent) == set(adj)
+                edges = {frozenset(e) for e in parent.items() if e[1] is not None}
+                assert edges == {frozenset((a, b)) for a in adj for b in adj[a]}
+                position = {v: i for i, v in enumerate(parent)}
+                assert all(p is None or position[p] < position[v] for v, p in parent.items())
+
+    def test_reporting_centrality_matches_strict_half_test(self):
+        rng = random.Random(2)
+        misses = 0
+        for g, nodes in tree_cases():
+            for terminals in self.terminal_sets(nodes, rng):
+                obs = Observation("spy", 1.0, spy_times=dict.fromkeys(terminals, 1.0),
+                                  spy_infectors={})
+                res = reporting_centrality(obs, g)
+                want = oracles.reporting_centers(oracles.steiner_tree(g, terminals),
+                                                 dict.fromkeys(terminals, 1))
+                assert res.candidates == frozenset(want)
+                assert res.chosen == (min(want) if want else None)
+                misses += not want
+        assert misses > 20  # the exact-half splits that make a miss are covered
+
+    def test_rumor_centers_match_half_or_less_test(self):
+        rng = random.Random(3)
+        pairs = 0
+        for g, nodes in tree_cases():
+            for terminals in self.terminal_sets(nodes, rng):
+                infected = set(oracles.steiner_tree(g, terminals))
+                centers = rumor_centers(g, infected)
+                assert centers == oracles.rumor_centers(g, infected)
+                pairs += len(centers) == 2
+        assert pairs > 20
+
+    @pytest.mark.parametrize("g", [lazy_regular_tree(3), build_regular_tree(3, 3)],
+                             ids=["lazy", "explicit"])
+    def test_disconnected_infected_set_rejected(self, g):
+        with pytest.raises(ValueError, match="not a tree"):
+            rumor_centers(g, {0, 7})
 
 
 class TestBruteForcePosterior:

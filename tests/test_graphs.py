@@ -282,6 +282,56 @@ class TestTreePath:
             assert len(path) == hop_distance(g, a, b) + 1
 
 
+def stepwise_path(g, u, v):
+    """u..v path found by moving, each step, to the neighbor one hop nearer v."""
+    path = [u]
+    while path[-1] != v:
+        dist = hop_distance(g, path[-1], v)
+        path.append(next(w for w in g.neighbors(path[-1]) if hop_distance(g, w, v) == dist - 1))
+    return path
+
+
+def prefix_to_stop(path, stop):
+    for i, w in enumerate(path):
+        if w in stop:
+            return path[:i + 1]
+    return path
+
+
+class TestTreePathStop:
+    @pytest.mark.parametrize("g", [lazy_regular_tree(3), lazy_regular_tree(4, root_degree=2),
+                                   build_regular_tree(3, 5)], ids=["lazy", "lazy-root2", "explicit"])
+    def test_prefix_up_to_first_stop_node(self, g):
+        nodes = ball(g, 0, 5)
+        rng = random.Random(11)
+        for _ in range(300):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            full = stepwise_path(g, u, v)
+            assert tree_path(g, u, v) == full
+            assert tree_path(g, u, v, stop=None) == full
+            # A subtree holding v, as a Steiner tree build passes it.
+            stop = set()
+            for w in rng.sample(nodes, rng.randint(1, 3)):
+                stop.update(stepwise_path(g, v, w))
+            assert tree_path(g, u, v, stop=stop) == prefix_to_stop(full, stop)
+            assert tree_path(g, u, v, stop={u}) == [u]
+            assert tree_path(g, u, u, stop=stop) == [u]
+            if g.is_lazy:  # on the infinite tree any stop set works
+                other = set(rng.sample(nodes, 5))
+                assert tree_path(g, u, v, stop=other) == prefix_to_stop(full, other)
+
+    def test_u_equals_v(self):
+        for g in (lazy_regular_tree(3), build_regular_tree(3, 2)):
+            assert tree_path(g, 4, 4) == [4]
+            assert tree_path(g, 4, 4, stop=set()) == [4]
+
+    @pytest.mark.parametrize("stop", [None, {2, 3}])
+    def test_disconnected_explicit_pair_raises(self, stop):
+        g = load_edge_list_from_edges([(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="disconnected"):
+            tree_path(g, 0, 3, stop=stop)
+
+
 class TestSubtreePartition:
     def test_star(self):
         g = load_edge_list_from_edges([(0, 1), (0, 2)])
