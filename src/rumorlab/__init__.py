@@ -35,11 +35,9 @@ from .graphs import (
     ExplicitGraph,
     LazyRegularTree,
     build_random_regular,
-    build_regular_tree,
     hop_distance,
     lazy_regular_tree,
     load_edge_list,
-    subtree_partition,
     tree_path,
 )
 from .harness import (

@@ -117,15 +117,13 @@ def observation_atlas(g, sources, theta, t, cap=10 ** 7):
 def brute_force_posterior(g, params, obs, t, candidates=None, cap=10 ** 7):
     """Exact P(obs | source = v) for every candidate v.
 
-    Trickle only.  Candidates default to every node of an explicit graph;
-    lazy graphs need an explicit candidate list.  An observation impossible
-    under every candidate yields an all-zero map.
+    Trickle only.  Candidates default to every node of a finite graph; the
+    infinite tree needs an explicit candidate list.  An observation
+    impossible under every candidate yields an all-zero map.
     """
     if params.protocol != "trickle":
         raise ValueError("brute force enumerates trickle only")
     if candidates is None:
-        if g.is_lazy:
-            raise ValueError("lazy graphs need an explicit candidate list")
         candidates = list(g.nodes())
     key = observation_key_of(obs)
     posterior = {}

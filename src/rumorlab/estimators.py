@@ -24,7 +24,6 @@ class InfeasibleObservationError(ValueError):
 class EstimateResult:
     chosen: int | None
     candidates: frozenset
-    method: str
     score: dict | None = None
 
 
@@ -43,7 +42,7 @@ def first_timestamp(obs, rng=None):
         raise NoReportsError("no reports yet")
     best = min(obs.first_reports.values())
     ties = frozenset(v for v, tau in obs.first_reports.items() if tau == best)
-    return EstimateResult(_pick_uniform(ties, rng), ties, "first_timestamp")
+    return EstimateResult(_pick_uniform(ties, rng), ties)
 
 
 def spy_first_timestamp(obs, rng=None):
@@ -56,7 +55,7 @@ def spy_first_timestamp(obs, rng=None):
     ties = frozenset(s for s, x in obs.spy_times.items() if x == best)
     spy = _pick_uniform(ties, rng)
     chosen = obs.spy_infectors[spy]
-    return EstimateResult(chosen, frozenset([chosen]), "spy_first_timestamp")
+    return EstimateResult(chosen, frozenset([chosen]))
 
 
 def ball_centrality(obs, g, rng=None):
@@ -83,7 +82,7 @@ def ball_centrality(obs, g, rng=None):
         if not candidates:
             raise InfeasibleObservationError("empty ball intersection")
     ties = frozenset(candidates)
-    return EstimateResult(_pick_uniform(ties, rng), ties, "ball_centrality")
+    return EstimateResult(_pick_uniform(ties, rng), ties)
 
 
 def _ball(g, center, radius):
@@ -144,29 +143,25 @@ def _center_walk(parent, weighted):
     return x, total - count[x], half
 
 
-def reporting_centrality(obs, g, reported_set_extractor=None, rng=None):
+def reporting_centrality(obs, g, rng=None):
     """The node whose every adjacent subtree holds strictly fewer than half
-    of the reporting nodes.  At most one such node exists, on the reporters'
-    Steiner tree; zero is an explicit miss (chosen=None), counted against the
-    estimator.  A single center needs no tie-break, so ``rng`` is not drawn.
+    of the reporting nodes (eavesdropper reporters or spies).  At most one
+    such node exists, on the reporters' Steiner tree; zero is an explicit
+    miss (chosen=None), counted against the estimator.  A single center needs
+    no tie-break, so ``rng`` is not drawn.
     """
-    if reported_set_extractor is None:
-        reported_set_extractor = default_reporters
-    reporters = set(reported_set_extractor(obs))
+    if obs.variant == "eavesdropper":
+        reporters = set(obs.first_reports)
+    elif obs.variant == "spy":
+        reporters = set(obs.spy_times)
+    else:
+        raise ValueError(f"no reporting set for observation variant {obs.variant!r}")
     if not reporters:
         raise NoReportsError("no reporting nodes")
     center, up, half = _center_walk(_steiner_parents(g, reporters), reporters)
     if up >= half:
-        return EstimateResult(None, frozenset(), "reporting_centrality")
-    return EstimateResult(center, frozenset([center]), "reporting_centrality")
-
-
-def default_reporters(obs):
-    if obs.variant == "eavesdropper":
-        return obs.first_reports.keys()
-    if obs.variant == "spy":
-        return obs.spy_times.keys()
-    raise ValueError(f"no reporting set for observation variant {obs.variant!r}")
+        return EstimateResult(None, frozenset())
+    return EstimateResult(center, frozenset([center]))
 
 
 def rumor_centers(g, infected_nodes):

@@ -1,14 +1,16 @@
 """Topology construction and the tree/graph queries the estimators need.
 
 Two graph flavors share one read interface (``neighbors`` / ``degree`` /
-``has_node``):
+``has_node`` / ``node_count``):
 
 * ``ExplicitGraph``: finite simple undirected graph with dense node ids
-  0..n-1, built by the generators here or ingested from an edge-list file.
-* ``LazyRegularTree``: an infinite d-regular tree numbered breadth first,
-  whose parent and children of a node follow from its id by arithmetic.
-  Simulations on "infinite" trees touch only the nodes the spread reaches,
-  so no truncation bias enters at the boundary.
+  0..n-1, built by the random-regular generator here or ingested from an
+  edge-list file.
+* ``LazyRegularTree``: a d-regular tree numbered breadth first, whose parent
+  and children of a node follow from its id by arithmetic.  Uncut it is
+  infinite: simulations touch only the nodes the spread reaches, so no
+  truncation bias enters at the boundary.  Cut at a depth it is the balanced
+  tree, whose leaves sit at that depth.
 
 Both flavors are immutable after construction and safe to share across
 threads/processes.
@@ -27,7 +29,6 @@ class ExplicitGraph:
     labels of an ingested edge list (index i holds the original id of node i).
     """
 
-    kind = "explicit"
     is_lazy = False
 
     def __init__(self, adjacency, degree_hint=None, node_labels=None):
@@ -72,7 +73,8 @@ class ExplicitGraph:
 
 
 class LazyRegularTree:
-    """Infinite d-regular tree rooted at node 0, numbered breadth first.
+    """d-regular tree rooted at node 0, numbered breadth first: infinite, or
+    cut at ``depth`` hops.
 
     The root's children are 1..root_degree and the children of node v >= 1
     are r+(v-1)(d-1)+1 .. r+v(d-1), with r the root degree, so every parent
@@ -83,12 +85,15 @@ class LazyRegularTree:
     ``root_degree`` (default d) gives the root a different number of
     neighbors while every other node keeps degree d.  root_degree = d - 2 is
     the setting solved exactly by the diffusion first-timestamp closed form.
+
+    With ``depth`` the nodes at depth hops are leaves and no node lies past
+    them: node ids run 0..node_count-1, with node_count
+    1 + r * sum((d-1)**k, k < depth).  Without it node_count is INFINITY.
     """
 
-    kind = "lazy_regular_tree"
     is_lazy = True
 
-    def __init__(self, d, root_degree=None):
+    def __init__(self, d, root_degree=None, depth=None):
         if d < 2:
             raise ValueError(f"regular tree degree must be >= 2, got {d}")
         if root_degree is None:
@@ -98,6 +103,24 @@ class LazyRegularTree:
         self.d = d
         self.root_degree = root_degree
         self.degree_hint = d
+        self.depth = depth
+        self.node_count = INFINITY
+        if depth is not None:
+            if depth < 0:
+                raise ValueError(f"depth must be >= 0, got {depth}")
+            level_sizes = [1] + [root_degree * (d - 1) ** k for k in range(depth)]
+            self.node_count = sum(level_sizes)
+            # Ids below _inner lie above the cut; the rest are its leaves.
+            self._inner = self.node_count - level_sizes[-1]
+            # Only the cut tree tests for leaves and the node range; the
+            # infinite tree's hot queries stay as they are.
+            self.neighbors, self.degree = self._cut_neighbors, self._cut_degree
+            self.has_node = self._cut_has_node
+
+    def nodes(self):
+        if self.depth is None:
+            raise ValueError("the infinite tree has no finite node list")
+        return range(self.node_count)
 
     def has_node(self, v):
         return isinstance(v, int) and v >= 0
@@ -113,40 +136,29 @@ class LazyRegularTree:
     def degree(self, v):
         return self.root_degree if v == 0 else self.d
 
+    def _cut_has_node(self, v):
+        return isinstance(v, int) and 0 <= v < self.node_count
+
+    def _cut_neighbors(self, v):
+        if not self.has_node(v):
+            raise ValueError(f"unknown node {v}")
+        if v < self._inner:
+            return LazyRegularTree.neighbors(self, v)
+        return [self.parent_of(v)] if v else []
+
+    def _cut_degree(self, v):
+        return len(self._cut_neighbors(v))
+
     def parent_of(self, v):
         if v <= self.root_degree:
             return None if v == 0 else 0
         return (v - self.root_degree - 1) // (self.d - 1) + 1
 
 
-def build_regular_tree(d, depth):
-    """Balanced d-regular tree: root 0, every node at hop < depth has degree d.
-
-    Node ids are assigned in BFS order, so hop distance from the root is
-    nondecreasing in id.  Node count is 1 + d * sum((d-1)**k, k < depth).
-    """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    adjacency = [[]]
-    frontier = [0]
-    for level in range(depth):
-        next_frontier = []
-        for v in frontier:
-            want = d if level == 0 else d - 1
-            for _ in range(want):
-                child = len(adjacency)
-                adjacency.append([v])
-                adjacency[v].append(child)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return ExplicitGraph(adjacency, degree_hint=d)
-
-
-def lazy_regular_tree(d, root_degree=None):
-    """Infinite d-regular tree, numbered breadth first (see LazyRegularTree)."""
-    return LazyRegularTree(d, root_degree=root_degree)
+def lazy_regular_tree(d, root_degree=None, depth=None):
+    """d-regular tree numbered breadth first, cut at ``depth`` hops if given
+    (see LazyRegularTree)."""
+    return LazyRegularTree(d, root_degree=root_degree, depth=depth)
 
 
 def build_random_regular(n, d, seed, max_tries=100):
@@ -338,35 +350,3 @@ def tree_path(g, u, v, stop=None):
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def subtree_partition(g, root, nodes=None):
-    """Label every node (except root) with the root-neighbor subtree it is in.
-
-    ``nodes`` restricts the walk (defaults to all nodes of an explicit graph;
-    required on the infinite tree).  Raises if the restriction is not a tree
-    containing root.
-    """
-    if nodes is None:
-        if g.is_lazy:
-            raise ValueError("the infinite tree needs an explicit node set")
-        nodes = g.nodes()
-    universe = set(nodes)
-    if root not in universe:
-        raise ValueError(f"root {root} not among supplied nodes")
-    labels = {}
-    parent = {root: None}
-    frontier = deque([root])
-    while frontier:
-        w = frontier.popleft()
-        for x in g.neighbors(w):
-            if x not in universe or x == parent[w]:
-                continue
-            if x in parent:
-                raise ValueError("cycle detected: input is not a tree")
-            parent[x] = w
-            labels[x] = x if w == root else labels[w]
-            frontier.append(x)
-    if len(parent) != len(universe):
-        raise ValueError("supplied nodes are not connected through root")
-    return labels

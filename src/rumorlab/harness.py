@@ -29,7 +29,7 @@ from .estimators import (
     rumor_centers,
     spy_first_timestamp,
 )
-from .graphs import build_random_regular, build_regular_tree, lazy_regular_tree, load_edge_list
+from .graphs import build_random_regular, lazy_regular_tree, load_edge_list
 from .spreading import (
     SpreadParams,
     first_report_trial,
@@ -57,11 +57,11 @@ class GraphSpec:
     """Recipe for the trial topology.
 
     kind: 'tree' (infinite regular tree, numbered breadth first),
-    'balanced-tree' (explicit, needs depth), 'random-regular' (needs n; seeded
-    by the master seed), or 'file' (edge list path).  Every graph is immutable:
-    it is built once per sweep, in the calling process, and shared by every
-    point and worker.
-    root_degree modifies only the lazy tree's root (the diffusion
+    'balanced-tree' (the same tree cut at depth hops, needs depth),
+    'random-regular' (needs n; seeded by the master seed), or 'file' (edge
+    list path).  Every graph is immutable: it is built once per sweep, in the
+    calling process, and shared by every point and worker.
+    root_degree modifies only the infinite tree's root (the diffusion
     first-timestamp closed form is exact for root_degree = d - 2).
     """
 
@@ -100,6 +100,8 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary model {self.model!r}")
         if self.model == "spy" and (self.p is None or not 0 <= self.p <= 1):
             raise ValueError("spy adversary needs p in [0, 1]")
+        if self.model != "spy" and self.p is not None:
+            raise ValueError(f"p is the spy probability; the {self.model} adversary takes none")
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def wilson_interval(hits, trials, z=1.959963984540054):
 
 def _build_graph(gspec, master_seed):
     if gspec.kind == "balanced-tree":
-        return build_regular_tree(gspec.d, gspec.depth)
+        return lazy_regular_tree(gspec.d, depth=gspec.depth)
     if gspec.kind == "random-regular":
         return build_random_regular(gspec.n, gspec.d, seed=master_seed)
     if gspec.kind == "file":
@@ -346,10 +348,12 @@ def _aggregate(spec, parts, wall_time):
     stops = [stop for block in stops for stop in block]
     # fsum is exact, so the mean does not depend on how blocks split the trials.
     mean_stop = math.fsum(stops) / len(stops) if stops else None
-    ft_trickle = spec.estimator == "first-timestamp" and spec.params.protocol == "trickle"
+    # Only eavesdropper first-timestamp trials record a strict win.
+    strict_wins = (spec.estimator == "first-timestamp" and spec.params.protocol == "trickle"
+                   and spec.adversary.model == "eavesdropper")
     return DetectionReport(
         spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
-        strict_win_rate=strict / spec.trials if ft_trickle else None,
+        strict_win_rate=strict / spec.trials if strict_wins else None,
         theory=theory_overlay(spec), mean_stop_time=mean_stop,
         wall_time=wall_time,
     )

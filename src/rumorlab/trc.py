@@ -43,7 +43,7 @@ candidate.  Degrees above 6 are refused unless explicitly allowed.
 """
 
 from .estimators import EstimateResult, InfeasibleObservationError, _pick_uniform
-from .graphs import hop_distance, tree_path
+from .graphs import INFINITY, hop_distance, tree_path
 
 
 def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
@@ -108,9 +108,7 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
             "no candidate source admits a feasible ordering"
         )
     ties = frozenset(v for v, s in scores.items() if s == best)
-    return EstimateResult(
-        _pick_uniform(ties, rng), ties, "timestamp_rumor_centrality", score=scores
-    )
+    return EstimateResult(_pick_uniform(ties, rng), ties, score=scores)
 
 
 def _infer_degree(g, obs):
@@ -137,7 +135,11 @@ def ordering_count(g, root, reports, t, theta=1):
 class _Store:
     """The tables of one counting call, shared by all of its candidate roots:
     skeleton tables keyed by (node, parent), and unobserved-subtree counts
-    keyed by infection time (by (node, parent, time) on explicit trees)."""
+    keyed by infection time (by (node, parent, time) on finite trees).
+
+    A finite tree groups its fresh children by their counts: near a cut, the
+    side of a node that faces its parent is not a function of its remaining
+    depth, so the counts are made per directed edge."""
 
     def __init__(self, g, reports, t, theta):
         self.g = g
@@ -236,7 +238,7 @@ class _Store:
     def _fresh_classes(self, w, par, skel_kids, n_fresh, ys):
         """Children of w outside the skeleton, grouped into classes whose
         subtree counts agree at every time in ys, as (members, counts)."""
-        if self.g.is_lazy:
+        if self.g.node_count == INFINITY:
             # The n_fresh fresh subtrees of the infinite tree are identical.
             return [(n_fresh, [self.fresh(None, None, y) for y in ys])] if n_fresh else []
         groups = {}

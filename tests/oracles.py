@@ -7,7 +7,9 @@ diffusion is re-simulated with one timed event per relay and report,
 first-report trials are re-run by loops of their own that stop at the first
 report (the package folds that stop rule into its simulators), and tree
 centers are found by testing every side of every node of a Steiner tree
-built from whole tree paths (the package walks one rooted count).
+built from whole tree paths (the package walks one rooted count).  The
+balanced tree is built node by node as an explicit graph (the package
+computes its cut tree's neighbors from node ids).
 """
 
 import math
@@ -15,7 +17,7 @@ from heapq import heappop, heappush
 
 from scipy.integrate import quad
 
-from rumorlab.graphs import tree_path
+from rumorlab.graphs import ExplicitGraph, tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace
 
 
@@ -55,6 +57,31 @@ def trickle_ft_integral(d, theta):
     rho = (d - 1) / (d - 1 + theta)
     val, _ = quad(lambda x: rho ** (2.0 ** x), 0.0, d, limit=400)
     return theta / d * val
+
+
+def build_regular_tree(d, depth):
+    """Balanced d-regular tree: root 0, every node at hop < depth has degree d.
+
+    Node ids are assigned in BFS order, so hop distance from the root is
+    nondecreasing in id.  Node count is 1 + d * sum((d-1)**k, k < depth).
+    """
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    adjacency = [[]]
+    frontier = [0]
+    for level in range(depth):
+        next_frontier = []
+        for v in frontier:
+            want = d if level == 0 else d - 1
+            for _ in range(want):
+                child = len(adjacency)
+                adjacency.append([v])
+                adjacency[v].append(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+    return ExplicitGraph(adjacency, degree_hint=d)
 
 
 def heap_simulate_diffusion(g, params, rng, source=0):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorlab.adversary import observe_eavesdropper, observe_snapshot, observe_spy
-from rumorlab.graphs import build_regular_tree, lazy_regular_tree
+from rumorlab.graphs import lazy_regular_tree
 from rumorlab.spreading import SpreadParams, SpreadTrace, simulate_diffusion, simulate_trickle, trial_stream
+
+from oracles import build_regular_tree
 
 
 def trickle_trace(seed=0, d=3, theta=1, t=6):

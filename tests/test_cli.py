@@ -94,6 +94,9 @@ class TestUsageErrors:
         ("--estimator", "ball-centrality", "--d", "4"),
         ("--adversary", "spy", "--spy-p", "0.5", "--d", "4"),
         ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--max-infections", "50"),
+        ("--spy-p", "0.4", "--d", "4", "--t", "5"),
+        ("--adversary", "snapshot", "--estimator", "rumor-centers", "--spy-p", "0.4",
+         "--d", "4", "--t", "5"),
     ])
     def test_rejected_spec_exits_2_before_any_trial(self, capsys, argv):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "trickle", *argv,
@@ -116,6 +119,18 @@ class TestUsageErrors:
                                  "--axis", "t", "--values", "5,3", "--trials", "20")
         assert (code, out) == (2, "")
         assert "t >= d + theta" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_p_axis_without_spy_exits_2(self, capsys, monkeypatch, command):
+        # The spy probability would leave every eavesdropper point the same.
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out, err = run_cli(capsys, *experiment_args(command), "--d", "4",
+                                 "--axis", "p", "--values", "0.1,0.9", "--trials", "20")
+        assert (code, out) == (2, "")
+        assert "spy" in err
 
     def test_rumor_centers_on_graph_with_cycles_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion",

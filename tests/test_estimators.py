@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracles
+from oracles import build_regular_tree
 
 from rumorlab.adversary import Observation, observe_eavesdropper, observe_spy
 from rumorlab.analytics import diffusion_ft
@@ -19,7 +20,7 @@ from rumorlab.estimators import (
     rumor_centers,
     spy_first_timestamp,
 )
-from rumorlab.graphs import ExplicitGraph, build_regular_tree, lazy_regular_tree
+from rumorlab.graphs import ExplicitGraph, lazy_regular_tree
 from rumorlab.spreading import (
     SpreadParams,
     first_report_trial,

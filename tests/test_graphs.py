@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rumorlab.graphs import (
     ExplicitGraph,
     build_random_regular,
-    build_regular_tree,
     hop_distance,
     lazy_regular_tree,
     load_edge_list,
-    subtree_partition,
     tree_path,
 )
+
+from oracles import build_regular_tree
 
 
 def tree_node_count(d, depth):
@@ -110,6 +111,40 @@ class TestLazyRegularTree:
         for v in range(tree_node_count(d, k - 1)):
             assert g.neighbors(v) == explicit.neighbors(v)
             assert g.degree(v) == explicit.degree(v) == d
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_cut_tree_is_the_balanced_tree(self, d, depth):
+        g, explicit = lazy_regular_tree(d, depth=depth), build_regular_tree(d, depth)
+        assert g.node_count == explicit.node_count == tree_node_count(d, depth)
+        assert list(g.nodes()) == list(explicit.nodes())
+        for v in explicit.nodes():
+            assert g.has_node(v)
+            assert g.neighbors(v) == explicit.neighbors(v)
+            assert g.degree(v) == explicit.degree(v)
+        for v in (-1, explicit.node_count, explicit.node_count + d):
+            assert not g.has_node(v) and not explicit.has_node(v)
+            with pytest.raises(ValueError, match="unknown node"):
+                g.neighbors(v)
+            with pytest.raises(ValueError, match="unknown node"):
+                g.degree(v)
+
+    def test_cut_tree_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="depth"):
+            lazy_regular_tree(3, depth=-1)
+
+    def test_infinite_tree_has_no_node_list(self):
+        g = lazy_regular_tree(3)
+        assert g.node_count == math.inf
+        assert g.has_node(10 ** 30) and not g.has_node(-1)
+        with pytest.raises(ValueError, match="infinite"):
+            g.nodes()
+
+    def test_cut_tree_survives_pickling(self):
+        g = pickle.loads(pickle.dumps(lazy_regular_tree(3, depth=2)))
+        assert [g.neighbors(v) for v in g.nodes()] == [
+            build_regular_tree(3, 2).neighbors(v) for v in range(10)]
+        assert g.degree(9) == 1 and not g.has_node(10)
 
     def test_root_degree_matches_hand_built_tree(self):
         # d=3, root degree 2, depth 2: the root's children 1, 2 own 3, 4 and 5, 6.
@@ -243,11 +278,17 @@ def ball(g, center, radius):
     return sorted(seen)
 
 
-@pytest.mark.parametrize("d,root_degree", [(2, None), (3, None), (5, None), (4, 2)])
-def test_lazy_path_queries_match_bfs_on_explicit_tree(d, root_degree):
-    g = lazy_regular_tree(d, root_degree=root_degree)
-    if root_degree is None:
-        explicit = build_regular_tree(d, 4)
+PATH_TREES = [pytest.param(d, r, None, id=f"{d}-{r}")
+              for d, r in [(2, None), (3, None), (5, None), (4, 2)]]
+PATH_TREES += [pytest.param(d, None, depth, id=f"{d}-cut{depth}")
+               for d in (2, 3, 5) for depth in range(5)]
+
+
+@pytest.mark.parametrize("d,root_degree,depth", PATH_TREES)
+def test_lazy_path_queries_match_bfs_on_explicit_tree(d, root_degree, depth):
+    g = lazy_regular_tree(d, root_degree=root_degree, depth=depth)
+    if root_degree is None:  # the balanced tree: the cut tree's, or 4 levels of the infinite one
+        explicit = build_regular_tree(d, 4 if depth is None else depth)
     else:  # no generator builds this one: take the lazy tree's radius-4 ball
         ids = set(ball(g, 0, 4))
         explicit = ExplicitGraph([[u for u in g.neighbors(v) if u in ids] for v in sorted(ids)])
@@ -300,7 +341,8 @@ def prefix_to_stop(path, stop):
 
 class TestTreePathStop:
     @pytest.mark.parametrize("g", [lazy_regular_tree(3), lazy_regular_tree(4, root_degree=2),
-                                   build_regular_tree(3, 5)], ids=["lazy", "lazy-root2", "explicit"])
+                                   build_regular_tree(3, 5), lazy_regular_tree(3, depth=5)],
+                             ids=["lazy", "lazy-root2", "explicit", "cut"])
     def test_prefix_up_to_first_stop_node(self, g):
         nodes = ball(g, 0, 5)
         rng = random.Random(11)
@@ -316,7 +358,7 @@ class TestTreePathStop:
             assert tree_path(g, u, v, stop=stop) == prefix_to_stop(full, stop)
             assert tree_path(g, u, v, stop={u}) == [u]
             assert tree_path(g, u, u, stop=stop) == [u]
-            if g.is_lazy:  # on the infinite tree any stop set works
+            if g.is_lazy:  # on the arithmetic trees any stop set works
                 other = set(rng.sample(nodes, 5))
                 assert tree_path(g, u, v, stop=other) == prefix_to_stop(full, other)
 
@@ -330,51 +372,6 @@ class TestTreePathStop:
         g = load_edge_list_from_edges([(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="disconnected"):
             tree_path(g, 0, 3, stop=stop)
-
-
-class TestSubtreePartition:
-    def test_star(self):
-        g = load_edge_list_from_edges([(0, 1), (0, 2)])
-        assert subtree_partition(g, 0) == {1: 1, 2: 2}
-
-    def test_path_rooted_at_center(self):
-        # a-c-b-d rooted at c: d belongs to b's subtree
-        g = load_edge_list_from_edges([(0, 1), (1, 2), (2, 3)])
-        labels = subtree_partition(g, 1)
-        assert labels[3] == 2
-        assert labels[0] == 0
-
-    def test_infinite_tree_needs_node_set(self):
-        g = lazy_regular_tree(3)
-        with pytest.raises(ValueError, match="node set"):
-            subtree_partition(g, 0)
-        assert subtree_partition(g, 0, nodes=[0, 1, 2, 4]) == {1: 1, 2: 2, 4: 1}
-
-    def test_cycle_rejected(self):
-        g = load_edge_list_from_edges([(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(ValueError, match="cycle"):
-            subtree_partition(g, 0)
-
-    def test_reporting_example_configuration(self):
-        # Source with three subtrees holding 2, 2, and 1 reporters: partition
-        # counts must reproduce the {2, 2, 1} split of the five reporters.
-        g = load_edge_list_from_edges(
-            [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6)]
-        )
-        labels = subtree_partition(g, 0)
-        reporters = [1, 4, 2, 5, 3]
-        counts = {}
-        for r in reporters:
-            counts[labels[r]] = counts.get(labels[r], 0) + 1
-        assert sorted(counts.values()) == [1, 2, 2]
-        assert all(c < len(reporters) / 2 for c in counts.values())
-
-    @given(d=st.integers(2, 4), depth=st.integers(1, 3))
-    def test_labels_are_root_neighbors_and_counts_sum(self, d, depth):
-        g = build_regular_tree(d, depth)
-        labels = subtree_partition(g, 0)
-        assert set(labels.values()) == set(g.neighbors(0))
-        assert len(labels) == g.node_count - 1
 
 
 class TestAdjacencyInvariants:

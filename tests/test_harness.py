@@ -168,6 +168,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             AdversarySpec("spy")
 
+    def test_only_the_spy_takes_p(self):
+        for model in ("eavesdropper", "snapshot"):
+            with pytest.raises(ValueError, match="spy"):
+                AdversarySpec(model, p=0.4)
+        # An eavesdropper sweep over p would run the same point twice.
+        with pytest.raises(ValueError, match="spy"):
+            sweep_specs(ft_spec(protocol="trickle"), "p", [0.1, 0.9])
+
 
 class TestDeterminism:
     def test_same_spec_same_report(self):
@@ -200,6 +208,17 @@ class TestReports:
         assert r.strict_win_rate is not None
         assert r.strict_win_rate <= r.p_hat
         assert r.theory == pytest.approx(trickle_ft_lower_bound(4, 1).value)
+
+    def test_spy_first_timestamp_reports_no_strict_win_rate(self):
+        # Spy trials never record a strict win, so a rate would always read 0.
+        spec = ExperimentSpec(GraphSpec(kind="tree", d=4),
+                              SpreadParams("trickle", theta=1, max_time=4),
+                              AdversarySpec("spy", p=0.3), "first-timestamp",
+                              trials=200, master_seed=1)
+        r = run_experiment(spec)
+        assert r.hits > 0
+        assert r.strict_win_rate is None
+        assert r.csv_fields()["strict_win_rate"] == ""
 
     def test_trc_overlay_is_ml_ceiling(self):
         spec = ExperimentSpec(

@@ -3,10 +3,15 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import heap_first_report_diffusion, heap_simulate_diffusion, loop_first_report_trickle
+from oracles import (
+    build_regular_tree,
+    heap_first_report_diffusion,
+    heap_simulate_diffusion,
+    loop_first_report_trickle,
+)
 
 from rumorlab.adversary import observe_eavesdropper
-from rumorlab.graphs import build_random_regular, build_regular_tree, lazy_regular_tree
+from rumorlab.graphs import build_random_regular, lazy_regular_tree
 from rumorlab.spreading import (
     FirstReport,
     SpreadParams,
@@ -422,3 +427,41 @@ class TestTraceDump:
         assert float(x_text) > 0
         digits = x_text.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) <= 9
+
+
+@given(d=st.integers(2, 5), depth=st.none() | st.integers(0, 4), theta=st.integers(1, 3),
+       protocol=st.sampled_from(["trickle", "diffusion"]), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_trace_properties_on_the_infinite_and_the_cut_tree(d, depth, theta, protocol, seed):
+    """The cut tree spreads to every node of the balanced tree and to none
+    past it; the infinite one is run to a horizon.  On both, every parent is
+    a neighbor infected earlier, a node shows at most theta taps, and a
+    trickle node's children and taps take distinct slots: X[child] =
+    X[parent] + slot index, with every slot up to the horizon served."""
+    g = lazy_regular_tree(d, depth=depth)
+    if depth is not None:
+        ref, horizon = build_regular_tree(d, depth), math.inf
+        params = SpreadParams(protocol, theta=theta)
+    elif protocol == "trickle":
+        ref, horizon = g, 5
+        params = SpreadParams(protocol, theta=theta, max_time=horizon)
+    else:
+        ref, horizon = g, math.inf
+        params = SpreadParams(protocol, theta=theta, max_infections=60)
+    sim = simulate_trickle if protocol == "trickle" else simulate_diffusion
+    tr = sim(g, params, trial_stream(seed, 0))
+    if depth is not None:
+        assert set(tr.X) == set(ref.nodes())
+    for v, taps in tr.reports.items():
+        assert len(taps) <= (theta if protocol == "trickle" else 1)
+    for v, p in tr.parent.items():
+        if p is None:
+            assert v == tr.source == 0
+        else:
+            assert p in ref.neighbors(v) and tr.X[p] < tr.X[v]
+    if protocol == "trickle":
+        for v, x in tr.X.items():
+            slots = [tr.X[c] - x for c in ref.neighbors(v) if tr.parent.get(c) == v]
+            slots += [tap - x for tap in tr.reports.get(v, [])]
+            width = ref.degree(v) - (v != tr.source) + theta
+            assert sorted(slots) == list(range(1, min(width, horizon - x) + 1))

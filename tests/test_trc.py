@@ -8,9 +8,11 @@ import pytest
 from rumorlab.adversary import Observation, observe_eavesdropper
 from rumorlab.bruteforce import enumerate_histories, observation_atlas
 from rumorlab.estimators import InfeasibleObservationError
-from rumorlab.graphs import build_regular_tree, hop_distance, lazy_regular_tree, tree_path
+from rumorlab.graphs import hop_distance, lazy_regular_tree, tree_path
 from rumorlab.spreading import SpreadParams, simulate_trickle, trial_stream
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
+
+from oracles import build_regular_tree
 
 
 def obs_from_key(key, t):
@@ -214,15 +216,16 @@ class TestFastPathAgainstExplicitTree:
 class TestSharedTables:
     @pytest.mark.parametrize("d,theta,graph", [
         (3, 1, "lazy"), (4, 2, "lazy"), (5, 1, "lazy"), (3, 2, "balanced"), (4, 1, "balanced"),
+        (3, 2, "cut"), (4, 1, "cut"),
     ])
     def test_scores_equal_separate_counts(self, d, theta, graph):
         # One estimator call shares its tables across candidates; each score
         # must still equal a count made with tables of its own.
         t = d + theta
-        tree = build_regular_tree(d, 4)
-        factory = (lambda: lazy_regular_tree(d)) if graph == "lazy" else (lambda: tree)
+        tree = {"lazy": lazy_regular_tree(d), "balanced": build_regular_tree(d, 4),
+                "cut": lazy_regular_tree(d, depth=4)}[graph]
         checked = 0
-        for g, reports, obs in simulated_observations(factory, d, theta, t, 97 + d, 30):
+        for g, reports, obs in simulated_observations(lambda: tree, d, theta, t, 97 + d, 30):
             res = timestamp_rumor_centrality(obs, g, t, theta=theta)
             for v in candidates_of(obs, d, theta):
                 if all(hop_distance(g, v, w) <= tau - 1 for w, tau in obs.first_reports.items()):
@@ -231,3 +234,31 @@ class TestSharedTables:
                 else:
                     assert res.score[v] == 0
         assert checked >= 30
+
+
+class TestCutTree:
+    """The balanced tree is the infinite tree cut at a depth.  Both it and the
+    explicit balanced tree list neighbors in the same order, so one stream
+    gives one spread on both, and every TRC score must agree when the spread
+    reaches the leaves, whether they report or stay unobserved subtrees."""
+
+    @pytest.mark.parametrize("d,theta,depth,t", [
+        (3, 1, 3, 6), (3, 2, 3, 6), (2, 1, 4, 6), (4, 1, 2, 5), (4, 1, 4, 5), (3, 1, 4, 4),
+    ])
+    def test_scores_equal_explicit_tree_scores(self, d, theta, depth, t):
+        cut, explicit = lazy_regular_tree(d, depth=depth), build_regular_tree(d, depth)
+        leaves = range(explicit.node_count - d * (d - 1) ** (depth - 1), explicit.node_count)
+        params = SpreadParams("trickle", theta=theta, max_time=t)
+        compared = reached = 0
+        for i in range(40):
+            tr = simulate_trickle(cut, params, trial_stream(700 + d, i))
+            assert tr == simulate_trickle(explicit, params, trial_stream(700 + d, i))
+            obs = observe_eavesdropper(tr, t, keep_all=True)
+            if not obs.first_reports:
+                continue
+            ours = timestamp_rumor_centrality(obs, cut, t, theta=theta)
+            ref = timestamp_rumor_centrality(obs, explicit, t, theta=theta)
+            assert (ours.score, ours.candidates) == (ref.score, ref.candidates), i
+            compared += 1
+            reached += any(v in leaves for v in tr.X)
+        assert compared >= 30 and reached >= 10
