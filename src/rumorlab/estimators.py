@@ -107,13 +107,20 @@ def _steiner_parents(g, terminals):
     """Steiner tree of the terminals as {node: parent}, rooted at the
     smallest terminal and listing every parent before its children.
 
-    Each terminal's path toward the root stops at the first node already in
-    the tree, so a terminal adds only its new nodes.
+    Terminals join in ascending order, and each adds only its new nodes.  On
+    the arithmetic tree a terminal whose parent id is already in the tree
+    attaches to it directly, which is the path tree_path(..., stop=) would
+    return; any other terminal's path toward the root stops at the first
+    node already in the tree.
     """
     terminals = sorted(terminals)
     anchor = terminals[0]
     parent = {anchor: None}
+    parent_of = g.parent_of if g.is_lazy else None
     for v in terminals[1:]:
+        if parent_of is not None and (p := parent_of(v)) in parent:
+            parent[v] = p
+            continue
         path = tree_path(g, v, anchor, stop=parent)
         for i in range(len(path) - 2, -1, -1):
             parent[path[i]] = path[i + 1]

@@ -301,8 +301,10 @@ def tree_path(g, u, v, stop=None):
     With a node set ``stop`` the path ends at its first node in ``stop``.  On
     an explicit graph the search from u ends at the nearest node of ``stop``,
     which is that node when ``stop`` is a subtree holding v (the union of
-    earlier paths in a Steiner tree build).
+    earlier paths in a Steiner tree build).  Both ends must be nodes of g.
     """
+    if not g.has_node(u) or not g.has_node(v):
+        raise ValueError(f"unknown node in pair ({u}, {v})")
     if g.is_lazy:
         # Climb the larger id until both ends meet (see hop_distance).
         up, vp = [u], [v]

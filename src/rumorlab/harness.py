@@ -52,6 +52,11 @@ ADVERSARIES = ("eavesdropper", "spy", "snapshot")
 GRAPH_KINDS = ("tree", "balanced-tree", "random-regular", "file")
 
 
+# The one graph kind that reads each optional GraphSpec field.
+_FIELD_KIND = {"root_degree": "tree", "depth": "balanced-tree", "n": "random-regular",
+               "path": "file"}
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Recipe for the trial topology.
@@ -62,7 +67,9 @@ class GraphSpec:
     list path).  Every graph is immutable: it is built once per sweep, in the
     calling process, and shared by every point and worker.
     root_degree modifies only the infinite tree's root (the diffusion
-    first-timestamp closed form is exact for root_degree = d - 2).
+    first-timestamp closed form is exact for root_degree = d - 2).  A kind
+    rejects the fields it would ignore: root_degree, depth, n and path each
+    belong to one kind.
     """
 
     kind: str
@@ -83,6 +90,10 @@ class GraphSpec:
             raise ValueError("random-regular needs n")
         if self.kind == "file" and not self.path:
             raise ValueError("file graph needs path")
+        for field, kind in _FIELD_KIND.items():
+            if getattr(self, field) is not None and self.kind != kind:
+                raise ValueError(f"{field} belongs to the {kind} graph; "
+                                 f"the {self.kind} graph takes none")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,13 @@ cheaper).  simulate_diffusion needs no event heap: it draws the report with
 the infection and, the delays being memoryless, fires the pending relays one
 at a time.
 
+Both simulators make the draws of the stdlib's random.Random wrappers, call
+for call, straight from the generator: an Exp(rate) delay is
+-log(1 - random()) / rate as expovariate computes it, and a uniform pick
+below n is the getrandbits(n.bit_length()) rejection loop behind randrange
+and shuffle.  A trace and the stream left behind are bit for bit those of
+the wrapper calls, without their per-draw interpreter overhead.
+
 Both simulators take a first_report stop rule: the run ends at the earliest
 adversary report, since nothing later can change who reported first.
 first_report_trial, the t = infinity first-timestamp experiment, is that rule
@@ -29,6 +36,7 @@ results do not depend on scheduling or worker count.
 import math
 import random
 from dataclasses import dataclass
+from math import log
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,7 +106,14 @@ class FirstReport:
 def _trickle_slots(g, v, infected, theta, rng):
     pool = [u for u in g.neighbors(v) if u not in infected]
     pool.extend([TAP] * theta)
-    rng.shuffle(pool)
+    # rng.shuffle(pool): the same Fisher-Yates swaps from the same draws.
+    getrandbits = rng.getrandbits
+    for i in range(len(pool) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        pool[i], pool[j] = pool[j], pool[i]
     return pool
 
 
@@ -188,13 +203,13 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     theta, lam = params.theta, params.lam
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
-    expovariate, randrange, neighbors = rng.expovariate, rng.randrange, g.neighbors
+    uniform, getrandbits, neighbors = rng.random, rng.getrandbits, g.neighbors
 
     X = {}
     parent = {}
     order = []
     report_times = []
-    pending = []  # (relay, target) pairs not yet fired
+    relays, targets = [], []  # pending relays not yet fired, pair by pair
     first = math.inf  # earliest report drawn so far, kept for first_report
     t, relay, v = 0.0, None, source
     while True:
@@ -205,12 +220,17 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             if len(order) >= max_inf:
                 stop_time = t
                 break
-            report = t + expovariate(theta)
+            # Exp(theta) drawn as expovariate draws it (see the module doc).
+            report = t + -log(1.0 - uniform()) / theta
             report_times.append(report)
             if first_report and report < first:
                 first = report
-            pending += [(v, u) for u in neighbors(v) if u not in X]
-        if not pending:
+            for u in neighbors(v):
+                if u not in X:
+                    relays.append(v)
+                    targets.append(u)
+        b = len(relays)
+        if not b:
             if first_report and first <= max_time:
                 stop_time = first
                 break
@@ -219,16 +239,22 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             stop_time = max_time if params.max_time is not None else max(
                 X[order[-1]], *report_times)
             break
-        t += expovariate(lam * len(pending))
+        t += -log(1.0 - uniform()) / (lam * b)
         if first <= t and first <= max_time:
             stop_time = first
             break
         if t > max_time:
             stop_time = max_time
             break
-        i = randrange(len(pending))
-        pending[i], pending[-1] = pending[-1], pending[i]
-        relay, v = pending.pop()
+        # randrange(b), then swap the pick with the last relay and pop it.
+        k = b.bit_length()
+        i = getrandbits(k)
+        while i >= b:
+            i = getrandbits(k)
+        relay, v = relays[i], targets[i]
+        relays[i], targets[i] = relays[-1], targets[-1]
+        relays.pop()
+        targets.pop()
     reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
     return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
 

@@ -9,13 +9,15 @@ report (the package folds that stop rule into its simulators), and tree
 centers are found by testing every side of every node of a Steiner tree
 built from whole tree paths (the package walks one rooted count).  The
 balanced tree is built node by node as an explicit graph (the package
-computes its cut tree's neighbors from node ids).
+computes its cut tree's neighbors from node ids).  The stdlib-wrapper
+versions of the diffusion simulator, the trickle slot shuffle and the
+path-by-path Steiner build are the references the package's inline draws
+and parent-id attachments must match bit for bit.  scipy is imported inside
+the quadrature functions, so the rest loads on an interpreter without it.
 """
 
 import math
 from heapq import heappop, heappush
-
-from scipy.integrate import quad
 
 from rumorlab.graphs import ExplicitGraph, tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace
@@ -23,6 +25,8 @@ from rumorlab.spreading import TAP, FirstReport, SpreadTrace
 
 def ei_quadrature(x):
     """Ei(x) = -PV integral_{-x}^{inf} e^-t / t dt, by adaptive quadrature."""
+    from scipy.integrate import quad
+
     if x == 0:
         raise ValueError("singular")
     if x < 0:
@@ -39,6 +43,8 @@ def ei_quadrature(x):
 def _beta_half_piece(a, b):
     # integral_0^{1/2} t^(a-1) (1-t)^(b-1) dt with the endpoint singularity
     # absorbed by u = t^a.
+    from scipy.integrate import quad
+
     upper = 0.5 ** a
     val, _ = quad(lambda u: (1.0 - u ** (1.0 / a)) ** (b - 1.0), 0.0, upper,
                   epsabs=1e-14, epsrel=1e-13, limit=400)
@@ -54,6 +60,8 @@ def reg_inc_beta_half_quadrature(a, b):
 
 def trickle_ft_integral(d, theta):
     """(theta/d) * integral_0^d rho^(2^x) dx, rho = (d-1)/(d-1+theta)."""
+    from scipy.integrate import quad
+
     rho = (d - 1) / (d - 1 + theta)
     val, _ = quad(lambda x: rho ** (2.0 ** x), 0.0, d, limit=400)
     return theta / d * val
@@ -267,3 +275,77 @@ def rumor_centers(g, infected):
     total, sides = subtree_counts(adj, dict.fromkeys(adj, 1))
     half = total / 2
     return {v for v, per in sides.items() if all(c <= half for c in per.values())}
+
+
+def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
+    """Reference for the package's simulate_diffusion: the same loop drawing
+    through rng.expovariate and rng.randrange, with its pending relays as a
+    list of (relay, target) pairs.  Traces and the stream left behind must
+    be bit for bit the package's."""
+    theta, lam = params.theta, params.lam
+    max_time = params.max_time if params.max_time is not None else math.inf
+    max_inf = params.max_infections if params.max_infections is not None else math.inf
+    expovariate, randrange, neighbors = rng.expovariate, rng.randrange, g.neighbors
+
+    X = {}
+    parent = {}
+    order = []
+    report_times = []
+    pending = []
+    first = math.inf
+    t, relay, v = 0.0, None, source
+    while True:
+        if v not in X:
+            X[v] = t
+            parent[v] = relay
+            order.append(v)
+            if len(order) >= max_inf:
+                stop_time = t
+                break
+            report = t + expovariate(theta)
+            report_times.append(report)
+            if first_report and report < first:
+                first = report
+            pending += [(v, u) for u in neighbors(v) if u not in X]
+        if not pending:
+            if first_report and first <= max_time:
+                stop_time = first
+                break
+            stop_time = max_time if params.max_time is not None else max(
+                X[order[-1]], *report_times)
+            break
+        t += expovariate(lam * len(pending))
+        if first <= t and first <= max_time:
+            stop_time = first
+            break
+        if t > max_time:
+            stop_time = max_time
+            break
+        i = randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        relay, v = pending.pop()
+    reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
+    return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
+
+
+def shuffled_trickle_slots(g, v, infected, theta, rng):
+    """Reference for the package's trickle slots: rng.shuffle of the
+    uninfected neighbors followed by theta taps."""
+    pool = [u for u in g.neighbors(v) if u not in infected]
+    pool.extend([TAP] * theta)
+    rng.shuffle(pool)
+    return pool
+
+
+def path_steiner_parents(g, terminals):
+    """Reference for the package's Steiner build: every terminal after the
+    smallest reaches the tree through tree_path(..., stop=), none by its
+    parent id.  The package's dict must equal it, order included."""
+    terminals = sorted(terminals)
+    anchor = terminals[0]
+    parent = {anchor: None}
+    for v in terminals[1:]:
+        path = tree_path(g, v, anchor, stop=parent)
+        for i in range(len(path) - 2, -1, -1):
+            parent[path[i]] = path[i + 1]
+    return parent

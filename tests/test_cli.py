@@ -140,6 +140,23 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "tree" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--graph", "balanced-tree", "--d", "4", "--depth", "5", "--root-degree", "2"),
+        ("--graph", "tree", "--d", "4", "--depth", "2", "--max-infections", "100"),
+        ("--graph", "random-regular", "--n", "100", "--d", "4", "--root-degree", "2",
+         "--t", "2"),
+        ("--graph", "file", "--graph-file", "g.edges", "--n", "100", "--t", "2"),
+    ])
+    def test_graph_flag_its_kind_ignores_exits_2(self, capsys, monkeypatch, argv):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion", *argv,
+                                 "--trials", "20")
+        assert (code, out) == (2, "")
+        assert "belongs to" in err
+
     def test_runtime_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "ingest", "--input", "/nonexistent/file")
         assert code == 1

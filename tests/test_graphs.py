@@ -367,6 +367,16 @@ class TestTreePathStop:
             assert tree_path(g, 4, 4) == [4]
             assert tree_path(g, 4, 4, stop=set()) == [4]
 
+    @pytest.mark.parametrize("g", [lazy_regular_tree(3, depth=2), lazy_regular_tree(3),
+                                   build_regular_tree(3, 2)], ids=["cut", "lazy", "explicit"])
+    @pytest.mark.parametrize("stop", [None, {0}])
+    def test_unknown_end_raises(self, g, stop):
+        # As hop_distance does; the cut and explicit trees end at node 9.
+        far = -1 if g.node_count == math.inf else 50
+        for u, v in ((0, far), (far, 0), (far, far)):
+            with pytest.raises(ValueError, match="unknown node"):
+                tree_path(g, u, v, stop=stop)
+
     @pytest.mark.parametrize("stop", [None, {2, 3}])
     def test_disconnected_explicit_pair_raises(self, stop):
         g = load_edge_list_from_edges([(0, 1), (2, 3)])

@@ -176,6 +176,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="spy"):
             sweep_specs(ft_spec(protocol="trickle"), "p", [0.1, 0.9])
 
+    @pytest.mark.parametrize("kind, fields, ignored", [
+        ("tree", {"d": 4, "depth": 2}, "depth"),
+        ("tree", {"d": 4, "n": 100}, "n"),
+        ("tree", {"d": 4, "path": "g.edges"}, "path"),
+        ("balanced-tree", {"d": 4, "depth": 5, "root_degree": 2}, "root_degree"),
+        ("random-regular", {"d": 4, "n": 100, "root_degree": 2}, "root_degree"),
+        ("random-regular", {"d": 4, "n": 100, "depth": 3}, "depth"),
+        ("file", {"path": "g.edges", "n": 10}, "n"),
+        ("file", {"path": "g.edges", "root_degree": 2}, "root_degree"),
+    ])
+    def test_graph_rejects_fields_its_kind_ignores(self, kind, fields, ignored):
+        with pytest.raises(ValueError, match=f"{ignored} belongs to"):
+            GraphSpec(kind=kind, **fields)
+
 
 class TestDeterminism:
     def test_same_spec_same_report(self):

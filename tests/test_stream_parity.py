@@ -1,0 +1,181 @@
+"""The simulators' inline draws and the parent-id Steiner build against the
+stdlib-wrapper references in oracles.py, bit for bit.
+
+The simulators draw straight from random.Random's generator, relying on how
+CPython's expovariate, randrange and shuffle use random() and getrandbits().
+So this module needs neither pytest nor scipy: besides the Tier-1 run it
+runs as a plain script on any interpreter,
+
+    PYTHONPATH=src:tests python tests/test_stream_parity.py
+
+which calls every test function here and exits 1 if one fails.
+"""
+
+import random
+import sys
+from math import log
+
+from oracles import (
+    path_steiner_parents,
+    shuffled_trickle_slots,
+    stdlib_simulate_diffusion,
+)
+
+from rumorlab import spreading
+from rumorlab.estimators import _steiner_parents
+from rumorlab.graphs import ExplicitGraph, build_random_regular, lazy_regular_tree
+from rumorlab.spreading import (
+    SpreadParams,
+    _trickle_slots,
+    simulate_diffusion,
+    simulate_trickle,
+    trial_stream,
+)
+
+
+def _graphs():
+    return [
+        ("tree d=5", lazy_regular_tree(5)),
+        ("tree d=3 root 1", lazy_regular_tree(3, root_degree=1)),
+        ("cut tree d=3 depth 4", lazy_regular_tree(3, depth=4)),
+        ("random-regular n=200 d=4", build_random_regular(200, 4, seed=1)),
+    ]
+
+
+def _horizons(protocol, finite):
+    """(max_time, max_infections) pairs; the infinite tree needs one."""
+    cases = [(2.0 if protocol == "diffusion" else 4, None), (None, 60), (1.5, 25)]
+    return cases + [(None, None)] * finite
+
+
+def test_exponential_draw_equals_expovariate():
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        for rate in (1.0, 0.25, 3.0, 7 * 0.5, 1e-3, 4096.0):
+            for _ in range(50):
+                assert -log(1.0 - a.random()) / rate == b.expovariate(rate)
+        assert a.getstate() == b.getstate()
+
+
+def test_rejection_pick_equals_randrange():
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in [*range(1, 70), 2**31 - 1, 2**31 + 1, 10**12, 2**64 + 3]:
+            k = n.bit_length()
+            i = a.getrandbits(k)
+            while i >= n:
+                i = a.getrandbits(k)
+            assert i == b.randrange(n)
+        assert a.getstate() == b.getstate()
+
+
+def test_trickle_slots_equal_shuffle():
+    g = lazy_regular_tree(6)
+    for seed in range(40):
+        for theta in (1, 2, 5, 9):
+            for infected in ({}, {0: 0}, {0: 0, 1: 1, 8: 1}):
+                v = 1 if 0 in infected else 0
+                a, b = trial_stream(seed, theta), trial_stream(seed, theta)
+                assert (_trickle_slots(g, v, infected, theta, a)
+                        == shuffled_trickle_slots(g, v, infected, theta, b))
+                assert a.getstate() == b.getstate()
+    # A pool of one slot draws nothing.
+    a = trial_stream(0, 0)
+    state = a.getstate()
+    assert _trickle_slots(ExplicitGraph([[]]), 0, {}, 1, a) == [spreading.TAP]
+    assert a.getstate() == state
+
+
+def test_diffusion_equals_stdlib_reference():
+    runs = 0
+    for name, g in _graphs():
+        finite = g.node_count != float("inf")
+        for max_time, max_inf in _horizons("diffusion", finite):
+            for theta, lam in ((1.0, 1.0), (0.3, 0.5)):
+                params = SpreadParams("diffusion", theta=theta, lam=lam,
+                                      max_time=max_time, max_infections=max_inf)
+                for first_report in (False, True):
+                    for i in range(6):
+                        a, b = trial_stream(11, i), trial_stream(11, i)
+                        source = i % 3 if finite else 0
+                        got = simulate_diffusion(g, params, a, source=source,
+                                                 first_report=first_report)
+                        want = stdlib_simulate_diffusion(g, params, b, source=source,
+                                                         first_report=first_report)
+                        assert got == want, (name, params, first_report, i)
+                        assert list(got.X) == list(want.X)
+                        assert a.getstate() == b.getstate(), (name, params, i)
+                        runs += 1
+    assert runs == 2 * 2 * 6 * (3 + 3 + 4 + 4)
+
+
+def test_trickle_equals_shuffle_reference():
+    for name, g in _graphs():
+        finite = g.node_count != float("inf")
+        for max_time, max_inf in _horizons("trickle", finite):
+            for theta in (1, 3):
+                params = SpreadParams("trickle", theta=theta, max_time=max_time,
+                                      max_infections=max_inf)
+                for first_report in (False, True):
+                    for i in range(6):
+                        a, b = trial_stream(12, i), trial_stream(12, i)
+                        got = simulate_trickle(g, params, a, first_report=first_report)
+                        spreading._trickle_slots = shuffled_trickle_slots
+                        try:
+                            want = simulate_trickle(g, params, b, first_report=first_report)
+                        finally:
+                            spreading._trickle_slots = _trickle_slots
+                        assert got == want, (name, params, first_report, i)
+                        assert a.getstate() == b.getstate(), (name, params, i)
+
+
+def _terminal_sets(g, rng):
+    """Infected sets of diffusion spreads, random subsets of them (as the
+    reporters and spies are), and scattered node sets."""
+    finite = g.node_count != float("inf")
+    params = SpreadParams("diffusion", max_infections=120)
+    for i in range(12):
+        trace = simulate_diffusion(g, params, trial_stream(13, i),
+                                   source=i if finite else 0)
+        infected = list(trace.X)
+        yield infected
+        yield rng.sample(infected, max(1, len(infected) // 3))
+        yield rng.sample(infected, 2)
+    top = g.node_count if finite else 5000
+    for size in (1, 2, 5, 40):
+        yield rng.sample(range(top), size)
+
+
+def test_steiner_parents_equal_path_reference():
+    rng = random.Random(14)
+    graphs = [g for _, g in _graphs()[:3]]
+    graphs += [lazy_regular_tree(4), lazy_regular_tree(2), lazy_regular_tree(5, depth=3)]
+    # An explicit tree (a caterpillar) takes the path route for every terminal.
+    spine = 30
+    adjacency = [[] for _ in range(2 * spine)]
+    for v in range(spine):
+        for u in ([v + 1] if v + 1 < spine else []) + [spine + v]:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
+    graphs.append(ExplicitGraph(adjacency))
+    for g in graphs:
+        for terminals in _terminal_sets(g, rng):
+            got = _steiner_parents(g, terminals)
+            want = path_steiner_parents(g, terminals)
+            assert list(got.items()) == list(want.items()), (g, sorted(terminals))
+
+
+if __name__ == "__main__":
+    tests = [(name, fn) for name, fn in sorted(globals().items())
+             if name.startswith("test_") and callable(fn)]
+    failed = 0
+    for name, fn in tests:
+        try:
+            fn()
+        except Exception as exc:  # report every test, then fail the run
+            failed += 1
+            print(f"FAIL {name}: {exc!r}")
+        else:
+            print(f"ok   {name}")
+    print(f"{len(tests) - failed} passed, {failed} failed on Python {sys.version.split()[0]}")
+    sys.exit(1 if failed else 0)
