@@ -78,8 +78,9 @@ class LazyRegularTree:
 
     The root's children are 1..root_degree and the children of node v >= 1
     are r+(v-1)(d-1)+1 .. r+v(d-1), with r the root degree, so every parent
-    has a smaller id than its children.  ``neighbors(v)`` lists the parent
-    first, then the children in ascending order.  Nothing is stored per node:
+    has a smaller id than its children.  ``children(v)`` is that id range,
+    empty at the cut; ``neighbors(v)`` lists the parent first, then the
+    children in ascending order.  Nothing is stored per node:
     the tree is immutable and one instance serves every trial and worker.
 
     ``root_degree`` (default d) gives the root a different number of
@@ -115,7 +116,7 @@ class LazyRegularTree:
             # Only the cut tree tests for leaves and the node range; the
             # infinite tree's hot queries stay as they are.
             self.neighbors, self.degree = self._cut_neighbors, self._cut_degree
-            self.has_node = self._cut_has_node
+            self.children, self.has_node = self._cut_children, self._cut_has_node
 
     def nodes(self):
         if self.depth is None:
@@ -133,6 +134,14 @@ class LazyRegularTree:
         first = r + (v - 1) * c + 1
         return [0 if v <= r else (v - r - 1) // c + 1, *range(first, first + c)]
 
+    def children(self, v):
+        r = self.root_degree
+        if v == 0:
+            return range(1, r + 1)
+        c = self.d - 1
+        first = r + (v - 1) * c + 1
+        return range(first, first + c)
+
     def degree(self, v):
         return self.root_degree if v == 0 else self.d
 
@@ -145,6 +154,11 @@ class LazyRegularTree:
         if v < self._inner:
             return LazyRegularTree.neighbors(self, v)
         return [self.parent_of(v)] if v else []
+
+    def _cut_children(self, v):
+        if not self.has_node(v):
+            raise ValueError(f"unknown node {v}")
+        return LazyRegularTree.children(self, v) if v < self._inner else range(0)
 
     def _cut_degree(self, v):
         return len(self._cut_neighbors(v))

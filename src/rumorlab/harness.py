@@ -415,6 +415,9 @@ def sweep_specs(base, axis, values):
     runs, if any point is rejected."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+    if axis == "d" and base.graph.kind == "file":
+        raise ValueError("a file graph is built without reading d, so every d point "
+                         "would run the same trials")
     return [_with_axis(base, axis, value) for value in values]
 
 

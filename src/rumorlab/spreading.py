@@ -9,7 +9,11 @@ delay, and each node's first adversary report fires after Exp(theta) (the
 minimum of theta unit-rate taps; one draw is distributionally identical and
 cheaper).  simulate_diffusion needs no event heap: it draws the report with
 the infection and, the delays being memoryless, fires the pending relays one
-at a time.
+at a time.  From the root of a LazyRegularTree, the source of every
+generated graph, each relay runs from a parent to a child nobody has
+infected yet, so there it keeps one list of pending targets, extended by
+children(v), and tests nothing for infection; explicit graphs and other
+sources take the general loop, which filters neighbors(v) by the infected.
 
 Both simulators make the draws of the stdlib's random.Random wrappers, call
 for call, straight from the generator: an Exp(rate) delay is
@@ -197,25 +201,35 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     case without max_time the stop time is the latest infection or report.
     With ``first_report`` it also stops at the earliest report drawn so far
     once no relay can fire before it, so only that report is kept.
+
+    From the root of a LazyRegularTree (node 0, the source of every
+    generated graph) a second loop runs.  There every relay runs from a
+    parent to a child, and the only path from the root to a node passes its
+    parent, so no relay lands on an infected node: the loop keeps only the
+    pending targets, adds children(v) on each infection and makes no
+    infected test; a target's sender is its parent.  Its draws, picks and
+    swaps are the general loop's, whose neighbors(v) less the infected
+    parent are children(v) in order, so the trace and the stream left
+    behind are the same.
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
     theta, lam = params.theta, params.lam
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
-    uniform, getrandbits, neighbors = rng.random, rng.getrandbits, g.neighbors
+    uniform, getrandbits = rng.random, rng.getrandbits
 
     X = {}
-    parent = {}
     order = []
     report_times = []
-    relays, targets = [], []  # pending relays not yet fired, pair by pair
     first = math.inf  # earliest report drawn so far, kept for first_report
-    t, relay, v = 0.0, None, source
-    while True:
-        if v not in X:
+    stop_time = None  # stays None when no relay is left
+    t, v = 0.0, source
+    if g.is_lazy and source == 0:
+        children = g.children
+        targets = []  # pending relays not yet fired
+        while True:
             X[v] = t
-            parent[v] = relay
             order.append(v)
             if len(order) >= max_inf:
                 stop_time = t
@@ -225,36 +239,75 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             report_times.append(report)
             if first_report and report < first:
                 first = report
-            for u in neighbors(v):
-                if u not in X:
-                    relays.append(v)
-                    targets.append(u)
-        b = len(relays)
-        if not b:
-            if first_report and first <= max_time:
+            targets += children(v)
+            b = len(targets)
+            if not b:
+                break
+            t += -log(1.0 - uniform()) / (lam * b)
+            if first <= t and first <= max_time:
                 stop_time = first
                 break
-            # Used up: the latest infection or report, not the clock, which
-            # may have moved on through relays that had no effect.
-            stop_time = max_time if params.max_time is not None else max(
-                X[order[-1]], *report_times)
-            break
-        t += -log(1.0 - uniform()) / (lam * b)
-        if first <= t and first <= max_time:
-            stop_time = first
-            break
-        if t > max_time:
-            stop_time = max_time
-            break
-        # randrange(b), then swap the pick with the last relay and pop it.
-        k = b.bit_length()
-        i = getrandbits(k)
-        while i >= b:
+            if t > max_time:
+                stop_time = max_time
+                break
+            # randrange(b), then swap the pick with the last target and pop it.
+            k = b.bit_length()
             i = getrandbits(k)
-        relay, v = relays[i], targets[i]
-        relays[i], targets[i] = relays[-1], targets[-1]
-        relays.pop()
-        targets.pop()
+            while i >= b:
+                i = getrandbits(k)
+            v = targets[i]
+            targets[i] = targets[-1]
+            targets.pop()
+        parent_of = g.parent_of
+        parent = {w: parent_of(w) for w in order}
+    else:
+        neighbors = g.neighbors
+        parent = {}
+        relays, targets = [], []  # pending relays not yet fired, pair by pair
+        relay = None
+        while True:
+            if v not in X:
+                X[v] = t
+                parent[v] = relay
+                order.append(v)
+                if len(order) >= max_inf:
+                    stop_time = t
+                    break
+                report = t + -log(1.0 - uniform()) / theta
+                report_times.append(report)
+                if first_report and report < first:
+                    first = report
+                for u in neighbors(v):
+                    if u not in X:
+                        relays.append(v)
+                        targets.append(u)
+            b = len(relays)
+            if not b:
+                break
+            t += -log(1.0 - uniform()) / (lam * b)
+            if first <= t and first <= max_time:
+                stop_time = first
+                break
+            if t > max_time:
+                stop_time = max_time
+                break
+            k = b.bit_length()
+            i = getrandbits(k)
+            while i >= b:
+                i = getrandbits(k)
+            relay, v = relays[i], targets[i]
+            relays[i], targets[i] = relays[-1], targets[-1]
+            relays.pop()
+            targets.pop()
+    if stop_time is None:  # used up
+        if first_report and first <= max_time:
+            stop_time = first
+        elif params.max_time is not None:
+            stop_time = max_time
+        else:
+            # The latest infection or report, not the clock, which may have
+            # moved on through relays that had no effect.
+            stop_time = max(X[order[-1]], *report_times)
     reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
     return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
 

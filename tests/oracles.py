@@ -67,11 +67,13 @@ def trickle_ft_integral(d, theta):
     return theta / d * val
 
 
-def build_regular_tree(d, depth):
-    """Balanced d-regular tree: root 0, every node at hop < depth has degree d.
+def build_regular_tree(d, depth, root_degree=None):
+    """Balanced d-regular tree: root 0, every node at hop < depth has degree d
+    (the root root_degree, default d).
 
     Node ids are assigned in BFS order, so hop distance from the root is
-    nondecreasing in id.  Node count is 1 + d * sum((d-1)**k, k < depth).
+    nondecreasing in id.  Node count is 1 + r * sum((d-1)**k, k < depth),
+    with r the root degree.
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
@@ -82,7 +84,7 @@ def build_regular_tree(d, depth):
     for level in range(depth):
         next_frontier = []
         for v in frontier:
-            want = d if level == 0 else d - 1
+            want = (root_degree or d) if level == 0 else d - 1
             for _ in range(want):
                 child = len(adjacency)
                 adjacency.append([v])

@@ -132,6 +132,20 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "spy" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_d_axis_on_a_file_graph_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        edges = tmp_path / "ring.edges"
+        edges.write_text("".join(f"{v} {(v + 1) % 60}\n" for v in range(60)))
+        code, out, err = run_cli(capsys, *experiment_args(command), "--graph", "file",
+                                 "--graph-file", str(edges), "--axis", "d",
+                                 "--values", "3,4,8", "--trials", "20")
+        assert (code, out) == (2, "")
+        assert "file graph" in err
+
     def test_rumor_centers_on_graph_with_cycles_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion",
                                  "--adversary", "snapshot", "--estimator", "rumor-centers",

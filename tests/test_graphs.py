@@ -129,6 +129,23 @@ class TestLazyRegularTree:
             with pytest.raises(ValueError, match="unknown node"):
                 g.degree(v)
 
+    @pytest.mark.parametrize("d,root_degree", [(2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5)])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_children_are_the_neighbors_but_the_parent(self, d, root_degree, depth):
+        g = lazy_regular_tree(d, root_degree=root_degree, depth=depth)
+        explicit = build_regular_tree(d, depth, root_degree=root_degree)
+        for v in explicit.nodes():
+            kids = g.children(v)
+            assert type(kids) is range
+            # The parent is the one neighbor numbered below v.
+            assert list(kids) == [u for u in explicit.neighbors(v) if u > v]
+        with pytest.raises(ValueError, match="unknown node"):
+            g.children(explicit.node_count)
+        infinite = lazy_regular_tree(d, root_degree=root_degree)
+        assert list(infinite.children(0)) == infinite.neighbors(0)
+        for v in range(1, explicit.node_count + 2 * d):
+            assert list(infinite.children(v)) == infinite.neighbors(v)[1:]
+
     def test_cut_tree_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="depth"):
             lazy_regular_tree(3, depth=-1)

@@ -176,6 +176,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="spy"):
             sweep_specs(ft_spec(protocol="trickle"), "p", [0.1, 0.9])
 
+    def test_d_axis_on_a_file_graph_is_rejected(self):
+        # The file build never reads d: every point would run the same trials.
+        base = dataclasses.replace(ft_spec(), graph=GraphSpec(kind="file", path="g.edges", d=4))
+        with pytest.raises(ValueError, match="file graph"):
+            sweep_specs(base, "d", [3, 4, 8])
+        assert [s.params.theta for s in sweep_specs(base, "theta", [1, 2])] == [1, 2]
+
     @pytest.mark.parametrize("kind, fields, ignored", [
         ("tree", {"d": 4, "depth": 2}, "depth"),
         ("tree", {"d": 4, "n": 100}, "n"),

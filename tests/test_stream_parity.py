@@ -39,6 +39,9 @@ def _graphs():
         ("tree d=3 root 1", lazy_regular_tree(3, root_degree=1)),
         ("cut tree d=3 depth 4", lazy_regular_tree(3, depth=4)),
         ("random-regular n=200 d=4", build_random_regular(200, 4, seed=1)),
+        ("tree d=2", lazy_regular_tree(2)),
+        ("cut tree d=3 depth 0", lazy_regular_tree(3, depth=0)),
+        ("cut tree d=4 depth 1", lazy_regular_tree(4, depth=1)),
     ]
 
 
@@ -87,7 +90,9 @@ def test_trickle_slots_equal_shuffle():
 
 
 def test_diffusion_equals_stdlib_reference():
-    runs = 0
+    # Spreads from the root of a tree take the root loop, the rest the
+    # general loop; both must meet the one reference.
+    runs = {"root": 0, "general": 0}
     for name, g in _graphs():
         finite = g.node_count != float("inf")
         for max_time, max_inf in _horizons("diffusion", finite):
@@ -95,18 +100,23 @@ def test_diffusion_equals_stdlib_reference():
                 params = SpreadParams("diffusion", theta=theta, lam=lam,
                                       max_time=max_time, max_infections=max_inf)
                 for first_report in (False, True):
-                    for i in range(6):
+                    for i, source in enumerate((0, 0, 0, 1, 2, 9)):
+                        source = min(source, g.node_count - 1)
                         a, b = trial_stream(11, i), trial_stream(11, i)
-                        source = i % 3 if finite else 0
                         got = simulate_diffusion(g, params, a, source=source,
                                                  first_report=first_report)
                         want = stdlib_simulate_diffusion(g, params, b, source=source,
                                                          first_report=first_report)
                         assert got == want, (name, params, first_report, i)
                         assert list(got.X) == list(want.X)
+                        assert list(got.parent.items()) == list(want.parent.items())
                         assert a.getstate() == b.getstate(), (name, params, i)
-                        runs += 1
-    assert runs == 2 * 2 * 6 * (3 + 3 + 4 + 4)
+                        runs["root" if g.is_lazy and source == 0 else "general"] += 1
+    # 2 rates x 2 stop rules per horizon.  The five trees of more than one
+    # node (17 horizons) start 3 of 6 runs at the root; all 6 runs start at
+    # the root of the one-node tree and off any tree on the random graph
+    # (4 horizons each).
+    assert runs == {"root": 2 * 2 * (17 * 3 + 4 * 6), "general": 2 * 2 * (17 * 3 + 4 * 6)}
 
 
 def test_trickle_equals_shuffle_reference():
