@@ -162,9 +162,9 @@ def _betacf(a, b, x):
 # ---------------------------------------------------------------------------
 
 def _check_d_theta(d, theta, min_d=2):
-    if d != int(d) or d < min_d:
+    if d is None or d != int(d) or d < min_d:
         raise ValueError(f"need integer d >= {min_d}, got {d}")
-    if theta != int(theta) or theta < 1:
+    if theta is None or theta != int(theta) or theta < 1:
         raise ValueError(f"need integer theta >= 1, got {theta}")
     return int(d), int(theta)
 
@@ -188,7 +188,7 @@ def trickle_ft_lower_bound(d, theta):
 
 def trickle_ft_asymptotic(d):
     """Large-d shape of the trickle first-timestamp bound: ln(d)/(d ln 2)."""
-    if d != int(d) or d < 2:
+    if d is None or d != int(d) or d < 2:
         raise ValueError(f"need integer d >= 2, got {d}")
     d = int(d)
     return TheoryValue("trickle_ft_asym", math.log(d) / (d * _LN2), d=d)
@@ -203,7 +203,7 @@ def trickle_ml_upper(d, theta):
 def trickle_ml_lower(d, theta, t):
     """Ball-centrality floor at time t: max(0, upper - (d/(theta+d))^t)."""
     d, theta = _check_d_theta(d, theta)
-    if t < 1:
+    if t is None or t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     value = 1 - d / (2 * (theta + d)) - (d / (theta + d)) ** t
     return TheoryValue("trickle_ml_lb", max(0.0, value), d=d, theta=theta, t=t)
@@ -213,9 +213,9 @@ def diffusion_ft(d, theta):
     """Exact diffusion first-timestamp detection at t = infinity:
     (theta/(d-2)) * ln((d+theta-2)/theta).  Needs d > 2; theta may be real.
     """
-    if d != int(d) or d <= 2:
+    if d is None or d != int(d) or d <= 2:
         raise ValueError(f"need integer d > 2, got {d}")
-    if theta <= 0:
+    if theta is None or theta <= 0:
         raise ValueError(f"need theta > 0, got {theta}")
     d = int(d)
     value = theta / (d - 2) * math.log((d + theta - 2) / theta)
@@ -226,7 +226,7 @@ def reporting_centrality_constant(d):
     """Liminf floor for reporting centrality (independent of theta):
     C_d = 1 - d*(1 - I_{1/2}(1/(d-2), 1 + 1/(d-2))).
     """
-    if d != int(d) or d <= 2:
+    if d is None or d != int(d) or d <= 2:
         raise ValueError(f"need integer d > 2, got {d}")
     d = int(d)
     a = 1.0 / (d - 2)
@@ -236,7 +236,7 @@ def reporting_centrality_constant(d):
 
 def spy_ft_bound(p):
     """Spy-based first-timestamp liminf floor: p itself."""
-    if not 0 <= p <= 1:
+    if p is None or not 0 <= p <= 1:
         raise ValueError(f"need p in [0, 1], got {p}")
     return TheoryValue("spy_ft_lb", p, p=p)
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rumorlab.analytics import diffusion_ft
+from rumorlab.analytics import FORMULA_IDS, diffusion_ft
 from rumorlab import harness
 from rumorlab.cli import build_parser, main
 from rumorlab.graphs import load_edge_list
@@ -69,10 +69,15 @@ class TestTheory:
         cfg = json.loads(header[len("# config "):])
         assert cfg["formula"] == "spy_ft_lb"
 
-    def test_missing_formula_is_runtime_error(self, capsys):
-        code, _, err = run_cli(capsys, "theory")
+    @pytest.mark.parametrize("argv, message", [
+        ((), "formula"),
+        *((("--formula", formula), "got None") for formula in FORMULA_IDS),
+    ], ids=["no-formula", *FORMULA_IDS])
+    def test_missing_formula_is_runtime_error(self, capsys, argv, message):
+        # A formula given without its inputs ends on the error line, not a traceback.
+        code, _, err = run_cli(capsys, "theory", *argv)
         assert code == 1
-        assert "formula" in err
+        assert err.startswith("rumorlab: error: ") and message in err
 
 
 class TestUsageErrors:
