@@ -1,14 +1,16 @@
 """Monte Carlo experiment orchestration.
 
 An ExperimentSpec bundles a graph recipe, spreading parameters, an adversary,
-an estimator id, a trial count, and a master seed.  run_experiment derives an
-independent rng stream per trial from (master_seed, trial index), simulates,
-observes, estimates, and aggregates hits into a DetectionReport with a Wilson
-95% interval and, where a closed form applies, a theory overlay.  sweep runs
-one spec per axis value and run_experiment is its one-point case: each
-distinct (GraphSpec, master_seed) graph is built once, in the calling process,
-and shared by every point and worker; with workers > 1 all points run on one
-process pool, which is shut down before the call returns.
+one of five estimator ids, a trial count, and a master seed.  METHODS says
+which estimator runs with which adversary (first-timestamp in eavesdropper and
+spy forms), protocol and graph, and with which closed form.  run_experiment
+derives an independent rng stream per trial from (master_seed, trial index),
+simulates, observes, estimates, and aggregates hits into a DetectionReport
+with a Wilson 95% interval and, where a closed form applies, a theory overlay.
+sweep runs one spec per axis value and run_experiment is its one-point case:
+each distinct (GraphSpec, master_seed) graph is built once, in the calling
+process, and shared by every point and worker; with workers > 1 all points run
+on one process pool, which is shut down before the call returns.
 
 Reports are reproducible bit-for-bit: streams are keyed by trial index, not
 worker, so the result is independent of the worker count; all tie-break draws
@@ -23,6 +25,8 @@ from dataclasses import dataclass, replace
 from . import analytics
 from .adversary import observe_eavesdropper, observe_snapshot, observe_spy
 from .estimators import (
+    EstimateResult,
+    _pick_uniform,
     ball_centrality,
     first_timestamp,
     reporting_centrality,
@@ -39,13 +43,60 @@ from .spreading import (
 )
 from .trc import check_setting, timestamp_rumor_centrality
 
-ESTIMATORS = (
-    "first-timestamp",
-    "ball-centrality",
-    "timestamp-rumor-centrality",
-    "reporting-centrality",
-    "rumor-centers",
-)
+
+@dataclass(frozen=True)
+class Method:
+    """How one (estimator, adversary) pair runs.
+
+    theory maps each protocol the pair runs on to the analytics.evaluate_formula
+    id of its closed form there, or None.  estimate(obs, g, t, rng, theta)
+    returns an EstimateResult; it looks the layer functions up in this module
+    when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
+    every eavesdropper tap; strict_win reports the trickle strict-win rate;
+    first_report stops the trial at the first report when t = infinity, since
+    nothing after it can change the argmin.
+    """
+
+    theory: dict
+    estimate: object
+    trees_only: bool = False
+    keep_all: bool = False
+    strict_win: bool = False
+    first_report: bool = False
+
+
+def _rumor_center(obs, g, t, rng, theta):
+    """The snapshot baseline: a uniform pick among the rumor centers."""
+    centers = frozenset(rumor_centers(g, obs.snapshot))
+    return EstimateResult(_pick_uniform(centers, rng), centers)
+
+
+METHODS = {
+    ("first-timestamp", "eavesdropper"): Method(
+        {"trickle": "trickle_ft_lb", "diffusion": "diffusion_ft"},
+        lambda obs, g, t, rng, theta: first_timestamp(obs, rng),
+        strict_win=True, first_report=True),
+    ("first-timestamp", "spy"): Method(
+        {"trickle": "spy_ft_lb", "diffusion": "spy_ft_lb"},
+        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng)),
+    ("ball-centrality", "eavesdropper"): Method(
+        {"trickle": "trickle_ml_lb"},
+        lambda obs, g, t, rng, theta: ball_centrality(obs, g, rng)),
+    ("timestamp-rumor-centrality", "eavesdropper"): Method(
+        {"trickle": "trickle_ml_ub"},
+        lambda obs, g, t, rng, theta: timestamp_rumor_centrality(obs, g, int(t), rng, theta),
+        trees_only=True, keep_all=True),
+    ("reporting-centrality", "eavesdropper"): Method(
+        {"trickle": "rc_constant", "diffusion": "rc_constant"},
+        lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
+    ("reporting-centrality", "spy"): Method(
+        {"trickle": "rc_constant", "diffusion": "rc_constant"},
+        lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
+    ("rumor-centers", "snapshot"): Method(
+        {"trickle": None, "diffusion": None}, _rumor_center, trees_only=True),
+}
+
+ESTIMATORS = tuple(dict.fromkeys(est for est, _ in METHODS))
 
 ADVERSARIES = ("eavesdropper", "spy", "snapshot")
 
@@ -135,25 +186,17 @@ class ExperimentSpec:
 
 def _check_compatible(spec):
     est, adv, proto = spec.estimator, spec.adversary.model, spec.params.protocol
-    if est == "ball-centrality" and (proto != "trickle" or adv != "eavesdropper"):
-        raise ValueError("ball centrality needs trickle + eavesdropper")
-    if est == "timestamp-rumor-centrality" and (proto != "trickle" or adv != "eavesdropper"):
-        raise ValueError("timestamp rumor centrality needs trickle + eavesdropper")
-    if est == "first-timestamp" and adv == "snapshot":
-        raise ValueError("first-timestamp needs timestamps (eavesdropper or spy)")
-    if est == "reporting-centrality" and adv == "snapshot":
-        raise ValueError("reporting centrality needs eavesdropper or spy reports")
-    if est == "rumor-centers" and adv != "snapshot":
-        raise ValueError("rumor centers is the snapshot baseline")
-    if est == "reporting-centrality" and spec.graph.kind in ("random-regular", "file"):
-        raise ValueError("reporting centrality is defined on trees")
-    if est == "timestamp-rumor-centrality" and spec.graph.kind in ("random-regular", "file"):
-        raise ValueError("timestamp rumor centrality counts orderings on trees only")
-    if est == "rumor-centers" and spec.graph.kind in ("random-regular", "file"):
-        raise ValueError("rumor centers needs the infected set to be a tree (a tree graph)")
+    method = METHODS.get((est, adv))
+    if method is None:
+        adversaries = " or ".join(a for e, a in METHODS if e == est)
+        raise ValueError(f"{est} runs with the {adversaries} adversary")
+    if proto not in method.theory:
+        raise ValueError(f"{est} with the {adv} runs on {' or '.join(method.theory)} only")
+    if method.trees_only and spec.graph.kind in ("random-regular", "file"):
+        raise ValueError(f"{est} is defined on trees only (graph kind tree or balanced-tree)")
     p = spec.params
-    if (spec.graph.kind == "tree" and not _first_report_only(spec)
-            and p.max_time is None and p.max_infections is None):
+    if (spec.graph.kind == "tree" and p.max_time is None and p.max_infections is None
+            and not (method.first_report and spec.adversary.estimation_time is None)):
         raise ValueError("a full simulation on the infinite tree needs a horizon: "
                          "max_time (--t) or max_infections (--max-infections)")
     if est == "timestamp-rumor-centrality":
@@ -164,13 +207,6 @@ def _check_compatible(spec):
             raise ValueError("timestamp rumor centrality needs an estimation time (--t)")
         check_setting(spec.graph.d, p.theta, t,
                       spec.graph.root_degree if spec.graph.kind == "tree" else None)
-
-
-def _first_report_only(spec):
-    """Eavesdropper first-timestamp at t = infinity: the trial stops at the
-    first report, since nothing after it can change the argmin."""
-    return (spec.estimator == "first-timestamp" and spec.adversary.model == "eavesdropper"
-            and spec.adversary.estimation_time is None)
 
 
 @dataclass
@@ -262,54 +298,33 @@ def trial_trace(spec, index=0):
 
 
 def run_trial(spec, g, index):
-    """One trial on graph g: (hit, strict_win or None, stop_time or None).
+    """One trial on graph g: (hit, strict_win, stop_time or None).
 
     A trial in which the adversary observed nothing is a counted miss.
     """
     rng, source = _start_trial(spec, g, index)
-    est, adv = spec.estimator, spec.adversary
+    adv = spec.adversary
+    method = METHODS[spec.estimator, adv.model]
 
-    if _first_report_only(spec):
+    if method.first_report and adv.estimation_time is None:
         res = first_report_trial(g, spec.params, rng, source=source)
         if not res.reporters:
             return (False, False, None)
-        ordered = sorted(res.reporters)
-        hit = ordered[rng.randrange(len(ordered)) if len(ordered) > 1 else 0] == source
-        return (hit, res.reporters == {source}, res.time)
+        return (_pick_uniform(res.reporters, rng) == source, res.reporters == {source}, res.time)
 
     trace = _simulate(spec, g, rng, source)
     t = adv.estimation_time if adv.estimation_time is not None else trace.stop_time
-
     if adv.model == "eavesdropper":
-        obs = observe_eavesdropper(trace, t, keep_all=est == "timestamp-rumor-centrality")
-        if not obs.first_reports:
-            return (False, False, trace.stop_time)
-        if est == "first-timestamp":
-            result = first_timestamp(obs, rng)
-            return (result.chosen == source, result.candidates == {source}, trace.stop_time)
-        if est == "ball-centrality":
-            result = ball_centrality(obs, g, rng)
-        elif est == "timestamp-rumor-centrality":
-            result = timestamp_rumor_centrality(obs, g, int(t), rng, theta=spec.params.theta)
-        else:
-            result = reporting_centrality(obs, g, rng=rng)
-        return (result.chosen == source, None, trace.stop_time)
-
-    if adv.model == "spy":
+        obs = observe_eavesdropper(trace, t, keep_all=method.keep_all)
+    elif adv.model == "spy":
         obs = observe_spy(trace, adv.p, t, rng)
-        if not obs.spy_times:
-            return (False, None, trace.stop_time)
-        if est == "first-timestamp":
-            result = spy_first_timestamp(obs, rng)
-        else:
-            result = reporting_centrality(obs, g, rng=rng)
-        return (result.chosen == source, None, trace.stop_time)
-
-    # snapshot + rumor-centers baseline
-    obs = observe_snapshot(trace, t)
-    centers = sorted(rumor_centers(g, obs.snapshot))
-    chosen = centers[0] if len(centers) == 1 else centers[rng.randrange(len(centers))]
-    return (chosen == source, None, trace.stop_time)
+    else:
+        obs = observe_snapshot(trace, t)
+    if not (obs.first_reports or obs.spy_times or obs.snapshot):
+        return (False, False, trace.stop_time)
+    result = method.estimate(obs, g, t, rng, spec.params.theta)
+    strict = method.strict_win and result.candidates == {source}
+    return (result.chosen == source, strict, trace.stop_time)
 
 
 def _run_block(spec, shared, lo, hi):
@@ -359,9 +374,8 @@ def _aggregate(spec, parts, wall_time):
     stops = [stop for block in stops for stop in block]
     # fsum is exact, so the mean does not depend on how blocks split the trials.
     mean_stop = math.fsum(stops) / len(stops) if stops else None
-    # Only eavesdropper first-timestamp trials record a strict win.
-    strict_wins = (spec.estimator == "first-timestamp" and spec.params.protocol == "trickle"
-                   and spec.adversary.model == "eavesdropper")
+    strict_wins = (METHODS[spec.estimator, spec.adversary.model].strict_win
+                   and spec.params.protocol == "trickle")
     return DetectionReport(
         spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
         strict_win_rate=strict / spec.trials if strict_wins else None,
@@ -377,26 +391,12 @@ def run_experiment(spec):
 
 def theory_overlay(spec):
     """Matching closed-form value, where one exists for the spec."""
-    d = spec.graph.d
-    theta = spec.params.theta
-    est, adv, proto = spec.estimator, spec.adversary.model, spec.params.protocol
+    formula = METHODS[spec.estimator, spec.adversary.model].theory[spec.params.protocol]
     try:
-        if est == "first-timestamp" and adv == "eavesdropper":
-            if proto == "diffusion" and d and d > 2:
-                return analytics.diffusion_ft(d, theta).value
-            if proto == "trickle" and d:
-                return analytics.trickle_ft_lower_bound(d, theta).value
-        if est == "first-timestamp" and adv == "spy":
-            return analytics.spy_ft_bound(spec.adversary.p).value
-        if est == "timestamp-rumor-centrality" and d:
-            return analytics.trickle_ml_upper(d, theta).value
-        if est == "ball-centrality" and d and spec.adversary.estimation_time:
-            return analytics.trickle_ml_lower(d, theta, spec.adversary.estimation_time).value
-        if est == "reporting-centrality" and d and d > 2:
-            return analytics.reporting_centrality_constant(d).value
+        return analytics.evaluate_formula(formula, spec.graph.d, spec.params.theta,
+                                          spec.adversary.estimation_time, spec.adversary.p).value
     except ValueError:
         return None
-    return None
 
 
 SWEEP_AXES = ("d", "theta", "t", "p", "trials")
