@@ -87,10 +87,10 @@ METHODS = {
         lambda obs, g, t, rng, theta: timestamp_rumor_centrality(obs, g, int(t), rng, theta),
         trees_only=True, keep_all=True),
     ("reporting-centrality", "eavesdropper"): Method(
-        {"trickle": "rc_constant", "diffusion": "rc_constant"},
+        {"trickle": None, "diffusion": "rc_constant"},
         lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
     ("reporting-centrality", "spy"): Method(
-        {"trickle": "rc_constant", "diffusion": "rc_constant"},
+        {"trickle": None, "diffusion": "rc_constant"},
         lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
     ("rumor-centers", "snapshot"): Method(
         {"trickle": None, "diffusion": None}, _rumor_center, trees_only=True),
