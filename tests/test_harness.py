@@ -8,6 +8,7 @@ import pytest
 from rumorlab import harness
 from rumorlab.analytics import diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
 from rumorlab.harness import (
+    METHODS,
     AdversarySpec,
     ExperimentSpec,
     GraphSpec,
@@ -215,6 +216,36 @@ class TestDeterminism:
         # theta/(theta+d) ~ 0.996: seed 1 realizes the almost-sure branch
         r = run_experiment(ft_spec(protocol="trickle", theta=1000, trials=1, seed=1))
         assert r.hits == 1
+
+
+# The layer calls of a trial.  perfbench's tracer replaces these names in
+# rumorlab.harness, so every METHODS entry must look them up when it runs.
+LAYER_NAMES = ("first_report_trial", "observe_eavesdropper", "observe_spy",
+               "observe_snapshot", "first_timestamp", "spy_first_timestamp",
+               "ball_centrality", "timestamp_rumor_centrality", "reporting_centrality",
+               "rumor_centers")
+
+
+def test_methods_call_layers_by_their_harness_names(monkeypatch):
+    called = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in LAYER_NAMES:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    for (est, adv), method in METHODS.items():
+        # t = None runs a first-report entry to its first report only.
+        for t in (None, 6) if method.first_report else (6,):
+            run_experiment(ExperimentSpec(
+                GraphSpec(kind="balanced-tree", d=3, depth=4),
+                SpreadParams("trickle", theta=1, max_time=t),
+                AdversarySpec(adv, p=1.0 if adv == "spy" else None, estimation_time=t),
+                est, trials=1, master_seed=0))
+    assert called == set(LAYER_NAMES)
 
 
 class TestReports:
