@@ -58,7 +58,7 @@ def observe_spy(trace, p, t=math.inf, rng=None):
         raise ValueError("spy sampling needs an rng stream")
     times = {}
     infectors = {}
-    for v in trace.infected_order:
+    for v in trace.X:
         if v == trace.source or trace.X[v] > t:
             continue
         if p == 1 or (p > 0 and rng.random() < p):

@@ -15,17 +15,6 @@ _LN2 = math.log(2.0)
 _EPS = 1e-16
 _FPMIN = 1e-300
 
-FORMULA_IDS = (
-    "trickle_ft_lb",
-    "trickle_ft_asym",
-    "trickle_ml_ub",
-    "trickle_ml_lb",
-    "diffusion_ft",
-    "rc_constant",
-    "spy_ft_lb",
-)
-
-
 @dataclass(frozen=True)
 class TheoryValue:
     formula_id: str
@@ -241,23 +230,23 @@ def spy_ft_bound(p):
     return TheoryValue("spy_ft_lb", p, p=p)
 
 
+# Each formula id's evaluator, called as f(d, theta, t, p).
+FORMULAS = {
+    "trickle_ft_lb": lambda d, theta, t, p: trickle_ft_lower_bound(d, theta),
+    "trickle_ft_asym": lambda d, theta, t, p: trickle_ft_asymptotic(d),
+    "trickle_ml_ub": lambda d, theta, t, p: trickle_ml_upper(d, theta),
+    "trickle_ml_lb": lambda d, theta, t, p: trickle_ml_lower(d, theta, t),
+    "diffusion_ft": lambda d, theta, t, p: diffusion_ft(d, theta),
+    "rc_constant": lambda d, theta, t, p: reporting_centrality_constant(d),
+    "spy_ft_lb": lambda d, theta, t, p: spy_ft_bound(p),
+}
+
+
 def evaluate_formula(formula_id, d=None, theta=None, t=None, p=None):
     """Dispatch by formula id (the `theory` CLI entry point)."""
-    if formula_id == "trickle_ft_lb":
-        return trickle_ft_lower_bound(d, theta)
-    if formula_id == "trickle_ft_asym":
-        return trickle_ft_asymptotic(d)
-    if formula_id == "trickle_ml_ub":
-        return trickle_ml_upper(d, theta)
-    if formula_id == "trickle_ml_lb":
-        return trickle_ml_lower(d, theta, t)
-    if formula_id == "diffusion_ft":
-        return diffusion_ft(d, theta)
-    if formula_id == "rc_constant":
-        return reporting_centrality_constant(d)
-    if formula_id == "spy_ft_lb":
-        return spy_ft_bound(p)
-    raise ValueError(f"unknown formula id {formula_id!r}")
+    if formula_id not in FORMULAS:
+        raise ValueError(f"unknown formula id {formula_id!r}")
+    return FORMULAS[formula_id](d, theta, t, p)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .harness import (
     CSV_COLUMNS,
     ESTIMATORS,
     GRAPH_KINDS,
+    METHODS,
     SWEEP_AXES,
     AdversarySpec,
     ExperimentSpec,
@@ -158,19 +159,21 @@ def cmd_theory(args):
         if args.d is None or args.theta is None:
             raise ValueError("--table2 needs --d and --theta")
         d, theta = args.d[0], args.theta[0]
-        cells = [
-            ("first-timestamp", "trickle", analytics.trickle_ft_lower_bound(d, theta)),
-            ("first-timestamp", "diffusion", analytics.diffusion_ft(d, theta)),
-            ("maximum-likelihood", "trickle", analytics.trickle_ml_upper(d, theta)),
-            ("maximum-likelihood", "diffusion", analytics.reporting_centrality_constant(d)),
-        ]
-        for estimator, protocol, tv in cells:
-            rows.append({
-                "formula_id": tv.formula_id,
-                "d": d, "theta": theta, "t": "", "p": "",
-                "value": repr(tv.value),
-                "estimator": estimator, "protocol": protocol,
-            })
+        t = args.t[0] if args.t else None
+        for (estimator, adversary), method in METHODS.items():
+            for protocol, formula in method.theory.items():
+                if adversary != "eavesdropper" or formula is None:
+                    continue
+                try:
+                    value = repr(analytics.FORMULAS[formula](d, theta, t, None).value)
+                except ValueError:  # undefined at these inputs
+                    value = ""
+                rows.append({
+                    "formula_id": formula,
+                    "d": d, "theta": theta, "t": "" if t is None else t, "p": "",
+                    "value": value,
+                    "estimator": estimator, "protocol": protocol,
+                })
         columns = THEORY_COLUMNS + ("estimator", "protocol")
     else:
         if not args.formula:
@@ -254,9 +257,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="evaluate closed-form detection values")
-    p.add_argument("--formula", choices=analytics.FORMULA_IDS)
+    p.add_argument("--formula", choices=analytics.FORMULAS)
     p.add_argument("--table2", action="store_true",
-                   help="four-cell summary layout for one (d, theta)")
+                   help="one row per eavesdropper estimator and protocol with a "
+                        "closed form, for one (d, theta) and optional t")
     p.add_argument("--d", type=_int_list)
     p.add_argument("--theta", type=_float_list)
     p.add_argument("--t", type=_float_list)

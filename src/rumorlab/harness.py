@@ -48,8 +48,8 @@ from .trc import check_setting, timestamp_rumor_centrality
 class Method:
     """How one (estimator, adversary) pair runs.
 
-    theory maps each protocol the pair runs on to the analytics.evaluate_formula
-    id of its closed form there, or None.  estimate(obs, g, t, rng, theta)
+    theory maps each protocol the pair runs on to the analytics.FORMULAS id of
+    its closed form there, or None.  estimate(obs, g, t, rng, theta)
     returns an EstimateResult; it looks the layer functions up in this module
     when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
     every eavesdropper tap; strict_win reports the trickle strict-win rate;
@@ -392,9 +392,12 @@ def run_experiment(spec):
 def theory_overlay(spec):
     """Matching closed-form value, where one exists for the spec."""
     formula = METHODS[spec.estimator, spec.adversary.model].theory[spec.params.protocol]
+    if formula is None:
+        return None
+    evaluate = analytics.FORMULAS[formula]  # a misspelled id is a KeyError
     try:
-        return analytics.evaluate_formula(formula, spec.graph.d, spec.params.theta,
-                                          spec.adversary.estimation_time, spec.adversary.p).value
+        return evaluate(spec.graph.d, spec.params.theta,
+                        spec.adversary.estimation_time, spec.adversary.p).value
     except ValueError:
         return None
 

@@ -90,10 +90,9 @@ class SpreadParams:
 class SpreadTrace:
     protocol: str
     source: int
-    X: dict
+    X: dict  # node -> infection time, in infection order
     reports: dict
     parent: dict
-    infected_order: list
     stop_time: float
     skipped: int = 0  # trickle slots spent on already-infected targets
 
@@ -141,7 +140,6 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
     X = {source: 0}
     parent = {source: None}
     reports = {}
-    order = [source]
     skipped = 0
     queues = {source: (_trickle_slots(g, source, X, theta, rng), 0)}
     active = [source]
@@ -165,7 +163,6 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
             elif target not in X:
                 X[target] = step
                 parent[target] = v
-                order.append(target)
                 newly.append(target)
                 if max_inf is not None and len(X) >= max_inf:
                     stop = True
@@ -183,7 +180,7 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
         stop_time = params.max_time
     else:
         stop_time = step
-    return SpreadTrace("trickle", source, X, reports, parent, order, stop_time,
+    return SpreadTrace("trickle", source, X, reports, parent, stop_time,
                        skipped=skipped)
 
 
@@ -220,8 +217,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     uniform, getrandbits = rng.random, rng.getrandbits
 
     X = {}
-    order = []
-    report_times = []
+    report_times = []  # in infection order, as X
     first = math.inf  # earliest report drawn so far, kept for first_report
     stop_time = None  # stays None when no relay is left
     t, v = 0.0, source
@@ -230,8 +226,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         targets = []  # pending relays not yet fired
         while True:
             X[v] = t
-            order.append(v)
-            if len(order) >= max_inf:
+            if len(X) >= max_inf:
                 stop_time = t
                 break
             # Exp(theta) drawn as expovariate draws it (see the module doc).
@@ -259,7 +254,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             targets[i] = targets[-1]
             targets.pop()
         parent_of = g.parent_of
-        parent = {w: parent_of(w) for w in order}
+        parent = {w: parent_of(w) for w in X}
     else:
         neighbors = g.neighbors
         parent = {}
@@ -269,8 +264,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             if v not in X:
                 X[v] = t
                 parent[v] = relay
-                order.append(v)
-                if len(order) >= max_inf:
+                if len(X) >= max_inf:
                     stop_time = t
                     break
                 report = t + -log(1.0 - uniform()) / theta
@@ -307,9 +301,9 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         else:
             # The latest infection or report, not the clock, which may have
             # moved on through relays that had no effect.
-            stop_time = max(X[order[-1]], *report_times)
-    reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
-    return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
+            stop_time = max(*X.values(), *report_times)
+    reports = {w: [r] for w, r in zip(X, report_times) if r <= stop_time}
+    return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
 
 
 def first_report_trial(g, params, rng, source=0):
@@ -343,7 +337,7 @@ def trace_to_csv(trace):
         return f"{t:.9g}" if diffusion else str(int(t))
 
     lines = ["node,X,first_report_time,parent"]
-    for v in trace.infected_order:
+    for v in trace.X:
         first = min(trace.reports[v]) if v in trace.reports else None
         par = trace.parent[v]
         lines.append(

@@ -34,7 +34,10 @@ skeleton children are its neighbours other than the parent whose side holds a
 reporter, and neither they nor its taps depend on which candidate is the
 root.  One estimator call keeps every table, keyed by (node, parent), and the
 unobserved-subtree counts in one store shared by all of its candidates; the
-store is dropped when the call returns.
+store is dropped when the call returns.  Every candidate is a reporter, so
+every candidate's skeleton is the same tree, the reporters' Steiner tree: the
+store builds it once per call, one tree_path per reporter past the first, and
+re-roots it for each candidate with one BFS.
 
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
@@ -98,7 +101,7 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
         raise InfeasibleObservationError("no reports to estimate from")
 
     candidates = [v for v, tau in obs.first_reports.items() if tau <= d + theta]
-    store = _Store(g, reports, t, theta)
+    store = _Store(g, reports, t, theta, reports)
     scores = {}
     for v in candidates:
         scores[v] = store.count(v) if _ball_feasible(g, v, obs.first_reports) else 0
@@ -129,7 +132,7 @@ def ordering_count(g, root, reports, t, theta=1):
     """
     check_setting(g.degree_hint, theta, root_degree=g.root_degree if g.is_lazy else None,
                   allow_high_degree=True)
-    return _Store(g, reports, t, theta).count(root)
+    return _Store(g, reports, t, theta, [*reports, root]).count(root)
 
 
 class _Store:
@@ -141,38 +144,36 @@ class _Store:
     side of a node that faces its parent is not a function of its remaining
     depth, so the counts are made per directed edge."""
 
-    def __init__(self, g, reports, t, theta):
+    def __init__(self, g, reports, t, theta, terminals):
         self.g = g
         self.reports = reports
         self.t = t
         self.theta = theta
         self.tables = {}
         self._fresh_counts = {}
+        # The terminals' Steiner tree as adjacency lists: each terminal's path
+        # toward the first one stops where it meets the tree built so far.
+        anchor, *rest = terminals
+        self.skeleton = {anchor: []}
+        for w in rest:
+            path = tree_path(g, w, anchor, stop=self.skeleton)
+            for a, b in zip(path, path[1:]):
+                self.skeleton.setdefault(a, []).append(b)
+                self.skeleton.setdefault(b, []).append(a)
 
     def count(self, root):
-        """Ordering count with source ``root``."""
+        """Ordering count with source ``root``, a node of the skeleton."""
         parent = {root: None}
-        children = {root: []}
-        for w in self.reports:
-            if w == root:
-                continue
-            path = tree_path(self.g, root, w)
-            for a, b in zip(path, path[1:]):
-                if b not in parent:
-                    parent[b] = a
-                    children[b] = []
-                    children[a].append(b)
-
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(children[v])
-
+        order = [root]
+        for v in order:  # BFS: every parent before its children
+            for c in self.skeleton[v]:
+                if c not in parent:
+                    parent[c] = v
+                    order.append(c)
         for w in reversed(order):
             if (w, parent[w]) not in self.tables:
-                self.tables[w, parent[w]] = self._table(w, parent[w], children[w])
+                kids = [c for c in self.skeleton[w] if c != parent[w]]
+                self.tables[w, parent[w]] = self._table(w, parent[w], kids)
         return self.tables[root, None].get(0, 0)
 
     def _table(self, w, par, skel_kids):

@@ -141,7 +141,7 @@ def heap_simulate_diffusion(g, params, rng, source=0):
     if params.max_time is not None and not (max_inf is not None and len(X) >= max_inf):
         # Horizon is wall-clock unless the infection budget fired first.
         stop_time = params.max_time
-    return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
+    return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
 
 
 def loop_first_report_trickle(g, params, rng, source=0):
@@ -327,7 +327,7 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         pending[i], pending[-1] = pending[-1], pending[i]
         relay, v = pending.pop()
     reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
-    return SpreadTrace("diffusion", source, X, reports, parent, order, stop_time)
+    return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
 
 
 def shuffled_trickle_slots(g, v, infected, theta, rng):

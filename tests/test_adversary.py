@@ -33,8 +33,7 @@ class TestEavesdropper:
         assert set(obs.first_reports) == set(tr.reports)
 
     def test_first_only_unless_keep_all(self):
-        tr = SpreadTrace("trickle", 0, {0: 0, 7: 1}, {7: [3, 5]}, {0: None, 7: 0},
-                         [0, 7], 6)
+        tr = SpreadTrace("trickle", 0, {0: 0, 7: 1}, {7: [3, 5]}, {0: None, 7: 0}, 6)
         obs = observe_eavesdropper(tr, 4)
         assert obs.first_reports == {7: 3}
         assert obs.all_reports is None

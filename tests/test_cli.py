@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rumorlab.analytics import FORMULA_IDS, diffusion_ft
+from rumorlab.analytics import FORMULAS, diffusion_ft
 from rumorlab import harness
 from rumorlab.cli import build_parser, main
 from rumorlab.graphs import load_edge_list
@@ -52,15 +52,32 @@ class TestTheory:
         assert [r["d"] for r in rows] == ["3", "4", "6"]
 
     def test_table2_layout(self, capsys):
+        # One row per eavesdropper (estimator, protocol) of METHODS with a
+        # closed form, in METHODS order; trickle_ml_lb needs --t.
         code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "4", "--theta", "1")
+        assert code == 0
         rows = parse_report_csv(out)
-        assert len(rows) == 4
-        assert {(r["estimator"], r["protocol"]) for r in rows} == {
-            ("first-timestamp", "trickle"),
-            ("first-timestamp", "diffusion"),
-            ("maximum-likelihood", "trickle"),
-            ("maximum-likelihood", "diffusion"),
-        }
+        assert [(r["estimator"], r["protocol"], r["formula_id"]) for r in rows] == [
+            ("first-timestamp", "trickle", "trickle_ft_lb"),
+            ("first-timestamp", "diffusion", "diffusion_ft"),
+            ("ball-centrality", "trickle", "trickle_ml_lb"),
+            ("timestamp-rumor-centrality", "trickle", "trickle_ml_ub"),
+            ("reporting-centrality", "diffusion", "rc_constant"),
+        ]
+        values = {r["formula_id"]: r["value"] for r in rows}
+        assert float(values["diffusion_ft"]) == diffusion_ft(4, 1).value
+        assert values["trickle_ml_lb"] == ""
+        _, out, _ = run_cli(capsys, "theory", "--table2", "--d", "4", "--theta", "1",
+                            "--t", "6")
+        assert all(r["value"] for r in parse_report_csv(out))
+
+    def test_table2_leaves_cells_undefined_at_d_2_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "2", "--theta", "1")
+        assert code == 0
+        values = {r["formula_id"]: r["value"] for r in parse_report_csv(out)}
+        assert float(values["trickle_ft_lb"]) > 0
+        assert float(values["trickle_ml_ub"]) > 0
+        assert values["diffusion_ft"] == values["rc_constant"] == ""
 
     def test_config_header_present(self, capsys):
         _, out, _ = run_cli(capsys, "theory", "--formula", "spy_ft_lb", "--p", "0.3")
@@ -71,8 +88,8 @@ class TestTheory:
 
     @pytest.mark.parametrize("argv, message", [
         ((), "formula"),
-        *((("--formula", formula), "got None") for formula in FORMULA_IDS),
-    ], ids=["no-formula", *FORMULA_IDS])
+        *((("--formula", formula), "got None") for formula in FORMULAS),
+    ], ids=["no-formula", *FORMULAS])
     def test_missing_formula_is_runtime_error(self, capsys, argv, message):
         # A formula given without its inputs ends on the error line, not a traceback.
         code, _, err = run_cli(capsys, "theory", *argv)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from rumorlab import harness
-from rumorlab.analytics import diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
+from rumorlab.analytics import FORMULAS, diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
 from rumorlab.harness import (
     METHODS,
     AdversarySpec,
@@ -246,6 +246,14 @@ def test_methods_call_layers_by_their_harness_names(monkeypatch):
                 AdversarySpec(adv, p=1.0 if adv == "spy" else None, estimation_time=t),
                 est, trials=1, master_seed=0))
     assert called == set(LAYER_NAMES)
+
+
+def test_methods_name_only_known_formulas():
+    # theory_overlay looks each id up in FORMULAS, so a misspelled id fails
+    # loudly instead of printing an empty theory column.
+    for method in METHODS.values():
+        for formula in method.theory.values():
+            assert formula is None or formula in FORMULAS, formula
 
 
 class TestReports:

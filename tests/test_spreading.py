@@ -52,8 +52,8 @@ class TestTrickle:
         tr = simulate_trickle(g, SpreadParams("trickle", theta=1, max_time=6),
                               trial_stream(1, 0))
         assert tr.X[0] == 0
-        assert len(tr.infected_order) == len(set(tr.infected_order))
-        assert tr.infected_order[0] == 0
+        assert list(tr.X)[0] == 0
+        assert list(tr.parent) == list(tr.X)
 
     def test_zero_horizon_keeps_only_source(self):
         tr = simulate_trickle(lazy_regular_tree(3),
@@ -102,7 +102,7 @@ class TestTrickle:
         for i in range(200):
             g = lazy_regular_tree(2)
             tr = simulate_trickle(g, params, trial_stream(33, i))
-            for v in tr.infected_order[1:]:
+            for v in list(tr.X)[1:]:
                 par = tr.parent[v]
                 step = tr.X[v] - tr.X[par]
                 assert step in ((1, 2, 3) if par == 0 else (1, 2))
@@ -113,7 +113,7 @@ class TestTrickle:
         theta = 2
         tr = simulate_trickle(g, SpreadParams("trickle", theta=theta, max_time=8),
                               trial_stream(3, 5))
-        for v in tr.infected_order[1:]:
+        for v in list(tr.X)[1:]:
             par = tr.parent[v]
             honest = g.degree(par) - (0 if par == 0 else 1)
             assert 1 <= tr.X[v] - tr.X[par] <= honest + theta
@@ -193,7 +193,7 @@ class TestDiffusion:
         tr = simulate_diffusion(lazy_regular_tree(4),
                                 SpreadParams("diffusion", theta=1.0, max_infections=300),
                                 trial_stream(5, 3))
-        for v in tr.infected_order[1:]:
+        for v in list(tr.X)[1:]:
             assert tr.X[v] > tr.X[tr.parent[v]]
 
     def test_reports_strictly_after_infection(self):
@@ -252,7 +252,7 @@ class TestDiffusionMatchesHeapReference:
             assert len(tr.X) == 60 and len(tr.reports) == 60
             last = max(max(tr.X.values()), max(t for ts in tr.reports.values() for t in ts))
             assert tr.stop_time == last
-            for v in tr.infected_order[1:]:
+            for v in list(tr.X)[1:]:
                 assert tr.parent[v] in g.neighbors(v)
                 assert tr.X[v] > tr.X[tr.parent[v]]
 

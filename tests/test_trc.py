@@ -10,6 +10,7 @@ from rumorlab.bruteforce import enumerate_histories, observation_atlas
 from rumorlab.estimators import InfeasibleObservationError
 from rumorlab.graphs import hop_distance, lazy_regular_tree, tree_path
 from rumorlab.spreading import SpreadParams, simulate_trickle, trial_stream
+from rumorlab import trc
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
 
 from oracles import build_regular_tree
@@ -211,6 +212,31 @@ class TestFastPathAgainstExplicitTree:
                 compared += 1
                 positive += count > 0
         assert positive >= 25 and compared > positive
+
+
+class TestOneSkeletonPerCall:
+    @pytest.mark.parametrize("graph", ["lazy", "cut"])
+    def test_tree_path_calls_at_most_reporters_minus_one(self, monkeypatch, graph):
+        # The reporters' Steiner tree is built once per call, one path per
+        # reporter past the first, whatever the number of candidates.  The
+        # counter patches the module-level name that the benchmark tracer
+        # patches too.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return tree_path(*args, **kwargs)
+
+        monkeypatch.setattr(trc, "tree_path", counting)
+        d, theta, t = 4, 1, 6
+        tree = lazy_regular_tree(d) if graph == "lazy" else lazy_regular_tree(d, depth=4)
+        several = 0
+        for g, reports, obs in simulated_observations(lambda: tree, d, theta, t, 61, 40):
+            calls.clear()
+            timestamp_rumor_centrality(obs, g, t, theta=theta)
+            assert len(calls) <= len(reports) - 1
+            several += len(candidates_of(obs, d, theta)) > 1 and len(calls) > 0
+        assert several >= 10
 
 
 class TestSharedTables:
