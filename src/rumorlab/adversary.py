@@ -10,18 +10,17 @@ Three observers:
   relayed to it.  Spies are re-sampled per trial from the supplied stream.
 * snapshot: the infected set {v : X_v <= T}, nothing else.
 
-``observed_until`` rides along inside the Observation so estimators can never
-peek past the estimation time.
+Each observer drops everything after the estimation time, so an estimator
+that reads only the Observation can never peek past it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Observation:
     variant: str
-    observed_until: float
     first_reports: dict | None = None      # eavesdropper: node -> tau_v
     all_reports: dict | None = None        # eavesdropper keep_all: node -> tuple of tap times
     spy_times: dict | None = None          # spy: node -> exact X_s
@@ -43,10 +42,7 @@ def observe_eavesdropper(trace, t=math.inf, keep_all=False):
         if keep_all:
             full[v] = tuple(sorted(seen))
     return Observation(
-        "eavesdropper",
-        observed_until=t,
-        first_reports=first,
-        all_reports=full if keep_all else None,
+        "eavesdropper", first_reports=first, all_reports=full if keep_all else None
     )
 
 
@@ -64,9 +60,7 @@ def observe_spy(trace, p, t=math.inf, rng=None):
         if p == 1 or (p > 0 and rng.random() < p):
             times[v] = trace.X[v]
             infectors[v] = trace.parent[v]
-    return Observation(
-        "spy", observed_until=t, spy_times=times, spy_infectors=infectors
-    )
+    return Observation("spy", spy_times=times, spy_infectors=infectors)
 
 
 def observe_snapshot(trace, T):
@@ -74,7 +68,5 @@ def observe_snapshot(trace, T):
     if T < 0:
         raise ValueError("snapshot time must be >= 0")
     return Observation(
-        "snapshot",
-        observed_until=T,
-        snapshot=frozenset(v for v, x in trace.X.items() if x <= T),
+        "snapshot", snapshot=frozenset(v for v, x in trace.X.items() if x <= T)
     )

@@ -150,9 +150,9 @@ def _betacf(a, b, x):
 # Detection-probability formulas
 # ---------------------------------------------------------------------------
 
-def _check_d_theta(d, theta, min_d=2):
-    if d is None or d != int(d) or d < min_d:
-        raise ValueError(f"need integer d >= {min_d}, got {d}")
+def _check_d_theta(d, theta):
+    if d is None or d != int(d) or d < 2:
+        raise ValueError(f"need integer d >= 2, got {d}")
     if theta is None or theta != int(theta) or theta < 1:
         raise ValueError(f"need integer theta >= 1, got {theta}")
     return int(d), int(theta)
@@ -240,13 +240,6 @@ FORMULAS = {
     "rc_constant": lambda d, theta, t, p: reporting_centrality_constant(d),
     "spy_ft_lb": lambda d, theta, t, p: spy_ft_bound(p),
 }
-
-
-def evaluate_formula(formula_id, d=None, theta=None, t=None, p=None):
-    """Dispatch by formula id (the `theory` CLI entry point)."""
-    if formula_id not in FORMULAS:
-        raise ValueError(f"unknown formula id {formula_id!r}")
-    return FORMULAS[formula_id](d, theta, t, p)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from itertools import product
 from .spreading import TAP
 
 
+# Histories enumerate_histories walks before it gives up.
+_HISTORY_CAP = 10 ** 7
+
+
 class EnumerationCapExceeded(RuntimeError):
     pass
 
@@ -38,7 +42,7 @@ def observation_key_of(obs):
     return frozenset((v, (tau,)) for v, tau in obs.first_reports.items())
 
 
-def enumerate_histories(g, source, theta, t, cap=10 ** 7):
+def enumerate_histories(g, source, theta, t):
     """All histories from ``source`` through step t: {obs_key: [Fraction]}.
 
     The list holds one entry per history (not collapsed), so callers can
@@ -60,8 +64,8 @@ def enumerate_histories(g, source, theta, t, cap=10 ** 7):
     def emit(denom):
         nonlocal seen
         seen += 1
-        if seen > cap:
-            raise EnumerationCapExceeded(f"more than {cap} histories")
+        if seen > _HISTORY_CAP:
+            raise EnumerationCapExceeded(f"more than {_HISTORY_CAP} histories")
         out.setdefault(obs_key(reports), []).append(Fraction(1, denom))
 
     def run(step, denom):
@@ -105,16 +109,16 @@ def enumerate_histories(g, source, theta, t, cap=10 ** 7):
     return out
 
 
-def observation_atlas(g, sources, theta, t, cap=10 ** 7):
+def observation_atlas(g, sources, theta, t):
     """{obs_key: {source: [Fraction per history]}} across candidate sources."""
     atlas = {}
     for s in sources:
-        for key, probs in enumerate_histories(g, s, theta, t, cap=cap).items():
+        for key, probs in enumerate_histories(g, s, theta, t).items():
             atlas.setdefault(key, {})[s] = probs
     return atlas
 
 
-def brute_force_posterior(g, params, obs, t, candidates=None, cap=10 ** 7):
+def brute_force_posterior(g, params, obs, t, candidates=None):
     """Exact P(obs | source = v) for every candidate v.
 
     Trickle only.  Candidates default to every node of a finite graph; the
@@ -128,6 +132,6 @@ def brute_force_posterior(g, params, obs, t, candidates=None, cap=10 ** 7):
     key = observation_key_of(obs)
     posterior = {}
     for v in candidates:
-        hist = enumerate_histories(g, v, params.theta, t, cap=cap)
+        hist = enumerate_histories(g, v, params.theta, t)
         posterior[v] = sum(hist.get(key, []), Fraction(0))
     return posterior

@@ -154,46 +154,38 @@ THEORY_COLUMNS = ("formula_id", "d", "theta", "t", "p", "value")
 
 
 def cmd_theory(args):
-    rows = []
+    """--formula or --table2 evaluated at every point of the --d x --theta x
+    --t x --p grid.  A --formula row shows the inputs its formula read and
+    fails where the formula is undefined; a --table2 row shows its grid point
+    and leaves such a value blank."""
     if args.table2:
-        if args.d is None or args.theta is None:
+        if not args.d or not args.theta:
             raise ValueError("--table2 needs --d and --theta")
-        d, theta = args.d[0], args.theta[0]
-        t = args.t[0] if args.t else None
-        for (estimator, adversary), method in METHODS.items():
-            for protocol, formula in method.theory.items():
-                if adversary != "eavesdropper" or formula is None:
-                    continue
-                try:
-                    value = repr(analytics.FORMULAS[formula](d, theta, t, None).value)
-                except ValueError:  # undefined at these inputs
-                    value = ""
-                rows.append({
-                    "formula_id": formula,
-                    "d": d, "theta": theta, "t": "" if t is None else t, "p": "",
-                    "value": value,
-                    "estimator": estimator, "protocol": protocol,
-                })
-        columns = THEORY_COLUMNS + ("estimator", "protocol")
+        if args.p is not None:
+            raise ValueError("--table2 takes no --p: no eavesdropper closed form reads p")
+        cells = [(formula, {"estimator": estimator, "protocol": protocol})
+                 for (estimator, adversary), method in METHODS.items()
+                 if adversary == "eavesdropper"
+                 for protocol, formula in method.theory.items() if formula is not None]
+    elif args.formula:
+        cells = [(args.formula, {})]
     else:
-        if not args.formula:
-            raise ValueError("need --formula or --table2")
-        for d in args.d or [None]:
-            for theta in args.theta or [None]:
-                for t in args.t or [None]:
-                    for p in args.p or [None]:
-                        tv = analytics.evaluate_formula(
-                            args.formula, d=d, theta=theta, t=t, p=p
-                        )
-                        rows.append({
-                            "formula_id": tv.formula_id,
-                            "d": "" if tv.d is None else tv.d,
-                            "theta": "" if tv.theta is None else tv.theta,
-                            "t": "" if tv.t is None else tv.t,
-                            "p": "" if tv.p is None else tv.p,
-                            "value": repr(tv.value),
-                        })
-        columns = THEORY_COLUMNS
+        raise ValueError("need --formula or --table2")
+    rows = []
+    for point in itertools.product(args.d or [None], args.theta or [None],
+                                   args.t or [None], args.p or [None]):
+        for formula, extra in cells:
+            try:
+                tv = analytics.FORMULAS[formula](*point)
+            except ValueError:
+                if not args.table2:
+                    raise
+                tv = None
+            d, theta, t, p = point if args.table2 else (tv.d, tv.theta, tv.t, tv.p)
+            row = {"formula_id": formula, "d": d, "theta": theta, "t": t, "p": p,
+                   "value": None if tv is None else repr(tv.value)}
+            rows.append({k: "" if x is None else x for k, x in row.items()} | extra)
+    columns = THEORY_COLUMNS + tuple(cells[0][1])
     _emit(_rows_to_output(rows, columns, _config_header(args), args.format), args.out)
     return 0
 
@@ -260,7 +252,7 @@ def build_parser():
     p.add_argument("--formula", choices=analytics.FORMULAS)
     p.add_argument("--table2", action="store_true",
                    help="one row per eavesdropper estimator and protocol with a "
-                        "closed form, for one (d, theta) and optional t")
+                        "closed form, at every (d, theta) and optional t")
     p.add_argument("--d", type=_int_list)
     p.add_argument("--theta", type=_float_list)
     p.add_argument("--t", type=_float_list)

@@ -2,7 +2,8 @@
 
 All uniform tie-breaks draw from the trial's rng stream after the simulation
 draws, so a (graph, params, seed) triple pins the whole trial.  Estimators
-read only the Observation (never the trace), and never past observed_until.
+read only the Observation, never the trace; the observers have already dropped
+everything after the estimation time, which TRC also takes as an argument.
 """
 
 import math

@@ -175,7 +175,11 @@ def lazy_regular_tree(d, root_degree=None, depth=None):
     return LazyRegularTree(d, root_degree=root_degree, depth=depth)
 
 
-def build_random_regular(n, d, seed, max_tries=100):
+# Configuration-model restarts before build_random_regular gives up.
+_RR_RESTARTS = 100
+
+
+def build_random_regular(n, d, seed):
     """Random simple d-regular graph on n nodes via the configuration model.
 
     Stubs are paired uniformly; valid (simple, non-loop) pairs are kept and
@@ -224,7 +228,7 @@ def build_random_regular(n, d, seed, max_tries=100):
             stubs = [v for v, c in leftover.items() for _ in range(c)]
         return edges
 
-    for _ in range(max_tries):
+    for _ in range(_RR_RESTARTS):
         edges = try_creation()
         if edges is not None:
             adjacency = [[] for _ in range(n)]
@@ -233,7 +237,7 @@ def build_random_regular(n, d, seed, max_tries=100):
                 adjacency[v].append(u)
             return ExplicitGraph(adjacency, degree_hint=d)
     raise RuntimeError(
-        f"configuration model failed for n={n}, d={d} after {max_tries} restarts"
+        f"configuration model failed for n={n}, d={d} after {_RR_RESTARTS} restarts"
     )
 
 
@@ -319,19 +323,11 @@ def tree_path(g, u, v, stop=None):
     """
     if not g.has_node(u) or not g.has_node(v):
         raise ValueError(f"unknown node in pair ({u}, {v})")
+    stop = stop or ()
     if g.is_lazy:
-        # Climb the larger id until both ends meet (see hop_distance).
+        # Climb the larger id until both ends meet (see hop_distance), or
+        # until the climb from u enters stop; else scan v's half down.
         up, vp = [u], [v]
-        if stop is None:
-            while u != v:
-                if u > v:
-                    u = g.parent_of(u)
-                    up.append(u)
-                else:
-                    v = g.parent_of(v)
-                    vp.append(v)
-            return up + vp[-2::-1]
-        # The climb from u ends once it enters stop; else scan v's half down.
         while u != v and u not in stop:
             if u > v:
                 u = g.parent_of(u)
@@ -346,7 +342,6 @@ def tree_path(g, u, v, stop=None):
                     break
         return up
     # BFS parents from u until v (or a stop node) is found, then walk back.
-    stop = stop or ()
     parent = {u: None}
     end = u if u == v or u in stop else None
     frontier = deque([u])

@@ -18,7 +18,6 @@ happen on the trial's own stream after its simulation draws.
 """
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -220,7 +219,6 @@ class DetectionReport:
     strict_win_rate: float | None = None
     theory: float | None = None
     mean_stop_time: float | None = None
-    wall_time: float = 0.0
 
     def csv_fields(self):
         g, a, p = self.spec.graph, self.spec.adversary, self.spec.params
@@ -255,15 +253,18 @@ CSV_COLUMNS = (
 )
 
 
-def wilson_interval(hits, trials, z=1.959963984540054):
+_Z95 = 1.959963984540054  # standard normal quantile at 0.975
+
+
+def wilson_interval(hits, trials):
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
     p = hits / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -340,9 +341,7 @@ def _run_block(spec, shared, lo, hi):
 
 
 def run_points(specs):
-    """One report per spec, in order (see the module docstring); a report's
-    wall_time is the time its spec added to the call."""
-    t0 = time.perf_counter()
+    """One report per spec, in order (see the module docstring)."""
     graphs, points = {}, []
     for spec in specs:
         key = (spec.graph, spec.master_seed)
@@ -359,16 +358,14 @@ def run_points(specs):
             points = [[pool.submit(_run_block, *block) for block in blocks] for blocks in points]
         for spec, blocks in zip(specs, points):
             parts = [b.result() if pool is not None else _run_block(*b) for b in blocks]
-            now = time.perf_counter()
-            reports.append(_aggregate(spec, parts, now - t0))
-            t0 = now
+            reports.append(_aggregate(spec, parts))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return reports
 
 
-def _aggregate(spec, parts, wall_time):
+def _aggregate(spec, parts):
     hits, strict, stops = zip(*parts)
     hits, strict = sum(hits), sum(strict)
     stops = [stop for block in stops for stop in block]
@@ -380,7 +377,6 @@ def _aggregate(spec, parts, wall_time):
         spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
         strict_win_rate=strict / spec.trials if strict_wins else None,
         theory=theory_overlay(spec), mean_stop_time=mean_stop,
-        wall_time=wall_time,
     )
 
 
@@ -421,6 +417,10 @@ def sweep_specs(base, axis, values):
     if axis == "d" and base.graph.kind == "file":
         raise ValueError("a file graph is built without reading d, so every d point "
                          "would run the same trials")
+    if axis in ("d", "trials"):
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"a {axis} sweep takes integer values, got {value}")
     return [_with_axis(base, axis, value) for value in values]
 
 

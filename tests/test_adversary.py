@@ -47,7 +47,7 @@ class TestEavesdropper:
         obs = observe_eavesdropper(tr, tr.stop_time)
         for v, tau in obs.first_reports.items():
             assert tau > tr.X[v]
-            assert tau <= obs.observed_until
+            assert tau <= tr.stop_time
 
     def test_pure_filter(self):
         tr = trickle_trace(seed=9)

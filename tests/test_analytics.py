@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorlab.analytics import (
+    FORMULAS,
     TheoryValue,
     diffusion_ft,
-    evaluate_formula,
     exponential_integral,
     reg_inc_beta_half,
     reporting_centrality_constant,
@@ -178,18 +178,14 @@ class TestSpyBound:
 
 class TestFormulaDispatch:
     def test_known_ids(self):
-        assert evaluate_formula("diffusion_ft", d=4, theta=1).value == pytest.approx(0.5493061443340549)
-        assert evaluate_formula("rc_constant", d=3).value == pytest.approx(0.25)
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            evaluate_formula("nonsense")
+        assert FORMULAS["diffusion_ft"](4, 1, None, None).value == pytest.approx(0.5493061443340549)
+        assert FORMULAS["rc_constant"](3, None, None, None).value == pytest.approx(0.25)
 
     @given(d=st.integers(3, 64), theta=st.integers(1, 16))
     @settings(max_examples=40)
     def test_values_are_probabilities(self, d, theta):
         for fid in ("trickle_ft_lb", "trickle_ft_asym", "trickle_ml_ub", "diffusion_ft", "rc_constant"):
-            tv = evaluate_formula(fid, d=d, theta=theta, t=5)
+            tv = FORMULAS[fid](d, theta, 5, None)
             assert 0 <= tv.value <= 1
 
     def test_theory_value_validates_range(self):

@@ -79,6 +79,26 @@ class TestTheory:
         assert float(values["trickle_ml_ub"]) > 0
         assert values["diffusion_ft"] == values["rc_constant"] == ""
 
+    def test_table2_grid_is_one_table_per_point(self, capsys):
+        code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "3,4", "--theta", "1,2")
+        assert code == 0
+        rows = parse_report_csv(out)
+        assert len(rows) == 20
+        for i, (d, theta) in enumerate([(3, 1), (3, 2), (4, 1), (4, 2)]):
+            _, single, _ = run_cli(capsys, "theory", "--table2", "--d", str(d),
+                                   "--theta", str(theta))
+            assert rows[5 * i:5 * i + 5] == parse_report_csv(single)
+
+    @pytest.mark.parametrize("argv, message", [
+        # No eavesdropper closed form reads p, so a p grid would repeat each table.
+        (("--d", "4", "--theta", "1", "--p", "0.3"), "takes no --p"),
+        (("--d", "", "--theta", "1"), "needs --d"),
+    ], ids=["p", "empty-d"])
+    def test_table2_input_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "theory", "--table2", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("rumorlab: error: ") and message in err
+
     def test_config_header_present(self, capsys):
         _, out, _ = run_cli(capsys, "theory", "--formula", "spy_ft_lb", "--p", "0.3")
         header = out.splitlines()[0]
@@ -106,6 +126,11 @@ class TestUsageErrors:
     def test_unknown_estimator_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--protocol", "trickle", "--estimator", "psychic"])
+        assert exc.value.code == 2
+
+    def test_unknown_formula_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--formula", "nonsense"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -167,6 +192,20 @@ class TestUsageErrors:
                                  "--values", "3,4,8", "--trials", "20")
         assert (code, out) == (2, "")
         assert "file graph" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("axis, values", [("d", "4.5,5"), ("trials", "20.9")])
+    def test_fractional_integer_axis_value_exits_2(self, capsys, monkeypatch, command,
+                                                   axis, values):
+        # int() would run d=4 or 20 trials under a row whose axis_value says otherwise.
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out, err = run_cli(capsys, *experiment_args(command), "--d", "4",
+                                 "--axis", axis, "--values", values, "--trials", "20")
+        assert (code, out) == (2, "")
+        assert "integer values" in err
 
     def test_rumor_centers_on_graph_with_cycles_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion",

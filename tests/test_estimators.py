@@ -31,7 +31,7 @@ from rumorlab.spreading import (
 
 
 def eavesdrop_obs(first, t=math.inf, all_reports=None):
-    return Observation("eavesdropper", t, first_reports=first, all_reports=all_reports)
+    return Observation("eavesdropper", first_reports=first, all_reports=all_reports)
 
 
 def graph_from_edges(edges):
@@ -75,14 +75,12 @@ class TestFirstTimestamp:
 
 class TestSpyFirstTimestamp:
     def test_earliest_spy_names_infector(self):
-        obs = Observation("spy", 10.0,
-                          spy_times={5: 1.2, 9: 0.4},
-                          spy_infectors={5: 2, 9: 0})
+        obs = Observation("spy", spy_times={5: 1.2, 9: 0.4}, spy_infectors={5: 2, 9: 0})
         res = spy_first_timestamp(obs)
         assert res.chosen == 0
 
     def test_empty_raises(self):
-        obs = Observation("spy", 1.0, spy_times={}, spy_infectors={})
+        obs = Observation("spy", spy_times={}, spy_infectors={})
         with pytest.raises(NoReportsError):
             spy_first_timestamp(obs)
 
@@ -186,35 +184,32 @@ class TestReportingCentrality:
         return graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (3, 7)])
 
     def test_figure_configuration_center_is_source(self):
-        obs = Observation("spy", 10.0,
-                          spy_times={1: 1, 4: 2, 2: 1, 5: 2, 3: 1},
+        obs = Observation("spy", spy_times={1: 1, 4: 2, 2: 1, 5: 2, 3: 1},
                           spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         assert res.candidates == frozenset([0])
         assert res.chosen == 0
 
     def test_all_reporters_in_one_subtree_means_miss_at_source(self):
-        obs = Observation("spy", 10.0,
-                          spy_times={1: 1, 4: 2, 6: 3},
-                          spy_infectors={})
+        obs = Observation("spy", spy_times={1: 1, 4: 2, 6: 3}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         # every reporter sits in 0's subtree through 1, so 0 is not a center;
         # the unique center is inside that subtree instead
         assert 0 not in res.candidates
 
     def test_single_reporter_is_its_own_center(self):
-        obs = Observation("spy", 1.0, spy_times={4: 1}, spy_infectors={})
+        obs = Observation("spy", spy_times={4: 1}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         assert res.candidates == frozenset([4])
 
     def test_two_reporters_miss(self):
-        obs = Observation("spy", 1.0, spy_times={4: 1, 5: 2}, spy_infectors={})
+        obs = Observation("spy", spy_times={4: 1, 5: 2}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         assert res.chosen is None
         assert res.candidates == frozenset()
 
     def test_no_reporters_raises(self):
-        obs = Observation("spy", 1.0, spy_times={}, spy_infectors={})
+        obs = Observation("spy", spy_times={}, spy_infectors={})
         with pytest.raises(NoReportsError):
             reporting_centrality(obs, self.figure_graph())
 
@@ -331,7 +326,7 @@ class TestTreeCenters:
         misses = 0
         for g, nodes in tree_cases():
             for terminals in self.terminal_sets(nodes, rng):
-                obs = Observation("spy", 1.0, spy_times=dict.fromkeys(terminals, 1.0),
+                obs = Observation("spy", spy_times=dict.fromkeys(terminals, 1.0),
                                   spy_infectors={})
                 res = reporting_centrality(obs, g)
                 want = oracles.reporting_centers(oracles.steiner_tree(g, terminals),

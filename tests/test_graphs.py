@@ -368,6 +368,7 @@ class TestTreePathStop:
             full = stepwise_path(g, u, v)
             assert tree_path(g, u, v) == full
             assert tree_path(g, u, v, stop=None) == full
+            assert tree_path(g, u, v, stop=set()) == full
             # A subtree holding v, as a Steiner tree build passes it.
             stop = set()
             for w in rng.sample(nodes, rng.randint(1, 3)):

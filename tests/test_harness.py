@@ -184,6 +184,15 @@ class TestValidation:
             sweep_specs(base, "d", [3, 4, 8])
         assert [s.params.theta for s in sweep_specs(base, "theta", [1, 2])] == [1, 2]
 
+    def test_integer_axes_reject_fractional_values(self):
+        # int() would run d=4 and 20 trials under rows labelled 4.5 and 20.9.
+        with pytest.raises(ValueError, match="d sweep takes integer values, got 4.5"):
+            sweep_specs(ft_spec(), "d", [4.5, 5])
+        with pytest.raises(ValueError, match="trials sweep takes integer values"):
+            sweep_specs(ft_spec(), "trials", [20.9])
+        assert [s.graph.d for s in sweep_specs(ft_spec(), "d", [5.0, 6])] == [5, 6]
+        assert [s.trials for s in sweep_specs(ft_spec(), "trials", [20.0])] == [20]
+
     @pytest.mark.parametrize("kind, fields, ignored", [
         ("tree", {"d": 4, "depth": 2}, "depth"),
         ("tree", {"d": 4, "n": 100}, "n"),
@@ -203,9 +212,7 @@ class TestDeterminism:
     def test_same_spec_same_report(self):
         a = run_experiment(ft_spec(trials=300, seed=9))
         b = run_experiment(ft_spec(trials=300, seed=9))
-        fields = [f.name for f in dataclasses.fields(a) if f.name != "wall_time"]
-        for name in fields:
-            assert getattr(a, name) == getattr(b, name)
+        assert a == b
 
     def test_worker_count_does_not_change_results(self):
         seq = run_experiment(ft_spec(trials=200, seed=4, workers=1))

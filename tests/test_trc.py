@@ -19,7 +19,7 @@ from oracles import build_regular_tree
 def obs_from_key(key, t):
     all_reports = {v: tuple(times) for v, times in key}
     first = {v: min(times) for v, times in key}
-    return Observation("eavesdropper", t, first_reports=first, all_reports=all_reports)
+    return Observation("eavesdropper", first_reports=first, all_reports=all_reports)
 
 
 def falling(n, r):
@@ -87,7 +87,7 @@ class TestOrderingCountExactness:
 class TestEstimator:
     def test_radius_zero_report_pins_candidate(self):
         g = lazy_regular_tree(2)
-        obs = Observation("eavesdropper", 3, first_reports={0: 1},
+        obs = Observation("eavesdropper", first_reports={0: 1},
                           all_reports={0: (1,)})
         res = timestamp_rumor_centrality(obs, g, 3)
         assert res.candidates == frozenset([0])
@@ -118,20 +118,20 @@ class TestEstimator:
 
     def test_estimation_time_too_small_rejected(self):
         g = lazy_regular_tree(4)
-        obs = Observation("eavesdropper", 4, first_reports={0: 1},
+        obs = Observation("eavesdropper", first_reports={0: 1},
                           all_reports={0: (1,)})
         with pytest.raises(ValueError, match="t >= d"):
             timestamp_rumor_centrality(obs, g, 4)
 
     def test_keep_all_required(self):
         g = lazy_regular_tree(2)
-        obs = Observation("eavesdropper", 3, first_reports={0: 1})
+        obs = Observation("eavesdropper", first_reports={0: 1})
         with pytest.raises(ValueError, match="keep_all"):
             timestamp_rumor_centrality(obs, g, 3)
 
     def test_degree_guardrail(self):
         g = lazy_regular_tree(8)
-        obs = Observation("eavesdropper", 9, first_reports={0: 1},
+        obs = Observation("eavesdropper", first_reports={0: 1},
                           all_reports={0: (1,)})
         with pytest.raises(ValueError, match="guardrail"):
             timestamp_rumor_centrality(obs, g, 9)
@@ -139,15 +139,14 @@ class TestEstimator:
 
     def test_modified_root_rejected(self):
         g = lazy_regular_tree(4, root_degree=2)
-        obs = Observation("eavesdropper", 5, first_reports={0: 1},
+        obs = Observation("eavesdropper", first_reports={0: 1},
                           all_reports={0: (1,)})
         with pytest.raises(ValueError, match="unmodified"):
             timestamp_rumor_centrality(obs, g, 5)
 
     def test_corrupt_observation_raises(self):
         g = lazy_regular_tree(2)
-        obs = Observation("eavesdropper", 4,
-                          first_reports={1: 1, 2: 1},
+        obs = Observation("eavesdropper", first_reports={1: 1, 2: 1},
                           all_reports={1: (1,), 2: (1,)})
         with pytest.raises(InfeasibleObservationError):
             timestamp_rumor_centrality(obs, g, 4)
