@@ -10,6 +10,8 @@ reports can carry their theory overlay column.
 import math
 from dataclasses import dataclass
 
+from ._checks import integer
+
 EULER_GAMMA = 0.5772156649015329
 _LN2 = math.log(2.0)
 _EPS = 1e-16
@@ -151,11 +153,7 @@ def _betacf(a, b, x):
 # ---------------------------------------------------------------------------
 
 def _check_d_theta(d, theta):
-    if d is None or d != int(d) or d < 2:
-        raise ValueError(f"need integer d >= 2, got {d}")
-    if theta is None or theta != int(theta) or theta < 1:
-        raise ValueError(f"need integer theta >= 1, got {theta}")
-    return int(d), int(theta)
+    return integer("d", d, 2), integer("theta", theta, 1)
 
 
 def trickle_ft_lower_bound(d, theta):
@@ -177,9 +175,7 @@ def trickle_ft_lower_bound(d, theta):
 
 def trickle_ft_asymptotic(d):
     """Large-d shape of the trickle first-timestamp bound: ln(d)/(d ln 2)."""
-    if d is None or d != int(d) or d < 2:
-        raise ValueError(f"need integer d >= 2, got {d}")
-    d = int(d)
+    d = integer("d", d, 2)
     return TheoryValue("trickle_ft_asym", math.log(d) / (d * _LN2), d=d)
 
 
@@ -192,8 +188,8 @@ def trickle_ml_upper(d, theta):
 def trickle_ml_lower(d, theta, t):
     """Ball-centrality floor at time t: max(0, upper - (d/(theta+d))^t)."""
     d, theta = _check_d_theta(d, theta)
-    if t is None or t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+    if t is None or not 1 <= t < math.inf:
+        raise ValueError(f"need finite t >= 1, got {t}")
     value = 1 - d / (2 * (theta + d)) - (d / (theta + d)) ** t
     return TheoryValue("trickle_ml_lb", max(0.0, value), d=d, theta=theta, t=t)
 
@@ -202,11 +198,9 @@ def diffusion_ft(d, theta):
     """Exact diffusion first-timestamp detection at t = infinity:
     (theta/(d-2)) * ln((d+theta-2)/theta).  Needs d > 2; theta may be real.
     """
-    if d is None or d != int(d) or d <= 2:
-        raise ValueError(f"need integer d > 2, got {d}")
-    if theta is None or theta <= 0:
-        raise ValueError(f"need theta > 0, got {theta}")
-    d = int(d)
+    d = integer("d", d, 3)
+    if theta is None or not 0 < theta < math.inf:
+        raise ValueError(f"need 0 < theta < inf, got {theta}")
     value = theta / (d - 2) * math.log((d + theta - 2) / theta)
     return TheoryValue("diffusion_ft", value, d=d, theta=theta)
 
@@ -215,9 +209,7 @@ def reporting_centrality_constant(d):
     """Liminf floor for reporting centrality (independent of theta):
     C_d = 1 - d*(1 - I_{1/2}(1/(d-2), 1 + 1/(d-2))).
     """
-    if d is None or d != int(d) or d <= 2:
-        raise ValueError(f"need integer d > 2, got {d}")
-    d = int(d)
+    d = integer("d", d, 3)
     a = 1.0 / (d - 2)
     value = 1 - d * (1 - reg_inc_beta_half(a, 1 + a))
     return TheoryValue("rc_constant", value, d=d)
@@ -255,11 +247,7 @@ def urn_simulate(d, theta, steps, rng):
     trajectory [(solid, striped)] of length steps+1 including the start;
     striped/solid converges a.s. to theta/(d+theta-2).
     """
-    if d != int(d) or d <= 2:
-        raise ValueError(f"need integer d > 2, got {d}")
-    if theta != int(theta) or theta < 1:
-        raise ValueError(f"need integer theta >= 1, got {theta}")
-    d, theta = int(d), int(theta)
+    d, theta = integer("d", d, 3), integer("theta", theta, 1)
     solid, striped = 1, 0
     add_solid = d - 2
     traj = [(solid, striped)]

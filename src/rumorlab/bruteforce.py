@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from ._checks import integer
 from .spreading import TAP
 
 
@@ -48,11 +49,7 @@ def enumerate_histories(g, source, theta, t):
     The list holds one entry per history (not collapsed), so callers can
     check the equal-likelihood property exactly.
     """
-    if theta != int(theta) or theta < 1:
-        raise ValueError(f"need integer theta >= 1, got {theta}")
-    if t != int(t) or t < 0:
-        raise ValueError(f"need integer t >= 0, got {t}")
-    theta, t = int(theta), int(t)
+    theta, t = integer("theta", theta, 1), integer("t", t, 0)
 
     X = {source: 0}
     order = [source]

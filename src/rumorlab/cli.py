@@ -63,7 +63,6 @@ def _add_experiment(p, protocol=True):
                    help="lazy-tree root degree override (d-2 reproduces the "
                         "diffusion first-timestamp closed form's setting)")
     p.add_argument("--theta", type=float, default=1)
-    p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--t", type=float, help="estimation time / max time")
     p.add_argument("--max-infections", type=int,
                    help="infection-count horizon (K); stop_time is logged")
@@ -89,7 +88,6 @@ def _spec_from_args(args):
         params = SpreadParams(
             protocol=args.protocol,
             theta=args.theta,
-            lam=args.lam,
             max_time=args.t,
             max_infections=args.max_infections,
         )

@@ -72,7 +72,7 @@ def ball_centrality(obs, g, rng=None):
         raise NoReportsError("no reports yet")
     items = sorted(obs.first_reports.items(), key=lambda kv: kv[1])
     for v, tau in items:
-        if tau != int(tau):
+        if not float(tau).is_integer():
             raise ValueError(f"ball_centrality needs integer timestamps, got tau_{v}={tau}")
     # Enumerate the smallest ball, then filter by the remaining constraints.
     center, tau0 = items[0]

@@ -148,9 +148,9 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """model + its parameters; estimation_time None means the realized
-    horizon (stop_time) for full simulations and t = infinity for
-    first-report experiments."""
+    """model + its parameters; estimation_time is a finite t >= 0, or None
+    for the realized horizon (stop_time) of full simulations and t = infinity
+    for first-report experiments."""
 
     model: str = "eavesdropper"
     p: float | None = None
@@ -163,6 +163,9 @@ class AdversarySpec:
             raise ValueError("spy adversary needs p in [0, 1]")
         if self.model != "spy" and self.p is not None:
             raise ValueError(f"p is the spy probability; the {self.model} adversary takes none")
+        t = self.estimation_time
+        if t is not None and not 0 <= t < math.inf:
+            raise ValueError(f"estimation time must be finite and >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         _check_compatible(self)
 
 
@@ -347,7 +352,7 @@ def run_points(specs):
         key = (spec.graph, spec.master_seed)
         if key not in graphs:
             graphs[key] = _build_graph(spec.graph, spec.master_seed)
-        chunk = math.ceil(spec.trials / max(1, spec.workers))
+        chunk = math.ceil(spec.trials / spec.workers)
         points.append([(spec, graphs[key], lo, min(lo + chunk, spec.trials))
                        for lo in range(0, spec.trials, chunk)])
     workers = max((spec.workers for spec in specs), default=1)

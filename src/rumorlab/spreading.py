@@ -4,12 +4,14 @@ Trickle is a synchronous discrete-time gossip: on infection a node draws one
 uniform permutation of its uninfected connections (uninfected honest
 neighbors plus its theta adversary taps) and transmits to one connection per
 step, starting the step after it was infected.  Diffusion is the
-continuous-time SI process: every edge relays after an independent Exp(lam)
+continuous-time SI process: every edge relays after an independent Exp(1)
 delay, and each node's first adversary report fires after Exp(theta) (the
 minimum of theta unit-rate taps; one draw is distributionally identical and
-cheaper).  simulate_diffusion needs no event heap: it draws the report with
-the infection and, the delays being memoryless, fires the pending relays one
-at a time.  From the root of a LazyRegularTree, the source of every
+cheaper), so theta is the report rate relative to the relay rate.  A spread
+relaying at rate r is the one at theta/r, run to horizon r*t, with every time
+divided by r.  simulate_diffusion needs no event heap: it draws the report
+with the infection and, the delays being memoryless, fires the pending relays
+one at a time.  From the root of a LazyRegularTree, the source of every
 generated graph, each relay runs from a parent to a child nobody has
 infected yet, so there it keeps one list of pending targets, extended by
 children(v), and tests nothing for infection; explicit graphs and other
@@ -42,6 +44,8 @@ import random
 from dataclasses import dataclass
 from math import log
 
+from ._checks import integer
+
 _MASK64 = (1 << 64) - 1
 
 # Adversary-tap slot marker inside trickle permutations.
@@ -57,14 +61,14 @@ def trial_stream(master_seed, trial_index):
 class SpreadParams:
     """Knobs for one spreading run.
 
-    theta is an integer tap count for trickle (>= 1) and a real report rate
-    for diffusion (> 0); lam is the diffusion relay rate.  The horizon is
-    max_time, max_infections, or neither (run to exhaustion on finite graphs).
+    theta is an integer tap count for trickle (>= 1) and a finite report
+    rate for diffusion (> 0), relative to its relay rate of 1.  The horizon is
+    a finite max_time, max_infections, or neither (run to exhaustion on
+    finite graphs).
     """
 
     protocol: str
     theta: float = 1
-    lam: float = 1.0
     max_time: float | None = None
     max_infections: int | None = None
 
@@ -72,16 +76,11 @@ class SpreadParams:
         if self.protocol not in ("trickle", "diffusion"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "trickle":
-            if self.theta != int(self.theta) or self.theta < 1:
-                raise ValueError(f"trickle needs integer theta >= 1, got {self.theta}")
-            self.theta = int(self.theta)
-        else:
-            if self.theta <= 0:
-                raise ValueError(f"diffusion needs theta > 0, got {self.theta}")
-            if self.lam <= 0:
-                raise ValueError(f"diffusion needs lam > 0, got {self.lam}")
-        if self.max_time is not None and self.max_time < 0:
-            raise ValueError("max_time must be >= 0")
+            self.theta = integer("theta", self.theta, 1)
+        elif not 0 < self.theta < math.inf:
+            raise ValueError(f"diffusion needs 0 < theta < inf, got {self.theta}")
+        if self.max_time is not None and not 0 <= self.max_time < math.inf:
+            raise ValueError(f"max_time must be finite and >= 0, got {self.max_time}")
         if self.max_infections is not None and self.max_infections < 1:
             raise ValueError("max_infections must be >= 1")
 
@@ -189,7 +188,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
 
     On infection at X_v, node v draws its report time X_v + Exp(theta) and
     adds one pending relay per neighbor still uninfected at that moment.
-    With b relays pending, the next one fires after Exp(b * lam) and, the
+    With b relays pending, the next one fires after Exp(b) and, the
     delays being memoryless, is a uniform pick among them; a relay landing on
     a node infected meanwhile has no effect.  This is exact in distribution
     on every graph, cycles included.  Reports after the stop time are
@@ -211,7 +210,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
-    theta, lam = params.theta, params.lam
+    theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
     uniform, getrandbits = rng.random, rng.getrandbits
@@ -238,7 +237,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             b = len(targets)
             if not b:
                 break
-            t += -log(1.0 - uniform()) / (lam * b)
+            t += -log(1.0 - uniform()) / b
             if first <= t and first <= max_time:
                 stop_time = first
                 break
@@ -278,7 +277,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             b = len(relays)
             if not b:
                 break
-            t += -log(1.0 - uniform()) / (lam * b)
+            t += -log(1.0 - uniform()) / b
             if first <= t and first <= max_time:
                 stop_time = first
                 break

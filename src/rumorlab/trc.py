@@ -45,6 +45,7 @@ ball-intersection feasibility test, which never discards a positive-count
 candidate.  Degrees above 6 are refused unless explicitly allowed.
 """
 
+from ._checks import integer
 from .estimators import EstimateResult, InfeasibleObservationError, _pick_uniform
 from .graphs import INFINITY, hop_distance, tree_path
 
@@ -55,8 +56,7 @@ def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
     degree d (root_degree None means unmodified), d <= 6 unless
     allow_high_degree, and integer t >= d + theta (not checked for t None).
     """
-    if theta != int(theta) or theta < 1:
-        raise ValueError(f"need integer theta >= 1, got {theta}")
+    theta = integer("theta", theta, 1)
     if root_degree is not None and root_degree != d:
         # A modified-degree root could land inside an "unobserved subtree",
         # where the closed-form count assumes full regularity.
@@ -66,7 +66,7 @@ def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
             f"degree {d} exceeds the default guardrail of 6; "
             "pass allow_high_degree=True to override"
         )
-    if t is not None and (t != int(t) or t < d + theta):
+    if t is not None and (not float(t).is_integer() or t < d + theta):
         raise ValueError(f"need integer t >= d + theta = {d + theta}, got {t}")
 
 
@@ -88,7 +88,7 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
     reports = {}
     for v, times in obs.all_reports.items():
         clean = tuple(sorted(times))
-        if any(x != int(x) for x in clean):
+        if not all(float(x).is_integer() for x in clean):
             raise ValueError(f"non-integer trickle report times at node {v}")
         clean = tuple(int(x) for x in clean)
         if clean and clean[-1] > t:

@@ -99,11 +99,11 @@ def heap_simulate_diffusion(g, params, rng, source=0):
 
     On infection at X_v, node v schedules one report event at X_v + Exp(theta)
     and one infection event per currently-uninfected neighbor at
-    X_v + Exp(lam), all in one heap.  Infection events landing on
+    X_v + Exp(1), all in one heap.  Infection events landing on
     already-infected nodes are discarded.  Slow but direct; the package's
     simulate_diffusion must agree with it in distribution.
     """
-    theta, lam = params.theta, params.lam
+    theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections
 
@@ -134,7 +134,7 @@ def heap_simulate_diffusion(g, params, rng, source=0):
             for u in g.neighbors(node):
                 if u not in X:
                     seq += 1
-                    heappush(heap, (t + rng.expovariate(lam), seq, "infect", u, node))
+                    heappush(heap, (t + rng.expovariate(1.0), seq, "infect", u, node))
         else:
             reports.setdefault(node, []).append(t)
             stop_time = t
@@ -192,7 +192,7 @@ def heap_first_report_diffusion(g, params, rng, source=0):
     """Reference diffusion first-report trial: one heap event per relay and
     report, returning at the first report event.  It ignores max_infections.
     The package's first_report_trial must agree with it in distribution."""
-    theta, lam = params.theta, params.lam
+    theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     X = {}
     heap = [(0.0, 0, "infect", source)]
@@ -211,7 +211,7 @@ def heap_first_report_diffusion(g, params, rng, source=0):
         for u in g.neighbors(node):
             if u not in X:
                 seq += 1
-                heappush(heap, (t + rng.expovariate(lam), seq, "infect", u))
+                heappush(heap, (t + rng.expovariate(1.0), seq, "infect", u))
     return FirstReport(frozenset(), None)
 
 
@@ -284,7 +284,7 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     through rng.expovariate and rng.randrange, with its pending relays as a
     list of (relay, target) pairs.  Traces and the stream left behind must
     be bit for bit the package's."""
-    theta, lam = params.theta, params.lam
+    theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
     expovariate, randrange, neighbors = rng.expovariate, rng.randrange, g.neighbors
@@ -316,7 +316,7 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             stop_time = max_time if params.max_time is not None else max(
                 X[order[-1]], *report_times)
             break
-        t += expovariate(lam * len(pending))
+        t += expovariate(len(pending))
         if first <= t and first <= max_time:
             stop_time = first
             break

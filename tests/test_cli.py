@@ -117,6 +117,25 @@ class TestTheory:
         assert err.startswith("rumorlab: error: ") and message in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--formula", "trickle_ft_lb", "--d", "4", "--theta", "inf"),
+        ("--formula", "diffusion_ft", "--d", "4", "--theta", "nan"),
+        ("--formula", "trickle_ml_lb", "--d", "4", "--theta", "1", "--t", "nan"),
+    ], ids=["inf-theta", "nan-theta", "nan-t"])
+    def test_non_finite_input_is_runtime_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "theory", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("rumorlab: error: ")
+
+    def test_table2_at_infinite_theta_leaves_theta_cells_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "4", "--theta", "inf",
+                               "--t", "6")
+        assert code == 0
+        values = {r["formula_id"]: r["value"] for r in parse_report_csv(out)}
+        assert float(values.pop("rc_constant")) > 0
+        assert set(values.values()) == {""}
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -206,6 +225,26 @@ class TestUsageErrors:
                                  "--axis", axis, "--values", values, "--trials", "20")
         assert (code, out) == (2, "")
         assert "integer values" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--protocol", "trickle", "--theta", "inf"),
+        ("simulate", "--protocol", "trickle", "--t", "inf"),
+        ("simulate", "--protocol", "diffusion", "--theta", "nan"),
+        ("simulate", "--protocol", "diffusion", "--t", "nan", "--max-infections", "50"),
+        ("simulate", "--protocol", "diffusion", "--workers", "0"),
+        ("sweep", "--protocol", "diffusion", "--axis", "theta", "--values", "1,nan"),
+        ("sweep", "--protocol", "trickle", "--axis", "t", "--values", "4,inf"),
+    ], ids=["inf-theta", "inf-t", "nan-theta", "nan-t", "no-workers", "nan-theta-axis",
+            "inf-t-axis"])
+    def test_non_finite_input_or_no_worker_exits_2(self, capsys, monkeypatch, argv):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out, err = run_cli(capsys, *argv, "--graph", "balanced-tree", "--d", "3",
+                                 "--depth", "3", "--trials", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("rumorlab: error: ")
 
     def test_rumor_centers_on_graph_with_cycles_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion",

@@ -33,7 +33,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SpreadParams("diffusion", theta=0.0)
     with pytest.raises(ValueError):
-        SpreadParams("diffusion", theta=1.0, lam=0)
+        SpreadParams("diffusion", theta=math.nan)
     # diffusion accepts a real report rate
     SpreadParams("diffusion", theta=0.25)
 

@@ -96,8 +96,8 @@ def test_diffusion_equals_stdlib_reference():
     for name, g in _graphs():
         finite = g.node_count != float("inf")
         for max_time, max_inf in _horizons("diffusion", finite):
-            for theta, lam in ((1.0, 1.0), (0.3, 0.5)):
-                params = SpreadParams("diffusion", theta=theta, lam=lam,
+            for theta in (1.0, 0.6):
+                params = SpreadParams("diffusion", theta=theta,
                                       max_time=max_time, max_infections=max_inf)
                 for first_report in (False, True):
                     for i, source in enumerate((0, 0, 0, 1, 2, 9)):
@@ -112,7 +112,7 @@ def test_diffusion_equals_stdlib_reference():
                         assert list(got.parent.items()) == list(want.parent.items())
                         assert a.getstate() == b.getstate(), (name, params, i)
                         runs["root" if g.is_lazy and source == 0 else "general"] += 1
-    # 2 rates x 2 stop rules per horizon.  The five trees of more than one
+    # 2 thetas x 2 stop rules per horizon.  The five trees of more than one
     # node (17 horizons) start 3 of 6 runs at the root; all 6 runs start at
     # the root of the one-node tree and off any tree on the random graph
     # (4 horizons each).
