@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 
 from . import analytics
@@ -119,13 +120,21 @@ def _points_from_args(args):
         raise UsageError(exc) from exc
 
 
+def _json_value(v):
+    """v with each non-finite float as the string float() reads back."""
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _config_header(args, extra=None):
+    """The flags as one line of strict JSON (no bare Infinity or NaN)."""
     skip = ("func", "out")  # the file's own location is not provenance
-    cfg = {k: v for k, v in sorted(vars(args).items())
+    cfg = {k: _json_value(v) for k, v in sorted(vars(args).items())
            if k not in skip and v is not None}
     if extra:
         cfg.update(extra)
-    return "# config " + json.dumps(cfg, sort_keys=True, default=str)
+    return "# config " + json.dumps(cfg, sort_keys=True, default=str, allow_nan=False)
 
 
 def _emit(text, out):

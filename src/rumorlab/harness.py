@@ -4,17 +4,22 @@ An ExperimentSpec bundles a graph recipe, spreading parameters, an adversary,
 one of five estimator ids, a trial count, and a master seed.  METHODS says
 which estimator runs with which adversary (first-timestamp in eavesdropper and
 spy forms), protocol and graph, and with which closed form.  run_experiment
-derives an independent rng stream per trial from (master_seed, trial index),
-simulates, observes, estimates, and aggregates hits into a DetectionReport
-with a Wilson 95% interval and, where a closed form applies, a theory overlay.
+runs the trials in blocks of _BLOCK = 64: block b draws from one rng stream,
+trial_stream(master_seed, b), on which its trials simulate, observe and
+estimate in order.  It aggregates hits into a DetectionReport with a Wilson
+95% interval and, where a closed form applies, a theory overlay.
 sweep runs one spec per axis value and run_experiment is its one-point case:
 each distinct (GraphSpec, master_seed) graph is built once, in the calling
 process, and shared by every point and worker; with workers > 1 all points run
-on one process pool, which is shut down before the call returns.
+on one process pool, each worker receives the graphs once when it starts, and
+the pool is shut down before the call returns.
 
-Reports are reproducible bit-for-bit: streams are keyed by trial index, not
-worker, so the result is independent of the worker count; all tie-break draws
-happen on the trial's own stream after its simulation draws.
+Reports are reproducible bit-for-bit: streams are keyed by block index, not
+worker, and each worker runs whole blocks, so the result is independent of
+the worker count, and the first n trials of a run are the trials of a run of
+n.  All tie-break draws happen on the block's stream after the trial's
+simulation draws, so one trial's draw count shifts the later trials of its
+block, but no other block.
 """
 
 import math
@@ -200,7 +205,7 @@ def _check_compatible(spec):
         raise ValueError(f"{est} is defined on trees only (graph kind tree or balanced-tree)")
     p = spec.params
     if (spec.graph.kind == "tree" and p.max_time is None and p.max_infections is None
-            and not (method.first_report and spec.adversary.estimation_time is None)):
+            and not _stops_at_first_report(spec)):
         raise ValueError("a full simulation on the infinite tree needs a horizon: "
                          "max_time (--t) or max_infections (--max-infections)")
     if est == "timestamp-rumor-centrality":
@@ -273,6 +278,11 @@ def wilson_interval(hits, trials):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+# Trials per random stream: the trials of a block run in order on the stream
+# trial_stream(master_seed, block index), so seeding costs one trial in 64.
+_BLOCK = 64
+
+
 def _build_graph(gspec, master_seed):
     if gspec.kind == "balanced-tree":
         return lazy_regular_tree(gspec.d, depth=gspec.depth)
@@ -283,32 +293,40 @@ def _build_graph(gspec, master_seed):
     return lazy_regular_tree(gspec.d, root_degree=gspec.root_degree)
 
 
-def _start_trial(spec, shared, index):
-    """(rng, source) of one trial.  Generated graphs carry the source at node
-    0; loaded snapshots draw a uniform source first on the trial's stream.
-    """
-    rng = trial_stream(spec.master_seed, index)
-    return rng, rng.randrange(shared.node_count) if spec.graph.kind == "file" else 0
+def _source(spec, g, rng):
+    """Generated graphs carry the source at node 0; loaded snapshots draw a
+    uniform source first, on the trial's stream."""
+    return rng.randrange(g.node_count) if spec.graph.kind == "file" else 0
 
 
-def _simulate(spec, g, rng, source):
+def _stops_at_first_report(spec):
+    """Whether the spec's trials end at their first report (t = infinity FT)."""
+    return (METHODS[spec.estimator, spec.adversary.model].first_report
+            and spec.adversary.estimation_time is None)
+
+
+def _simulate(spec, g, rng, source, first_report=False):
     sim = simulate_trickle if spec.params.protocol == "trickle" else simulate_diffusion
-    return sim(g, spec.params, rng, source=source)
+    return sim(g, spec.params, rng, source=source, first_report=first_report)
 
 
 def trial_trace(spec, index=0):
-    """Full spread of trial ``index`` on the graph, source and stream run_trial uses."""
+    """The spread of trial ``index``, as run_trial simulates it: the block's
+    earlier trials run first on the block's stream, and a first-report trial
+    stops at its first report."""
     g = _build_graph(spec.graph, spec.master_seed)
-    rng, source = _start_trial(spec, g, index)
-    return _simulate(spec, g, rng, source)
+    rng = trial_stream(spec.master_seed, index // _BLOCK)
+    for _ in range(index - index % _BLOCK, index):
+        run_trial(spec, g, rng)
+    return _simulate(spec, g, rng, _source(spec, g, rng), _stops_at_first_report(spec))
 
 
-def run_trial(spec, g, index):
-    """One trial on graph g: (hit, strict_win, stop_time or None).
+def run_trial(spec, g, rng):
+    """One trial on graph g, drawing from rng: (hit, strict_win, stop_time or None).
 
     A trial in which the adversary observed nothing is a counted miss.
     """
-    rng, source = _start_trial(spec, g, index)
+    source = _source(spec, g, rng)
     adv = spec.adversary
     method = METHODS[spec.estimator, adv.model]
 
@@ -333,16 +351,33 @@ def run_trial(spec, g, index):
     return (result.chosen == source, strict, trace.stop_time)
 
 
-def _run_block(spec, shared, lo, hi):
+def _run_block(spec, g, lo, hi):
+    """Trials lo..hi-1 on graph g; lo is a multiple of _BLOCK."""
     hits = strict = 0
     stops = []
     for i in range(lo, hi):
-        hit, s, stop = run_trial(spec, shared, i)
+        if i % _BLOCK == 0:
+            rng = trial_stream(spec.master_seed, i // _BLOCK)
+        hit, s, stop = run_trial(spec, g, rng)
         hits += bool(hit)
         strict += bool(s)
         if stop is not None:
             stops.append(stop)
     return hits, strict, stops
+
+
+# A pool worker's graphs, keyed by (GraphSpec, master_seed); set once per
+# worker by _init_worker, and never in the calling process.
+_worker_graphs = None
+
+
+def _init_worker(graphs):
+    global _worker_graphs
+    _worker_graphs = graphs
+
+
+def _run_pooled_block(spec, lo, hi):
+    return _run_block(spec, _worker_graphs[spec.graph, spec.master_seed], lo, hi)
 
 
 def run_points(specs):
@@ -352,17 +387,23 @@ def run_points(specs):
         key = (spec.graph, spec.master_seed)
         if key not in graphs:
             graphs[key] = _build_graph(spec.graph, spec.master_seed)
-        chunk = math.ceil(spec.trials / spec.workers)
-        points.append([(spec, graphs[key], lo, min(lo + chunk, spec.trials))
+        # Whole blocks per chunk, so no block's stream is split across workers.
+        chunk = -(-spec.trials // (spec.workers * _BLOCK)) * _BLOCK
+        points.append([(lo, min(lo + chunk, spec.trials))
                        for lo in range(0, spec.trials, chunk)])
     workers = max((spec.workers for spec in specs), default=1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    # Each worker receives the graphs once, at its start.
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                initargs=(graphs,)) if workers > 1 else None)
     reports = []
     try:
         if pool is not None:
-            points = [[pool.submit(_run_block, *block) for block in blocks] for blocks in points]
-        for spec, blocks in zip(specs, points):
-            parts = [b.result() if pool is not None else _run_block(*b) for b in blocks]
+            points = [[pool.submit(_run_pooled_block, spec, lo, hi) for lo, hi in chunks]
+                      for spec, chunks in zip(specs, points)]
+        for spec, chunks in zip(specs, points):
+            g = graphs[spec.graph, spec.master_seed]
+            parts = [c.result() if pool is not None else _run_block(spec, g, *c)
+                     for c in chunks]
             reports.append(_aggregate(spec, parts))
     finally:
         if pool is not None:

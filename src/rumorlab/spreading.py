@@ -34,9 +34,10 @@ adversary report times, infection parents, and the realized horizon.
 Adversary models are applied afterwards (see rumorlab.adversary) so a single
 trace can feed several observers.
 
-Reproducibility: a simulation owns its rng stream; the harness derives one
-stream per trial from (master_seed, trial_index) with trial_stream(), so
-results do not depend on scheduling or worker count.
+Reproducibility: a simulation draws only from the rng stream it is given.
+The harness derives one stream per block of 64 trials from (master_seed,
+block index) with trial_stream() and runs the block's trials on it in
+order, so results do not depend on scheduling or worker count.
 """
 
 import math
@@ -52,9 +53,10 @@ _MASK64 = (1 << 64) - 1
 TAP = "tap"
 
 
-def trial_stream(master_seed, trial_index):
-    """Independent per-trial stream: trial index mixed into the master seed."""
-    return random.Random(((master_seed & _MASK64) << 64) | (trial_index & _MASK64))
+def trial_stream(master_seed, index):
+    """Independent stream: an index (the harness's block index) mixed into
+    the master seed."""
+    return random.Random(((master_seed & _MASK64) << 64) | (index & _MASK64))
 
 
 @dataclass

@@ -5,7 +5,9 @@ functions are recomputed by adaptive quadrature (scipy.integrate.quad),
 including a genuine principal-value integral for the exponential integral,
 diffusion is re-simulated with one timed event per relay and report,
 first-report trials are re-run by loops of their own that stop at the first
-report (the package folds that stop rule into its simulators), and tree
+report (the package folds that stop rule into its simulators), diffusion
+first-report detection from the tree's root is summed exactly over the
+infection count, and tree
 centers are found by testing every side of every node of a Steiner tree
 built from whole tree paths (the package walks one rooted count).  The
 balanced tree is built node by node as an explicit graph (the package
@@ -213,6 +215,31 @@ def heap_first_report_diffusion(g, params, rng, source=0):
                 seq += 1
                 heappush(heap, (t + rng.expovariate(1.0), seq, "infect", u))
     return FirstReport(frozenset(), None)
+
+
+def tree_root_diffusion_ft(d, theta, root_degree=None, max_infections=None):
+    """Exact P(hit) of the diffusion first-timestamp experiment at t =
+    infinity from the root of the infinite d-regular tree whose root has
+    root_degree r (default d).
+
+    By memorylessness the trial is a Markov chain.  With n nodes infected,
+    b_n = r + (n-1)(d-2) relays are pending at rate 1 each and n reports at
+    rate theta each, so the source's report comes next with probability
+    theta/(b_n + n theta) and an infection with b_n/(b_n + n theta):
+    P(hit) = sum over n of [prod over k < n of b_k/(b_k + k theta)] *
+    theta/(b_n + n theta).  The run ends at the max_infections-th infection
+    K, so the sum then stops at n = K - 1.  At r = d - 2 this is
+    analytics.diffusion_ft.
+    """
+    r = d if root_degree is None else root_degree
+    last = math.inf if max_infections is None else max_infections - 1
+    total, reach, n = 0.0, 1.0, 1  # reach: P(n infected, no report yet)
+    while n <= last and reach > 1e-18:  # the rest of the sum is below reach
+        b = r + (n - 1) * (d - 2)
+        total += reach * theta / (b + n * theta)
+        reach *= b / (b + n * theta)
+        n += 1
+    return total
 
 
 def steiner_tree(g, terminals):

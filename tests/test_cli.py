@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,18 @@ class TestTheory:
         assert header.startswith("# config ")
         cfg = json.loads(header[len("# config "):])
         assert cfg["formula"] == "spy_ft_lb"
+
+    def test_config_header_is_strict_json(self, capsys):
+        # A non-finite float is written as the string float() reads back,
+        # never as the bare Infinity or NaN that strict parsers reject.
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "4", "--theta", "inf,nan,2")
+        assert code == 0
+        cfg = json.loads(out.splitlines()[0][len("# config "):], parse_constant=reject)
+        assert cfg["theta"] == ["inf", "nan", 2.0]
+        assert float(cfg["theta"][0]) == math.inf
 
     @pytest.mark.parametrize("argv, message", [
         ((), "formula"),
@@ -317,6 +332,20 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "node,X,first_report_time,parent"
         assert len(lines) > 1
+
+    def test_dump_trace_of_a_first_report_run_ends_at_its_first_report(self, tmp_path):
+        # No horizon is needed at t = infinity; the dump used to run trial 0
+        # as a full spread on the infinite tree, which never ended.
+        dump = tmp_path / "trace.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+        subprocess.run([sys.executable, "-m", "rumorlab.cli", "simulate", "--protocol",
+                        "diffusion", "--d", "4", "--root-degree", "2", "--theta", "0.3",
+                        "--trials", "2000", "--seed", "5", "--dump-trace", str(dump),
+                        "--out", str(tmp_path / "r.csv")], env=env, timeout=120, check=True)
+        records = list(csv.DictReader(io.StringIO(dump.read_text())))
+        reported = [float(r["first_report_time"]) for r in records if r["first_report_time"]]
+        assert len(reported) == 1
+        assert reported[0] >= max(float(r["X"]) for r in records)
 
     def test_dump_trace_on_file_graph_starts_at_trial_zero_source(self, tmp_path):
         edges = tmp_path / "ring.edges"

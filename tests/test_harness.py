@@ -13,11 +13,14 @@ from rumorlab.harness import (
     ExperimentSpec,
     GraphSpec,
     run_experiment,
+    run_points,
     sweep,
     sweep_specs,
+    trial_trace,
     wilson_interval,
 )
-from rumorlab.spreading import SpreadParams
+from rumorlab.spreading import SpreadParams, simulate_diffusion, simulate_trickle, trial_stream
+from oracles import tree_root_diffusion_ft
 
 
 def ft_spec(protocol="diffusion", d=4, theta=1.0, trials=500, seed=1, **kw):
@@ -425,3 +428,90 @@ class TestSharedGraphSweep:
         reports = sweep(rr_spec(workers=2), "theta", [1.0, 2.0])
         assert len(reports) == 2
         assert multiprocessing.active_children() == []
+
+
+class TestExactTreeAnchor:
+    """Diffusion first-report p_hat from the tree's root against the exact sum."""
+
+    def test_sum_is_the_closed_form_at_root_degree_d_minus_2(self):
+        for d, theta in [(3, 0.5), (4, 1.0), (5, 1.0), (8, 3.0)]:
+            assert tree_root_diffusion_ft(d, theta, root_degree=d - 2) == pytest.approx(
+                diffusion_ft(d, theta).value, abs=1e-12)
+        assert tree_root_diffusion_ft(4, 1.0) == pytest.approx(0.43278, abs=5e-6)
+
+    @pytest.mark.parametrize("d, root_degree, theta, max_infections, seed", [
+        (4, None, 1.0, None, 21),
+        (5, None, 1.0, None, 22),
+        (4, 2, 1.0, None, 23),
+        (5, 3, 2.0, None, 24),
+        (4, None, 1.0, 6, 25),
+        (4, 2, 0.5, 3, 26),
+        (6, 4, 1.0, 8, 27),
+    ])
+    def test_p_hat_within_four_standard_errors(self, d, root_degree, theta, max_infections,
+                                               seed):
+        trials = 5000  # 79 blocks
+        spec = ExperimentSpec(GraphSpec(kind="tree", d=d, root_degree=root_degree),
+                              SpreadParams("diffusion", theta=theta,
+                                           max_infections=max_infections),
+                              AdversarySpec("eavesdropper"), "first-timestamp",
+                              trials=trials, master_seed=seed)
+        exact = tree_root_diffusion_ft(d, theta, root_degree, max_infections)
+        p_hat = run_experiment(spec).p_hat
+        assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials), (p_hat, exact)
+
+
+def block_spec(graph, protocol, trials=1, workers=1):
+    return ExperimentSpec(graph, SpreadParams(protocol, theta=1.0), AdversarySpec("eavesdropper"),
+                          "first-timestamp", trials=trials, master_seed=13, workers=workers)
+
+
+class TestBlocks:
+    """Trials run in blocks of 64 on one stream each (harness._BLOCK)."""
+
+    GRAPHS = [GraphSpec(kind="random-regular", d=4, n=60), GraphSpec(kind="tree", d=4)]
+
+    @pytest.mark.parametrize("protocol", ["trickle", "diffusion"])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=["random-regular", "tree"])
+    def test_rows_identical_at_any_worker_count(self, graph, protocol):
+        rows = [[outcome(r) for r in run_points([block_spec(graph, protocol, n, w)
+                                                 for n in (1, 63, 64, 65, 333)])]
+                for w in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=["random-regular", "tree"])
+    def test_first_n_trials_are_the_run_of_n(self, graph, monkeypatch):
+        outcomes = []
+        real = harness.run_trial
+
+        def recording(*args):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(harness, "run_trial", recording)
+        run_experiment(block_spec(graph, "trickle", trials=333))
+        full = list(outcomes)
+        assert len(full) == 333 and len(set(full)) > 1
+        for n in (1, 63, 64, 65, 200):
+            outcomes.clear()
+            run_experiment(block_spec(graph, "trickle", trials=n))
+            assert outcomes == full[:n], n
+
+    @pytest.mark.parametrize("spec, simulate, first_report", [
+        # The FT experiment at t = infinity stops at its first report.
+        (ft_spec(theta=0.3, root_degree=2, seed=5), simulate_diffusion, True),
+        (dataclasses.replace(block_spec(GraphSpec(kind="random-regular", d=4, n=60), "trickle"),
+                             params=SpreadParams("trickle", theta=1, max_time=5),
+                             adversary=AdversarySpec("eavesdropper", estimation_time=5)),
+         simulate_trickle, False),
+    ], ids=["first-report", "full-spread"])
+    @pytest.mark.parametrize("index, block, earlier", [(0, 0, 0), (70, 1, 6), (129, 2, 1)])
+    def test_trial_trace_replays_the_block(self, spec, simulate, first_report, index, block,
+                                           earlier):
+        g = harness._build_graph(spec.graph, spec.master_seed)
+        rng = trial_stream(spec.master_seed, block)
+        for _ in range(earlier):
+            harness.run_trial(spec, g, rng)
+        expected = simulate(g, spec.params, rng, source=0, first_report=first_report)
+        assert trial_trace(spec, index) == expected
+        assert (len(expected.reports) == 1) if first_report else expected.stop_time == 5
