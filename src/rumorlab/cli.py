@@ -26,7 +26,7 @@ from .harness import (
     AdversarySpec,
     ExperimentSpec,
     GraphSpec,
-    run_experiment,
+    build_graph,
     run_points,
     sweep_specs,
     trial_trace,
@@ -147,7 +147,8 @@ def _emit(text, out):
 
 def _rows_to_output(rows, columns, header, fmt):
     if fmt == "json":
-        return json.dumps({"config": header, "rows": rows}, indent=2) + "\n"
+        rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        return json.dumps({"config": header, "rows": rows}, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     buf.write(header + "\n")
     writer = csv.DictWriter(buf, fieldnames=columns)
@@ -199,10 +200,11 @@ def cmd_theory(args):
 
 def cmd_simulate(args):
     spec = _spec_from_args(args)
+    graph = build_graph(spec.graph, spec.master_seed)
     if args.dump_trace:
         with open(args.dump_trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_csv(trial_trace(spec)))
-    report = run_experiment(spec)
+            fh.write(trace_to_csv(trial_trace(spec, graph)))
+    report = run_points([spec], {(spec.graph, spec.master_seed): graph})[0]
     rows = [report.csv_fields()]
     _emit(_rows_to_output(rows, CSV_COLUMNS, _config_header(args), args.format), args.out)
     return 0

@@ -7,12 +7,13 @@ spy forms), protocol and graph, and with which closed form.  run_experiment
 runs the trials in blocks of _BLOCK = 64: block b draws from one rng stream,
 trial_stream(master_seed, b), on which its trials simulate, observe and
 estimate in order.  It aggregates hits into a DetectionReport with a Wilson
-95% interval and, where a closed form applies, a theory overlay.
+95% interval, a theory overlay where a closed form applies, and the
+strict-win rate where that form is the trickle strict-win bound.
 sweep runs one spec per axis value and run_experiment is its one-point case:
-each distinct (GraphSpec, master_seed) graph is built once, in the calling
-process, and shared by every point and worker; with workers > 1 all points run
-on one process pool, each worker receives the graphs once when it starts, and
-the pool is shut down before the call returns.
+each distinct (GraphSpec, master_seed) graph is built once, by the caller or
+in the calling process, and shared by every point and worker; with workers > 1
+all points run on one process pool, each worker receives the graphs once when
+it starts, and the pool is shut down before the call returns.
 
 Reports are reproducible bit-for-bit: streams are keyed by block index, not
 worker, and each worker runs whole blocks, so the result is independent of
@@ -56,16 +57,15 @@ class Method:
     its closed form there, or None.  estimate(obs, g, t, rng, theta)
     returns an EstimateResult; it looks the layer functions up in this module
     when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
-    every eavesdropper tap; strict_win reports the trickle strict-win rate;
-    first_report stops the trial at the first report when t = infinity, since
-    nothing after it can change the argmin.
+    every eavesdropper tap; first_report stops the trial at the first report
+    when t = infinity (_stops_at_first_report), since nothing after it can
+    change the argmin.
     """
 
     theory: dict
     estimate: object
     trees_only: bool = False
     keep_all: bool = False
-    strict_win: bool = False
     first_report: bool = False
 
 
@@ -78,8 +78,7 @@ def _rumor_center(obs, g, t, rng, theta):
 METHODS = {
     ("first-timestamp", "eavesdropper"): Method(
         {"trickle": "trickle_ft_lb", "diffusion": "diffusion_ft"},
-        lambda obs, g, t, rng, theta: first_timestamp(obs, rng),
-        strict_win=True, first_report=True),
+        lambda obs, g, t, rng, theta: first_timestamp(obs, rng), first_report=True),
     ("first-timestamp", "spy"): Method(
         {"trickle": "spy_ft_lb", "diffusion": "spy_ft_lb"},
         lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng)),
@@ -102,7 +101,7 @@ METHODS = {
 
 ESTIMATORS = tuple(dict.fromkeys(est for est, _ in METHODS))
 
-ADVERSARIES = ("eavesdropper", "spy", "snapshot")
+ADVERSARIES = tuple(dict.fromkeys(adv for _, adv in METHODS))
 
 GRAPH_KINDS = ("tree", "balanced-tree", "random-regular", "file")
 
@@ -205,7 +204,7 @@ def _check_compatible(spec):
         raise ValueError(f"{est} is defined on trees only (graph kind tree or balanced-tree)")
     p = spec.params
     if (spec.graph.kind == "tree" and p.max_time is None and p.max_infections is None
-            and not _stops_at_first_report(spec)):
+            and not _stops_at_first_report(method, spec.adversary)):
         raise ValueError("a full simulation on the infinite tree needs a horizon: "
                          "max_time (--t) or max_infections (--max-infections)")
     if est == "timestamp-rumor-centrality":
@@ -214,8 +213,7 @@ def _check_compatible(spec):
             t = p.max_time
         if t is None:
             raise ValueError("timestamp rumor centrality needs an estimation time (--t)")
-        check_setting(spec.graph.d, p.theta, t,
-                      spec.graph.root_degree if spec.graph.kind == "tree" else None)
+        check_setting(spec.graph.d, p.theta, t, spec.graph.root_degree)
 
 
 @dataclass
@@ -283,7 +281,8 @@ def wilson_interval(hits, trials):
 _BLOCK = 64
 
 
-def _build_graph(gspec, master_seed):
+def build_graph(gspec, master_seed):
+    """The graph gspec describes; a random-regular graph is seeded by master_seed."""
     if gspec.kind == "balanced-tree":
         return lazy_regular_tree(gspec.d, depth=gspec.depth)
     if gspec.kind == "random-regular":
@@ -299,10 +298,10 @@ def _source(spec, g, rng):
     return rng.randrange(g.node_count) if spec.graph.kind == "file" else 0
 
 
-def _stops_at_first_report(spec):
-    """Whether the spec's trials end at their first report (t = infinity FT)."""
-    return (METHODS[spec.estimator, spec.adversary.model].first_report
-            and spec.adversary.estimation_time is None)
+def _stops_at_first_report(method, adversary):
+    """Whether a trial of method against adversary ends at its first report
+    (eavesdropper first-timestamp at t = infinity)."""
+    return method.first_report and adversary.estimation_time is None
 
 
 def _simulate(spec, g, rng, source, first_report=False):
@@ -310,19 +309,19 @@ def _simulate(spec, g, rng, source, first_report=False):
     return sim(g, spec.params, rng, source=source, first_report=first_report)
 
 
-def trial_trace(spec, index=0):
-    """The spread of trial ``index``, as run_trial simulates it: the block's
-    earlier trials run first on the block's stream, and a first-report trial
-    stops at its first report."""
-    g = _build_graph(spec.graph, spec.master_seed)
-    rng = trial_stream(spec.master_seed, index // _BLOCK)
-    for _ in range(index - index % _BLOCK, index):
-        run_trial(spec, g, rng)
-    return _simulate(spec, g, rng, _source(spec, g, rng), _stops_at_first_report(spec))
+def trial_trace(spec, g):
+    """The spread of the spec's trial 0 on g, the run's own graph, as run_trial
+    simulates it: the first draws of block 0's stream, stopping at the first
+    report where the trial does."""
+    rng = trial_stream(spec.master_seed, 0)
+    first_report = _stops_at_first_report(METHODS[spec.estimator, spec.adversary.model],
+                                          spec.adversary)
+    return _simulate(spec, g, rng, _source(spec, g, rng), first_report)
 
 
 def run_trial(spec, g, rng):
-    """One trial on graph g, drawing from rng: (hit, strict_win, stop_time or None).
+    """One trial on graph g, drawing from rng: (hit, strict_win, stop_time or
+    None), where strict_win means the source alone is the tie set.
 
     A trial in which the adversary observed nothing is a counted miss.
     """
@@ -330,7 +329,7 @@ def run_trial(spec, g, rng):
     adv = spec.adversary
     method = METHODS[spec.estimator, adv.model]
 
-    if method.first_report and adv.estimation_time is None:
+    if _stops_at_first_report(method, adv):
         res = first_report_trial(g, spec.params, rng, source=source)
         if not res.reporters:
             return (False, False, None)
@@ -347,8 +346,7 @@ def run_trial(spec, g, rng):
     if not (obs.first_reports or obs.spy_times or obs.snapshot):
         return (False, False, trace.stop_time)
     result = method.estimate(obs, g, t, rng, spec.params.theta)
-    strict = method.strict_win and result.candidates == {source}
-    return (result.chosen == source, strict, trace.stop_time)
+    return (result.chosen == source, result.candidates == {source}, trace.stop_time)
 
 
 def _run_block(spec, g, lo, hi):
@@ -380,13 +378,15 @@ def _run_pooled_block(spec, lo, hi):
     return _run_block(spec, _worker_graphs[spec.graph, spec.master_seed], lo, hi)
 
 
-def run_points(specs):
-    """One report per spec, in order (see the module docstring)."""
-    graphs, points = {}, []
+def run_points(specs, graphs=None):
+    """One report per spec, in order (see the module docstring).  graphs maps
+    (GraphSpec, master_seed) to a graph the caller already built; run_points
+    builds the others."""
+    graphs, points = dict(graphs or {}), []
     for spec in specs:
         key = (spec.graph, spec.master_seed)
         if key not in graphs:
-            graphs[key] = _build_graph(spec.graph, spec.master_seed)
+            graphs[key] = build_graph(spec.graph, spec.master_seed)
         # Whole blocks per chunk, so no block's stream is split across workers.
         chunk = -(-spec.trials // (spec.workers * _BLOCK)) * _BLOCK
         points.append([(lo, min(lo + chunk, spec.trials))
@@ -417,11 +417,10 @@ def _aggregate(spec, parts):
     stops = [stop for block in stops for stop in block]
     # fsum is exact, so the mean does not depend on how blocks split the trials.
     mean_stop = math.fsum(stops) / len(stops) if stops else None
-    strict_wins = (METHODS[spec.estimator, spec.adversary.model].strict_win
-                   and spec.params.protocol == "trickle")
+    formula = METHODS[spec.estimator, spec.adversary.model].theory[spec.params.protocol]
     return DetectionReport(
         spec, hits, spec.trials, hits / spec.trials, *wilson_interval(hits, spec.trials),
-        strict_win_rate=strict / spec.trials if strict_wins else None,
+        strict_win_rate=strict / spec.trials if formula == "trickle_ft_lb" else None,
         theory=theory_overlay(spec), mean_stop_time=mean_stop,
     )
 

@@ -185,7 +185,8 @@ class _Store:
         hidden = theta - len(R)
 
         if par is None:
-            xs = [0]
+            # The source's own taps must fit its slot window from x = 0.
+            xs = [0] if not R or (R[0] >= 1 and R[-1] <= k) else []
         elif R:
             # Taps live in the slot window: R[-1] <= x + k and R[0] >= x + 1.
             xs = range(max(1, R[-1] - k), R[0])
@@ -199,13 +200,9 @@ class _Store:
         R_set = set(R)
         table = {}
         for x in xs:
-            if x > t:
-                continue
             e = min(x + k, t)
             if hidden > k - (e - x):
                 continue  # not enough unrealized slots to hide the unseen taps
-            if R and (R[0] <= x or R[-1] > x + k):
-                continue
             child_times = [y for y in range(x + 1, e + 1) if y not in R_set]
             if len(child_times) < len(skel_kids):
                 continue

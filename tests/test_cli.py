@@ -121,6 +121,17 @@ class TestTheory:
         assert cfg["theta"] == ["inf", "nan", 2.0]
         assert float(cfg["theta"][0]) == math.inf
 
+    def test_json_rows_are_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, "theory", "--table2", "--d", "4", "--theta", "inf,nan",
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert {row["theta"] for row in rows} == {"inf", "nan"}
+        assert float(rows[0]["theta"]) == math.inf
+
     @pytest.mark.parametrize("argv, message", [
         ((), "formula"),
         *((("--formula", formula), "got None") for formula in FORMULAS),
@@ -332,6 +343,21 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "node,X,first_report_time,parent"
         assert len(lines) > 1
+
+    def test_dump_trace_builds_the_graph_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.build_random_regular
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(harness, "build_random_regular", counting)
+        assert main(["simulate", "--protocol", "diffusion", "--graph", "random-regular",
+                     "--n", "200", "--d", "4", "--trials", "70", "--seed", "3",
+                     "--dump-trace", str(tmp_path / "x.csv"),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(calls) == 1
 
     def test_dump_trace_of_a_first_report_run_ends_at_its_first_report(self, tmp_path):
         # No horizon is needed at t = infinity; the dump used to run trial 0

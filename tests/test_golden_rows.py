@@ -11,6 +11,7 @@ so where the change is described:
     PYTHONPATH=src:tests python tests/test_golden_rows.py --write
 """
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -104,6 +105,20 @@ def test_rows_and_rejections_match_the_recording(tmp_path):
         assert {key[i] for key in valid} == set(names)
     for key, row in recorded.items():
         assert got[key] == row, key
+
+
+def test_every_combination_gives_the_same_report_at_two_workers(tmp_path):
+    # 129 trials: three blocks of 64, split over two chunks at two workers,
+    # so each worker starts from the pool's initializer.
+    specs = combinations(write_edge_list(tmp_path / "circulant.edges")).values()
+    specs = [spec for spec in specs if spec is not None]
+
+    def reports(workers):
+        points = [dataclasses.replace(spec, trials=129, workers=workers) for spec in specs]
+        return [(r.hits, r.strict_win_rate, r.mean_stop_time, r.theory)
+                for r in run_points(points)]
+
+    assert reports(1) == reports(2)
 
 
 if __name__ == "__main__":
