@@ -29,9 +29,16 @@ class Observation:
 
 
 def observe_eavesdropper(trace, t=math.inf, keep_all=False):
-    """Report times filtered to <= t; keep_all retains all theta tap times."""
+    """Report times filtered to <= t; keep_all retains all theta tap times.
+
+    A diffusion trace's first reports come straight from its report_times,
+    in infection order as its reports dict lists them."""
     if t < 0:
         raise ValueError("estimation time must be >= 0")
+    if trace.report_times is not None and not keep_all:
+        bound = min(t, trace.stop_time)
+        first = {v: r for v, r in zip(trace.X, trace.report_times) if r <= bound}
+        return Observation("eavesdropper", first_reports=first)
     first = {}
     full = {}
     for v, times in trace.reports.items():
@@ -54,12 +61,13 @@ def observe_spy(trace, p, t=math.inf, rng=None):
         raise ValueError("spy sampling needs an rng stream")
     times = {}
     infectors = {}
-    for v in trace.X:
-        if v == trace.source or trace.X[v] > t:
+    source, parent = trace.source, trace.parent
+    for v, x in trace.X.items():
+        if v == source or x > t:
             continue
         if p == 1 or (p > 0 and rng.random() < p):
-            times[v] = trace.X[v]
-            infectors[v] = trace.parent[v]
+            times[v] = x
+            infectors[v] = parent[v]
     return Observation("spy", spy_times=times, spy_infectors=infectors)
 
 

@@ -117,11 +117,15 @@ def _steiner_parents(g, terminals):
     terminals = sorted(terminals)
     anchor = terminals[0]
     parent = {anchor: None}
-    parent_of = g.parent_of if g.is_lazy else None
+    lazy = g.is_lazy
+    if lazy:
+        r, c = g.root_degree, g.d - 1
     for v in terminals[1:]:
-        if parent_of is not None and (p := parent_of(v)) in parent:
-            parent[v] = p
-            continue
+        if lazy:
+            p = 0 if v <= r else (v - r - 1) // c + 1  # g.parent_of(v), as v > 0
+            if p in parent:
+                parent[v] = p
+                continue
         path = tree_path(g, v, anchor, stop=parent)
         for i in range(len(path) - 2, -1, -1):
             parent[path[i]] = path[i + 1]

@@ -89,7 +89,8 @@ class LazyRegularTree:
 
     With ``depth`` the nodes at depth hops are leaves and no node lies past
     them: node ids run 0..node_count-1, with node_count
-    1 + r * sum((d-1)**k, k < depth).  Without it node_count is INFINITY.
+    1 + r * sum((d-1)**k, k < depth), and the leaves are the ids from
+    first_leaf on.  Without it node_count and first_leaf are INFINITY.
     """
 
     is_lazy = True
@@ -106,13 +107,13 @@ class LazyRegularTree:
         self.degree_hint = d
         self.depth = depth
         self.node_count = INFINITY
+        self.first_leaf = INFINITY
         if depth is not None:
             if depth < 0:
                 raise ValueError(f"depth must be >= 0, got {depth}")
             level_sizes = [1] + [root_degree * (d - 1) ** k for k in range(depth)]
             self.node_count = sum(level_sizes)
-            # Ids below _inner lie above the cut; the rest are its leaves.
-            self._inner = self.node_count - level_sizes[-1]
+            self.first_leaf = self.node_count - level_sizes[-1]
             # Only the cut tree tests for leaves and the node range; the
             # infinite tree's hot queries stay as they are.
             self.neighbors, self.degree = self._cut_neighbors, self._cut_degree
@@ -151,14 +152,14 @@ class LazyRegularTree:
     def _cut_neighbors(self, v):
         if not self.has_node(v):
             raise ValueError(f"unknown node {v}")
-        if v < self._inner:
+        if v < self.first_leaf:
             return LazyRegularTree.neighbors(self, v)
         return [self.parent_of(v)] if v else []
 
     def _cut_children(self, v):
         if not self.has_node(v):
             raise ValueError(f"unknown node {v}")
-        return LazyRegularTree.children(self, v) if v < self._inner else range(0)
+        return LazyRegularTree.children(self, v) if v < self.first_leaf else range(0)
 
     def _cut_degree(self, v):
         return len(self._cut_neighbors(v))

@@ -459,6 +459,8 @@ def sweep_specs(base, axis, values):
     runs, if any point is rejected."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+    if not values:
+        raise ValueError(f"a {axis} sweep needs at least one value")
     if axis == "d" and base.graph.kind == "file":
         raise ValueError("a file graph is built without reading d, so every d point "
                          "would run the same trials")

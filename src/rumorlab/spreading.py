@@ -14,8 +14,9 @@ with the infection and, the delays being memoryless, fires the pending relays
 one at a time.  From the root of a LazyRegularTree, the source of every
 generated graph, each relay runs from a parent to a child nobody has
 infected yet, so there it keeps one list of pending targets, extended by
-children(v), and tests nothing for infection; explicit graphs and other
-sources take the general loop, which filters neighbors(v) by the infected.
+each new node's child id range, and tests nothing for infection; explicit
+graphs and other sources take the general loop, which filters neighbors(v)
+by the infected.
 
 Both simulators make the draws of the stdlib's random.Random wrappers, call
 for call, straight from the generator: an Exp(rate) delay is
@@ -30,9 +31,12 @@ first_report_trial, the t = infinity first-timestamp experiment, is that rule
 and nothing more, so it honours max_time and max_infections like a full run.
 
 The ground truth lives in a SpreadTrace: per-node infection times X, per-node
-adversary report times, infection parents, and the realized horizon.
-Adversary models are applied afterwards (see rumorlab.adversary) so a single
-trace can feed several observers.
+adversary report times, infection parents, and the realized horizon.  A
+diffusion run stores its report times as one list in infection order and the
+per-node dict is built only if read; from the tree's root the parents are
+not stored at all, but read from the tree.  Adversary models are applied
+afterwards (see rumorlab.adversary) so a single trace can feed several
+observers.
 
 Reproducibility: a simulation draws only from the rng stream it is given.
 The harness derives one stream per block of 64 trials from (master_seed,
@@ -42,6 +46,7 @@ order, so results do not depend on scheduling or worker count.
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import log
 
@@ -87,15 +92,54 @@ class SpreadParams:
             raise ValueError("max_infections must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SpreadTrace:
+    """The ground truth of one run.  A diffusion run passes no reports dict
+    but its report_times, one per infected node in infection order; reports
+    is built from them on first read.  Traces compare by value."""
+
     protocol: str
     source: int
     X: dict  # node -> infection time, in infection order
-    reports: dict
-    parent: dict
+    _reports: dict | None  # node -> report times up to stop_time
+    parent: dict  # node -> relaying node; a TreeParents view from a tree's root
     stop_time: float
     skipped: int = 0  # trickle slots spent on already-infected targets
+    report_times: list | None = None
+
+    @property
+    def reports(self):
+        if self._reports is None:
+            stop = self.stop_time
+            self._reports = {w: [r] for w, r in zip(self.X, self.report_times)
+                             if r <= stop}
+        return self._reports
+
+    def __eq__(self, other):
+        if not isinstance(other, SpreadTrace):
+            return NotImplemented
+        fields = ("protocol", "source", "X", "reports", "parent", "stop_time", "skipped")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+
+class TreeParents(Mapping):
+    """node -> parent over the infected nodes X of a LazyRegularTree, each
+    parent computed by the tree's parent_of when it is read."""
+
+    def __init__(self, X, parent_of):
+        self._X = X
+        self._parent_of = parent_of
+
+    def __getitem__(self, v):
+        if v not in self._X:
+            raise KeyError(v)
+        return self._parent_of(v)
+
+    def __iter__(self):
+        return iter(self._X)
+
+    def __len__(self):
+        return len(self._X)
 
 
 @dataclass(frozen=True)
@@ -204,11 +248,13 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     generated graph) a second loop runs.  There every relay runs from a
     parent to a child, and the only path from the root to a node passes its
     parent, so no relay lands on an infected node: the loop keeps only the
-    pending targets, adds children(v) on each infection and makes no
-    infected test; a target's sender is its parent.  Its draws, picks and
-    swaps are the general loop's, whose neighbors(v) less the infected
-    parent are children(v) in order, so the trace and the stream left
-    behind are the same.
+    pending targets, adds v's child id range on each infection (computed
+    from v, empty from the cut tree's first_leaf on) and makes no infected
+    test.  A target's sender is its parent, so the trace's parent is a
+    TreeParents view that asks the tree.  Its draws, picks and swaps are the
+    general loop's, whose neighbors(v) less the infected parent are
+    children(v) in order, so the trace and the stream left behind are the
+    same.
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
@@ -223,7 +269,8 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     stop_time = None  # stays None when no relay is left
     t, v = 0.0, source
     if g.is_lazy and source == 0:
-        children = g.children
+        # Node v >= 1 has children r+(v-1)c+1 .. r+vc, none from first_leaf on.
+        r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
         targets = []  # pending relays not yet fired
         while True:
             X[v] = t
@@ -235,7 +282,11 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             report_times.append(report)
             if first_report and report < first:
                 first = report
-            targets += children(v)
+            if not v:
+                targets += g.children(0)
+            elif v < first_leaf:
+                lo = r + (v - 1) * c
+                targets += range(lo + 1, lo + c + 1)
             b = len(targets)
             if not b:
                 break
@@ -254,8 +305,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             v = targets[i]
             targets[i] = targets[-1]
             targets.pop()
-        parent_of = g.parent_of
-        parent = {w: parent_of(w) for w in X}
+        parent = TreeParents(X, g.parent_of)
     else:
         neighbors = g.neighbors
         parent = {}
@@ -303,8 +353,8 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             # The latest infection or report, not the clock, which may have
             # moved on through relays that had no effect.
             stop_time = max(*X.values(), *report_times)
-    reports = {w: [r] for w, r in zip(X, report_times) if r <= stop_time}
-    return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
+    return SpreadTrace("diffusion", source, X, None, parent, stop_time,
+                       report_times=report_times)
 
 
 def first_report_trial(g, params, rng, source=0):
@@ -319,9 +369,8 @@ def first_report_trial(g, params, rng, source=0):
     """
     sim = simulate_trickle if params.protocol == "trickle" else simulate_diffusion
     trace = sim(g, params, rng, source=source, first_report=True)
-    if not trace.reports:
-        return FirstReport(frozenset(), None)
-    return FirstReport(frozenset(trace.reports), trace.stop_time)
+    reporters = frozenset(trace.reports)
+    return FirstReport(reporters, trace.stop_time if reporters else None)
 
 
 def trace_to_csv(trace):

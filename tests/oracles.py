@@ -14,7 +14,9 @@ balanced tree is built node by node as an explicit graph (the package
 computes its cut tree's neighbors from node ids).  The stdlib-wrapper
 versions of the diffusion simulator, the trickle slot shuffle and the
 path-by-path Steiner build are the references the package's inline draws
-and parent-id attachments must match bit for bit.  scipy is imported inside
+and parent-id attachments must match bit for bit, and the eavesdropper's
+first reports are re-read from a trace's reports dict (the package reads a
+diffusion trace's report list).  scipy is imported inside
 the quadrature functions, so the rest loads on an interpreter without it.
 """
 
@@ -355,6 +357,17 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         relay, v = pending.pop()
     reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
     return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
+
+
+def loop_first_reports(trace, t):
+    """Reference for the eavesdropper's first reports: each node's earliest
+    report time up to t, read from trace.reports in its order."""
+    first = {}
+    for v, times in trace.reports.items():
+        seen = [x for x in times if x <= t]
+        if seen:
+            first[v] = min(seen)
+    return first
 
 
 def shuffled_trickle_slots(g, v, infected, theta, rng):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorlab.adversary import observe_eavesdropper, observe_snapshot, observe_spy
-from rumorlab.graphs import lazy_regular_tree
+from rumorlab.graphs import build_random_regular, lazy_regular_tree
 from rumorlab.spreading import SpreadParams, SpreadTrace, simulate_diffusion, simulate_trickle, trial_stream
 
-from oracles import build_regular_tree
+from oracles import build_regular_tree, loop_first_reports
 
 
 def trickle_trace(seed=0, d=3, theta=1, t=6):
@@ -75,7 +75,56 @@ class TestEavesdropper:
         assert stat < 0.01
 
 
+def reference_traces():
+    """Diffusion traces of both loops, each stop rule and a cut tree, and
+    trickle traces, as (name, trace)."""
+    tree, cut = lazy_regular_tree(4), lazy_regular_tree(3, depth=4)
+    rr = build_random_regular(60, 4, seed=2)
+    for i in range(3):
+        for name, g, source, params, first_report in [
+            ("root", tree, 0, SpreadParams("diffusion", max_infections=300), False),
+            ("root-time", tree, 0, SpreadParams("diffusion", theta=0.5, max_time=2.5), False),
+            ("general", rr, 0, SpreadParams("diffusion", max_time=3.0), False),
+            ("off-root", tree, 5, SpreadParams("diffusion", max_infections=200), False),
+            ("cut", cut, 0, SpreadParams("diffusion", theta=0.3), False),
+            ("first-report", tree, 0, SpreadParams("diffusion", theta=0.2), True),
+            ("first-report-rr", rr, 3, SpreadParams("diffusion", theta=0.2), True),
+        ]:
+            yield name, simulate_diffusion(g, params, trial_stream(20, i), source=source,
+                                           first_report=first_report)
+        for theta in (1, 3):
+            yield "trickle", trickle_trace(seed=i, theta=theta)
+            yield "trickle-rr", simulate_trickle(
+                rr, SpreadParams("trickle", theta=theta, max_time=4), trial_stream(21, i))
+
+
+def test_first_reports_equal_the_loop_over_reports():
+    for name, tr in reference_traces():
+        assert tr.reports, name
+        for t in (0, tr.stop_time / 2, tr.stop_time, math.inf):
+            got = observe_eavesdropper(tr, t).first_reports
+            want = loop_first_reports(tr, t)
+            assert list(got.items()) == list(want.items()), (name, t)
+
+
 class TestSpy:
+    def test_parents_read_from_the_tree_once_per_spy(self, monkeypatch):
+        g = lazy_regular_tree(5)
+        calls = []
+        parent_of = g.parent_of
+
+        def counting(v):
+            calls.append(v)
+            return parent_of(v)
+
+        monkeypatch.setattr(g, "parent_of", counting)
+        tr = simulate_diffusion(g, SpreadParams("diffusion", max_infections=500),
+                                trial_stream(3, 0))
+        assert len(tr.X) == 500 and calls == []
+        obs = observe_spy(tr, 0.7, math.inf, trial_stream(4, 0))
+        assert calls == list(obs.spy_infectors)
+        assert all(obs.spy_infectors[s] == parent_of(s) for s in calls)
+
     def test_p_one_is_every_infected_nonsource(self):
         tr = diffusion_trace(seed=3)
         obs = observe_spy(tr, 1.0, tr.stop_time)

@@ -203,6 +203,19 @@ class TestUsageErrors:
                                "--d", "4", "--axis", "theta", "--values", "1,2")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("values", ["", ","])
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_empty_sweep_exits_2(self, capsys, monkeypatch, command, values):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        code, out, err = run_cli(capsys, *experiment_args(command), "--d", "4",
+                                 "--max-infections", "50", "--axis", "theta",
+                                 "--values", values, "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "at least one value" in err
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_sweep_point_rejected_when_built_exits_2(self, capsys, command):
         # The base spec (t=5) is valid; the point t=3 is not, and no point runs.
