@@ -62,12 +62,14 @@ def observe_spy(trace, p, t=math.inf, rng=None):
     times = {}
     infectors = {}
     source, parent = trace.source, trace.parent
+    # Every v read here is infected, so a tree's view is asked directly.
+    infector = getattr(parent, "parent_of", parent.__getitem__)
     for v, x in trace.X.items():
         if v == source or x > t:
             continue
         if p == 1 or (p > 0 and rng.random() < p):
             times[v] = x
-            infectors[v] = parent[v]
+            infectors[v] = infector(v)
     return Observation("spy", spy_times=times, spy_infectors=infectors)
 
 

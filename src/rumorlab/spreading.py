@@ -124,16 +124,18 @@ class SpreadTrace:
 
 class TreeParents(Mapping):
     """node -> parent over the infected nodes X of a LazyRegularTree, each
-    parent computed by the tree's parent_of when it is read."""
+    parent computed by the tree's parent_of when it is read.  A reader that
+    knows v is in X may call parent_of(v) itself and skip the membership
+    test."""
 
     def __init__(self, X, parent_of):
         self._X = X
-        self._parent_of = parent_of
+        self.parent_of = parent_of
 
     def __getitem__(self, v):
         if v not in self._X:
             raise KeyError(v)
-        return self._parent_of(v)
+        return self.parent_of(v)
 
     def __iter__(self):
         return iter(self._X)
@@ -272,9 +274,11 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         # Node v >= 1 has children r+(v-1)c+1 .. r+vc, none from first_leaf on.
         r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
         targets = []  # pending relays not yet fired
+        n = b = 0  # len(X) and len(targets)
         while True:
             X[v] = t
-            if len(X) >= max_inf:
+            n += 1
+            if n >= max_inf:
                 stop_time = t
                 break
             # Exp(theta) drawn as expovariate draws it (see the module doc).
@@ -284,10 +288,11 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
                 first = report
             if not v:
                 targets += g.children(0)
+                b = len(targets)
             elif v < first_leaf:
                 lo = r + (v - 1) * c
                 targets += range(lo + 1, lo + c + 1)
-            b = len(targets)
+                b += c
             if not b:
                 break
             t += -log(1.0 - uniform()) / b
@@ -305,6 +310,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             v = targets[i]
             targets[i] = targets[-1]
             targets.pop()
+            b -= 1
         parent = TreeParents(X, g.parent_of)
     else:
         neighbors = g.neighbors

@@ -20,20 +20,26 @@ Subtrees containing no observed node collapse to a count depending only on
 the infection time, which keeps the pass linear in the observed skeleton
 rather than in the radius-t ball.
 
-One dynamic program counts every slot window.  It walks the slot times in
-order; its state records which skeleton children already hold a slot and how
-many children of each fresh class do, where a class groups the children
-outside the skeleton whose counts agree at every slot time (one class on the
-infinite tree).  Giving a slot to a class with m members, u of them used,
-multiplies by m - u.  A node with s skeleton children thus costs
-O((d + theta) * 2^s * (s + 1)) per infection time on the infinite tree,
-polynomial in d for a bounded skeleton.
+Each node's counts form a row over the infection times 0..t.  The windows
+that end at the same time e are suffixes of the longest one, so one dynamic
+program per end counts them all: it walks the slot times from e down and
+reads x's count off once slot x+1 is done.  On the infinite tree at
+t = d + theta every window ends at t; a window ending before t belongs to
+one x alone.  The state records which skeleton children already hold a slot
+and how many children of each fresh class do, where a class groups the
+children outside the skeleton whose rows agree at every slot time (one class
+on the infinite tree).  Giving a slot to a class with m members, u of them
+used, multiplies by m - u, so with one class and no skeleton child the count
+is a falling factorial times the slots' counts.  A node with s skeleton
+children costs O((d + theta) * 2^s * (s + 1)) per window end on the infinite
+tree, polynomial in d for a bounded skeleton.  An unobserved subtree's row
+is that of a node whose children are all unobserved, counted the same way.
 
 A non-root node's table depends only on the directed edge (parent, node): its
 skeleton children are its neighbours other than the parent whose side holds a
 reporter, and neither they nor its taps depend on which candidate is the
 root.  One estimator call keeps every table, keyed by (node, parent), and the
-unobserved-subtree counts in one store shared by all of its candidates; the
+unobserved-subtree rows in one store shared by all of its candidates; the
 store is dropped when the call returns.  Every candidate is a reporter, so
 every candidate's skeleton is the same tree, the reporters' Steiner tree: the
 store builds it once per call, one tree_path per reporter past the first, and
@@ -136,13 +142,14 @@ def ordering_count(g, root, reports, t, theta=1):
 
 
 class _Store:
-    """The tables of one counting call, shared by all of its candidate roots:
-    skeleton tables keyed by (node, parent), and unobserved-subtree counts
-    keyed by infection time (by (node, parent, time) on finite trees).
+    """The count rows of one counting call, shared by all of its candidate
+    roots: skeleton tables keyed by (node, parent), and the unobserved-subtree
+    rows (one on the infinite tree, one per (node, parent) on finite trees).
+    A row is a list over the infection times 0..t.
 
-    A finite tree groups its fresh children by their counts: near a cut, the
+    A finite tree groups its fresh children by their rows: near a cut, the
     side of a node that faces its parent is not a function of its remaining
-    depth, so the counts are made per directed edge."""
+    depth, so the rows are made per directed edge."""
 
     def __init__(self, g, reports, t, theta, terminals):
         self.g = g
@@ -150,7 +157,16 @@ class _Store:
         self.t = t
         self.theta = theta
         self.tables = {}
-        self._fresh_counts = {}
+        if g.node_count == INFINITY:
+            # Every unobserved subtree of the infinite tree has one row: that
+            # of an unobserved node whose d-1 children are unobserved too.
+            # Its sweep reads the weight of slot y from the row it writes,
+            # where count(y) was read off one step before.
+            self._fresh_row = [0] * (t + 1)
+            _sweep([(g.d - 1, self._fresh_row)], 0, (), t,
+                   range(max(1, t - g.d + 1), t + 1), self._fresh_row)
+        else:
+            self._fresh_rows = {}
         # The terminals' Steiner tree as adjacency lists: each terminal's path
         # toward the first one stops where it meets the tree built so far.
         anchor, *rest = terminals
@@ -174,10 +190,10 @@ class _Store:
             if (w, parent[w]) not in self.tables:
                 kids = [c for c in self.skeleton[w] if c != parent[w]]
                 self.tables[w, parent[w]] = self._table(w, parent[w], kids)
-        return self.tables[root, None].get(0, 0)
+        return self.tables[root, None][0]
 
     def _table(self, w, par, skel_kids):
-        """count[x] over feasible infection times x for skeleton node w."""
+        """Count row over infection times for skeleton node w."""
         t, theta = self.t, self.theta
         R = self.reports.get(w, ())
         child_count = self.g.degree(w) - (par is not None)
@@ -186,7 +202,7 @@ class _Store:
 
         if par is None:
             # The source's own taps must fit its slot window from x = 0.
-            xs = [0] if not R or (R[0] >= 1 and R[-1] <= k) else []
+            xs = range(0, 1 if not R or (R[0] >= 1 and R[-1] <= k) else 0)
         elif R:
             # Taps live in the slot window: R[-1] <= x + k and R[0] >= x + 1.
             xs = range(max(1, R[-1] - k), R[0])
@@ -194,94 +210,121 @@ class _Store:
             # Unobserved: all theta taps must hide past t, so t - x <= k - theta.
             xs = range(max(1, t - child_count), t + 1)
 
-        kid_tables = [self.tables[c, w] for c in skel_kids]
-        if not all(kid_tables):
-            return {}  # some skeleton child admits no infection time
-        R_set = set(R)
-        table = {}
-        for x in xs:
-            e = min(x + k, t)
-            if hidden > k - (e - x):
-                continue  # not enough unrealized slots to hide the unseen taps
-            child_times = [y for y in range(x + 1, e + 1) if y not in R_set]
-            if len(child_times) < len(skel_kids):
-                continue
-            classes = [(1, [kt.get(y, 0) for y in child_times]) for kt in kid_tables]
-            classes += self._fresh_classes(w, par, skel_kids,
-                                           child_count - len(skel_kids), child_times)
-            count = _assign(classes, len(child_times), len(skel_kids))
-            if count:
-                table[x] = count
+        # Slot window x+1 .. min(x+k, t).  One ending at t leaves k - (t-x)
+        # slots unrealized, room for the hidden taps once x >= t - k + hidden;
+        # one ending at x+k < t realizes every slot, so nothing may hide.
+        to_t = range(max(xs.start, t - k + hidden), xs.stop)
+        short = range(xs.start, min(xs.stop, t - k) if not hidden else xs.start)
+        table = [0] * (t + 1)
+        rows = [self.tables[c, w] for c in skel_kids]
+        if not (to_t or short) or not all(map(any, rows)):
+            return table  # no window, or a skeleton child with no infection time
+        first = short.start if short else to_t.start
+        classes = [(1, row) for row in rows]
+        classes += self._fresh_classes(w, par, skel_kids,
+                                       child_count - len(skel_kids), first + 1)
+        if to_t:
+            _sweep(classes, len(rows), R, t, to_t, table)
+        for x in short:
+            _sweep(classes, len(rows), R, x + k, range(x, x + 1), table)
         return table
 
-    def fresh(self, node, par, x):
-        """Execution count of the unobserved subtree below node (parent par)
-        infected at time x: all theta taps must land past t, so the realized
-        times x+1..t map injectively onto its children.  On the infinite tree
-        the count depends on x alone, and node and par are None."""
+    def _fresh(self, node, par, lo):
+        """Row of the unobserved subtree below node (parent par) on a finite
+        tree, exact from time lo on: all theta taps must land past t, so the
+        realized times x+1..t map injectively onto its children, each of them
+        an unobserved subtree too.  Needs lo <= t."""
+        got = self._fresh_rows.get((node, par))
+        if got is not None and got[0] <= lo:
+            return got[1]
         t = self.t
-        if x >= t:
-            return 1 if x == t else 0
-        key = x if node is None else (node, par, x)
-        got = self._fresh_counts.get(key)
-        if got is None:
-            kids = self.g.d - 1 if node is None else self.g.degree(node) - 1
-            ys = range(x + 1, t + 1)
-            got = 0
-            if t - x <= kids:  # else some tap fires by t
-                got = _assign(self._fresh_classes(node, par, (), kids, ys), len(ys), 0)
-            self._fresh_counts[key] = got
-        return got
+        kids = self.g.degree(node) - 1
+        xs = range(max(lo, t - kids), t + 1)  # else some tap fires by t
+        row = [0] * (t + 1)
+        classes = self._fresh_classes(node, par, (), kids, xs.start + 1) if xs.start < t else []
+        _sweep(classes, 0, (), t, xs, row)
+        self._fresh_rows[node, par] = lo, row
+        return row
 
-    def _fresh_classes(self, w, par, skel_kids, n_fresh, ys):
+    def _fresh_classes(self, w, par, skel_kids, n_fresh, lo):
         """Children of w outside the skeleton, grouped into classes whose
-        subtree counts agree at every time in ys, as (members, counts)."""
+        rows agree at every time from lo on, as (members, row)."""
         if self.g.node_count == INFINITY:
             # The n_fresh fresh subtrees of the infinite tree are identical.
-            return [(n_fresh, [self.fresh(None, None, y) for y in ys])] if n_fresh else []
+            return [(n_fresh, self._fresh_row)] if n_fresh else []
         groups = {}
         for c in self.g.neighbors(w):
             if c != par and c not in skel_kids:
-                counts = tuple(self.fresh(c, w, y) for y in ys)
-                groups[counts] = groups.get(counts, 0) + 1
-        return [(m, counts) for counts, m in groups.items()]
+                row = self._fresh(c, w, lo)
+                key = tuple(row[lo:])
+                m, _ = groups.get(key, (0, row))
+                groups[key] = m + 1, row
+        return list(groups.values())
 
 
-def _assign(classes, n_slots, required):
-    """Sum over injective assignments of every one of n_slots slots to a
-    distinct child, each of the first ``required`` classes given a slot.
+def _sweep(classes, n_skel, taps, e, xs, out):
+    """Write into out[x], for every x in the range xs, the sum over injective
+    assignments of the slots x+1 .. e other than the tap times to distinct
+    children, each of the first n_skel classes given a slot.
 
-    A class is (m, counts): m children whose subtree count is counts[i] when
-    given slot i.  The first ``required`` classes are the single skeleton
-    children.  A state packs, per class, the number of its children holding a
-    slot into one bit field of an integer.
+    A class is (m, row): m children whose subtree count is row[y] when given
+    slot y.  The first n_skel classes are the single skeleton children.  The
+    windows of xs are suffixes of the longest one, so one dynamic program
+    walks its slots from e down and reads x's count off once slot x+1 is
+    done, from the states in which every skeleton child holds a slot.  A
+    state packs, per class, the number of its children holding a slot into
+    one bit field of an integer.
     """
-    due = [0] * n_slots  # skeleton children past their last usable slot
+    lo = xs.start + 1
+    if not n_skel and len(classes) == 1:
+        # One class of m: n slots go to m!/(m-n)! ordered picks of children,
+        # each weighing the product of the slots' counts.
+        (m, row), = classes
+        val = 1
+        if e in xs:
+            out[e] = 1
+        for y in range(e, lo - 1, -1):
+            if y not in taps:
+                val *= row[y] * m
+                if not val:
+                    return
+                m -= 1
+            if y - 1 in xs:
+                out[y - 1] = val
+        return
+    due = {}  # slot -> skeleton children with no usable slot below it
+    for j in range(n_skel):
+        row = classes[j][1]
+        first = next((y for y in range(lo, e + 1) if row[y] and y not in taps), None)
+        if first is None:
+            return
+        due[first] = due.get(first, 0) | 1 << j
     fields = []
     offset = 0
-    for j, (m, counts) in enumerate(classes):
-        if j < required:
-            last = max((i for i, c in enumerate(counts) if c), default=-1)
-            if last < 0:
-                return 0
-            due[last] |= 1 << offset
+    for m, row in classes:
         width = m.bit_length()
-        fields.append((m, 1 << offset, offset, (1 << width) - 1, counts))
+        fields.append((m, 1 << offset, offset, (1 << width) - 1, row))
         offset += width
+    full = (1 << n_skel) - 1  # the skeleton children's bits
     dp = {0: 1}
-    for i in range(n_slots):
-        ndp = {}
-        for m, one, off, mask, counts in fields:
-            wgt = counts[i]
-            if wgt:
-                for state, val in dp.items():
-                    used = state >> off & mask
-                    if used < m:
-                        nxt = state + one
-                        ndp[nxt] = ndp.get(nxt, 0) + val * wgt * (m - used)
-        if due[i]:
-            ndp = {s: v for s, v in ndp.items() if s & due[i] == due[i]}
-        if not ndp:
-            return 0
-        dp = ndp
-    return sum(dp.values())
+    if e in xs:
+        out[e] = int(not n_skel)
+    for y in range(e, lo - 1, -1):
+        if y not in taps:
+            ndp = {}
+            for m, one, off, mask, row in fields:
+                wgt = row[y]
+                if wgt:
+                    for state, val in dp.items():
+                        used = state >> off & mask
+                        if used < m:
+                            nxt = state + one
+                            ndp[nxt] = ndp.get(nxt, 0) + val * wgt * (m - used)
+            need = due.get(y)
+            if need:
+                ndp = {s: v for s, v in ndp.items() if s & need == need}
+            if not ndp:
+                return
+            dp = ndp
+        if y - 1 in xs:
+            out[y - 1] = sum(v for s, v in dp.items() if s & full == full)

@@ -16,7 +16,9 @@ versions of the diffusion simulator, the trickle slot shuffle and the
 path-by-path Steiner build are the references the package's inline draws
 and parent-id attachments must match bit for bit, and the eavesdropper's
 first reports are re-read from a trace's reports dict (the package reads a
-diffusion trace's report list).  scipy is imported inside
+diffusion trace's report list).  Timestamp rumor centrality's ordering count
+is re-counted one infection time at a time, each window by a forward dynamic
+program (the package sweeps all windows that end together at once).  scipy is imported inside
 the quadrature functions, so the rest loads on an interpreter without it.
 """
 
@@ -391,3 +393,102 @@ def path_steiner_parents(g, terminals):
         for i in range(len(path) - 2, -1, -1):
             parent[path[i]] = path[i + 1]
     return parent
+
+
+def reference_ordering_count(g, root, reports, t, theta=1):
+    """Reference for trc's ordering count: one forward dynamic program
+    (reference_assign) per skeleton node and infection time, and every
+    unobserved subtree counted per infection time.  The package counts all
+    windows that end at one time in one backward sweep.
+
+    A node infected at x (the source at 0, any other node at 1..t) with k
+    slots realizes x+1 .. min(x+k, t); every observed tap must sit in that
+    window, the unobserved taps on its unrealized slots, and every other
+    realized slot goes to a distinct child.
+    """
+    skeleton = steiner_tree(g, [*reports, root])
+    infinite = g.node_count == math.inf
+    memo = {}
+
+    def fresh(node, par, x):
+        if x >= t:
+            return 1 if x == t else 0
+        key = x if infinite else (node, par, x)
+        if key not in memo:
+            kids = g.d - 1 if infinite else g.degree(node) - 1
+            ys = range(x + 1, t + 1)
+            memo[key] = 0
+            if t - x <= kids:  # else some tap fires by t
+                memo[key] = reference_assign(fresh_classes(node, par, (), kids, ys), len(ys), 0)
+        return memo[key]
+
+    def fresh_classes(w, par, skel_kids, n_fresh, ys):
+        if infinite:
+            return [(n_fresh, [fresh(None, None, y) for y in ys])] if n_fresh else []
+        groups = {}
+        for c in g.neighbors(w):
+            if c != par and c not in skel_kids:
+                counts = tuple(fresh(c, w, y) for y in ys)
+                groups[counts] = groups.get(counts, 0) + 1
+        return [(m, counts) for counts, m in groups.items()]
+
+    def table(w, par):
+        kids = [c for c in skeleton[w] if c != par]
+        kid_tables = [table(c, w) for c in kids]
+        taps = reports.get(w, ())
+        child_count = g.degree(w) - (par is not None)
+        k = child_count + theta
+        out = {}
+        for x in [0] if par is None else range(1, t + 1):
+            e = min(x + k, t)
+            if not all(x < r <= e for r in taps) or theta - len(taps) > k - (e - x):
+                continue
+            child_times = [y for y in range(x + 1, e + 1) if y not in taps]
+            classes = [(1, [kt.get(y, 0) for y in child_times]) for kt in kid_tables]
+            classes += fresh_classes(w, par, kids, child_count - len(kids), child_times)
+            count = reference_assign(classes, len(child_times), len(kids))
+            if count:
+                out[x] = count
+        return out
+
+    return table(root, None).get(0, 0)
+
+
+def reference_assign(classes, n_slots, required):
+    """Sum over injective assignments of every one of n_slots slots to a
+    distinct child, each of the first ``required`` classes given a slot.
+
+    A class is (m, counts): m children whose subtree count is counts[i] when
+    given slot i.  The first ``required`` classes are the single skeleton
+    children.  A state packs, per class, the number of its children holding a
+    slot into one bit field of an integer; the slots are walked in order.
+    """
+    due = [0] * n_slots  # skeleton children past their last usable slot
+    fields = []
+    offset = 0
+    for j, (m, counts) in enumerate(classes):
+        if j < required:
+            last = max((i for i, c in enumerate(counts) if c), default=-1)
+            if last < 0:
+                return 0
+            due[last] |= 1 << offset
+        width = m.bit_length()
+        fields.append((m, 1 << offset, offset, (1 << width) - 1, counts))
+        offset += width
+    dp = {0: 1}
+    for i in range(n_slots):
+        ndp = {}
+        for m, one, off, mask, counts in fields:
+            wgt = counts[i]
+            if wgt:
+                for state, val in dp.items():
+                    used = state >> off & mask
+                    if used < m:
+                        nxt = state + one
+                        ndp[nxt] = ndp.get(nxt, 0) + val * wgt * (m - used)
+        if due[i]:
+            ndp = {s: v for s, v in ndp.items() if s & due[i] == due[i]}
+        if not ndp:
+            return 0
+        dp = ndp
+    return sum(dp.values())

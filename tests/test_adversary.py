@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rumorlab.adversary import observe_eavesdropper, observe_snapshot, observe_spy
 from rumorlab.graphs import build_random_regular, lazy_regular_tree
-from rumorlab.spreading import SpreadParams, SpreadTrace, simulate_diffusion, simulate_trickle, trial_stream
+from rumorlab.spreading import (SpreadParams, SpreadTrace, TreeParents, simulate_diffusion,
+                                simulate_trickle, trial_stream)
 
 from oracles import build_regular_tree, loop_first_reports
 
@@ -124,6 +125,25 @@ class TestSpy:
         obs = observe_spy(tr, 0.7, math.inf, trial_stream(4, 0))
         assert calls == list(obs.spy_infectors)
         assert all(obs.spy_infectors[s] == parent_of(s) for s in calls)
+
+    def test_spy_parent_is_one_tree_call_and_the_view_stays_a_mapping(self, monkeypatch):
+        g = lazy_regular_tree(5)
+        tr = simulate_diffusion(g, SpreadParams("diffusion", max_infections=500),
+                                trial_stream(3, 0))
+        lookups = []
+        getitem = TreeParents.__getitem__
+
+        def counting(self, v):
+            lookups.append(v)
+            return getitem(self, v)
+
+        monkeypatch.setattr(TreeParents, "__getitem__", counting)
+        obs = observe_spy(tr, 0.7, math.inf, trial_stream(4, 0))
+        assert obs.spy_infectors and lookups == []
+        assert obs.spy_infectors == {s: tr.parent[s] for s in obs.spy_infectors}
+        assert len(tr.parent) == 500 and dict(tr.parent) == {v: g.parent_of(v) for v in tr.X}
+        with pytest.raises(KeyError):
+            tr.parent[max(tr.X) + 1]
 
     def test_p_one_is_every_infected_nonsource(self):
         tr = diffusion_trace(seed=3)

@@ -1,6 +1,7 @@
 """Timestamp rumor centrality against the exact enumeration oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from rumorlab.spreading import SpreadParams, simulate_trickle, trial_stream
 from rumorlab import trc
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
 
-from oracles import build_regular_tree
+from oracles import build_regular_tree, reference_assign, reference_ordering_count
 
 
 def obs_from_key(key, t):
@@ -287,3 +288,72 @@ class TestCutTree:
             compared += 1
             reached += any(v in leaves for v in tr.X)
         assert compared >= 30 and reached >= 10
+
+
+class TestSweepAgainstReference:
+    """The per-end sweep against the reference that counts every infection
+    time with a dynamic program of its own."""
+
+    @pytest.mark.parametrize("d,theta,extra", [
+        (d, theta, extra) for d in (3, 4, 5, 6) for theta in (1, 2) for extra in (0, 1)
+    ])
+    def test_lazy_scores_equal_reference_counts(self, d, theta, extra):
+        # extra = 1 gives windows that end before t, one sweep per end.
+        t = d + theta + extra
+        g = lazy_regular_tree(d)
+        checked = positive = 0
+        for _, reports, obs in simulated_observations(lambda: g, d, theta, t,
+                                                      400 + 10 * d + theta, 25 if d < 6 else 12):
+            res = timestamp_rumor_centrality(obs, g, t, theta=theta)
+            for v, score in res.score.items():
+                assert score == reference_ordering_count(g, v, reports, t, theta), (v, reports)
+                checked += 1
+                positive += score > 0
+        assert positive >= 5 and checked > positive
+
+    @pytest.mark.parametrize("d,depth,theta,extra", [
+        (2, 2, 1, 0), (2, 3, 2, 1), (3, 2, 1, 0), (3, 3, 1, 1), (3, 3, 2, 0), (4, 2, 1, 0), (4, 2, 1, 1),
+    ])
+    def test_balanced_scores_equal_reference_counts(self, d, depth, theta, extra):
+        t = d + theta + extra
+        g = build_regular_tree(d, depth)
+        leaves = range(g.node_count - d * (d - 1) ** (depth - 1), g.node_count)
+        checked = reached = 0
+        for _, reports, obs in simulated_observations(lambda: g, d, theta, t, 500 + d, 30):
+            res = timestamp_rumor_centrality(obs, g, t, theta=theta)
+            for v, score in res.score.items():
+                assert score == reference_ordering_count(g, v, reports, t, theta), (v, reports)
+                checked += 1
+            reached += any(v in leaves for v in reports)
+        assert checked >= 30 and reached >= 5
+
+    def test_sweep_equals_one_program_per_window_on_random_classes(self):
+        # Random classes, taps and time ranges, with and without skeleton
+        # children, one class alone included: every x's count is the forward
+        # program's over slots x+1 .. e less the taps, and no other entry moves.
+        rng = random.Random(17)
+        shapes = set()
+        for _ in range(3000):
+            e = rng.randint(1, 9)
+            start = rng.randint(0, e)
+            xs = range(start, rng.randint(start + 1, e + 1))
+            n_skel = rng.choice([0, 0, 1, 2, 3])
+            n_fresh = rng.choice([0, 1, 1, 2, 3]) if n_skel else rng.choice([1, 1, 2, 3])
+            classes = [(1 if j < n_skel else rng.randint(1, 4),
+                        [rng.choice([0, 0, 1, 2, 3]) for _ in range(e + 1)])
+                       for j in range(n_skel + n_fresh)]
+            taps = tuple(sorted(rng.sample(range(start + 1, e + 1), rng.randint(0, min(2, e - start)))))
+            out = [-1] * (e + 1)
+            for x in xs:
+                out[x] = 0
+            trc._sweep(classes, n_skel, taps, e, xs, out)
+            for x in range(e + 1):
+                if x not in xs:
+                    assert out[x] == -1
+                    continue
+                slots = [y for y in range(x + 1, e + 1) if y not in taps]
+                want = reference_assign([(m, [row[y] for y in slots]) for m, row in classes],
+                                        len(slots), n_skel)
+                assert out[x] == want, (classes, n_skel, taps, e, xs, x)
+                shapes.add((n_skel > 0, len(classes) - n_skel > 1, want > 0))
+        assert len(shapes) == 8
