@@ -305,8 +305,13 @@ def _stops_at_first_report(method, adversary):
 
 
 def _simulate(spec, g, rng, source, first_report=False):
-    sim = simulate_trickle if spec.params.protocol == "trickle" else simulate_diffusion
-    return sim(g, spec.params, rng, source=source, first_report=first_report)
+    """The trial's spread.  Trickle taps shape the spread and are always
+    drawn; a diffusion run draws report times only for the eavesdropper,
+    since the spy and snapshot observers read none."""
+    if spec.params.protocol == "trickle":
+        return simulate_trickle(g, spec.params, rng, source=source, first_report=first_report)
+    return simulate_diffusion(g, spec.params, rng, source=source, first_report=first_report,
+                              reports=spec.adversary.model == "eavesdropper")
 
 
 def trial_trace(spec, g):

@@ -1,9 +1,10 @@
 """Forward simulation of trickle and diffusion broadcasts.
 
-Trickle is a synchronous discrete-time gossip: on infection a node draws one
-uniform permutation of its uninfected connections (uninfected honest
-neighbors plus its theta adversary taps) and transmits to one connection per
-step, starting the step after it was infected.  Diffusion is the
+Trickle is a synchronous discrete-time gossip: on infection a node takes
+its uninfected connections (uninfected honest neighbors plus its theta
+adversary taps) as its slots and, from the step after it was infected,
+transmits to one per step, picked uniformly from the slots left, so it
+serves them in a uniform random order.  Diffusion is the
 continuous-time SI process: every edge relays after an independent Exp(1)
 delay, and each node's first adversary report fires after Exp(theta) (the
 minimum of theta unit-rate taps; one draw is distributionally identical and
@@ -18,12 +19,15 @@ each new node's child id range, and tests nothing for infection; explicit
 graphs and other sources take the general loop, which filters neighbors(v)
 by the infected.
 
-Both simulators make the draws of the stdlib's random.Random wrappers, call
-for call, straight from the generator: an Exp(rate) delay is
--log(1 - random()) / rate as expovariate computes it, and a uniform pick
-below n is the getrandbits(n.bit_length()) rejection loop behind randrange
-and shuffle.  A trace and the stream left behind are bit for bit those of
-the wrapper calls, without their per-draw interpreter overhead.
+Each simulator draws only what a trial reads: a trickle node picks a slot
+only when it serves one (a node never served draws nothing, and a last slot
+needs no pick), and a diffusion run for an observer that reads no reports
+(spy, snapshot) draws no report times.  The draws are those of the stdlib's
+random.Random wrappers, call for call, made straight from the generator: an
+Exp(rate) delay is -log(1 - random()) / rate as expovariate computes it, and
+a uniform pick below n is the getrandbits(n.bit_length()) rejection loop
+behind randrange.  A trace and the stream left behind are bit for bit those
+of the wrapper calls, without their per-draw interpreter overhead.
 
 Both simulators take a first_report stop rule: the run ends at the earliest
 adversary report, since nothing later can change who reported first.
@@ -54,7 +58,7 @@ from ._checks import integer
 
 _MASK64 = (1 << 64) - 1
 
-# Adversary-tap slot marker inside trickle permutations.
+# Adversary-tap slot marker among a trickle node's slots.
 TAP = "tap"
 
 
@@ -153,58 +157,50 @@ class FirstReport:
     time: float | None
 
 
-def _trickle_slots(g, v, infected, theta, rng):
-    pool = [u for u in g.neighbors(v) if u not in infected]
-    pool.extend([TAP] * theta)
-    # rng.shuffle(pool): the same Fisher-Yates swaps from the same draws.
-    getrandbits = rng.getrandbits
-    for i in range(len(pool) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool
-
-
 def simulate_trickle(g, params, rng, source=0, *, first_report=False):
     """Discrete-time trickle from ``source`` (node 0 on generated graphs).
 
-    Each infected node holds a permutation of its infection-time uninfected
-    connections and serves one per step.  On non-tree graphs a slot aimed at a
-    meanwhile-infected neighbor is consumed without effect (tallied in
-    ``skipped``).  Taps append to the node's report list; the first entry is
-    the eavesdropper timestamp tau_v.  With ``first_report`` the run stops at
-    the end of the first step in which a tap fires, before the nodes infected
-    in that step draw their slots.
+    Each infected node holds a pool of its infection-time uninfected
+    connections and, each step, serves one slot picked uniformly from those
+    left.  On non-tree graphs a slot aimed at a meanwhile-infected neighbor
+    is consumed without effect (tallied in ``skipped``).  Taps append to the
+    node's report list; the first entry is the eavesdropper timestamp tau_v.
+    With ``first_report`` the run stops at the end of the first step in which
+    a tap fires, before the nodes infected in that step build their pools.
     """
     if params.protocol != "trickle":
         raise ValueError(f"simulate_trickle got protocol {params.protocol!r}")
-    theta = params.theta
+    taps = [TAP] * params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections
+    neighbors, getrandbits = g.neighbors, rng.getrandbits
 
     X = {source: 0}
     parent = {source: None}
     reports = {}
     skipped = 0
-    queues = {source: (_trickle_slots(g, source, X, theta, rng), 0)}
-    active = [source]
+    # (node, slots left) in infection order; a node leaves with its last slot.
+    active = [(source, [*neighbors(source), *taps])]
     step = 0
     stop = max_inf is not None and len(X) >= max_inf
     while active and not stop and step + 1 <= max_time:
         step += 1
         newly = []
         still_active = []
-        for v in active:
-            pool, pos = queues[v]
-            target = pool[pos]
-            pos += 1
-            if pos < len(pool):
-                queues[v] = (pool, pos)
-                still_active.append(v)
+        for v, pool in active:
+            b = len(pool)
+            if b > 1:
+                # randrange(b), then swap the pick with the last slot and pop it.
+                k = b.bit_length()
+                i = getrandbits(k)
+                while i >= b:
+                    i = getrandbits(k)
+                target = pool[i]
+                pool[i] = pool[-1]
+                pool.pop()
+                still_active.append((v, pool))
             else:
-                del queues[v]
+                target = pool[0]
             if target is TAP:
                 reports.setdefault(v, []).append(step)
             elif target not in X:
@@ -218,8 +214,10 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
         if first_report and reports:
             break
         for w in newly:
-            queues[w] = (_trickle_slots(g, w, X, theta, rng), 0)
-        active = still_active + newly
+            pool = [u for u in neighbors(w) if u not in X]
+            pool += taps
+            still_active.append((w, pool))
+        active = still_active
 
     if (first_report and reports) or (max_inf is not None and len(X) >= max_inf):
         stop_time = step
@@ -231,7 +229,7 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
                        skipped=skipped)
 
 
-def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
+def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=True):
     """Continuous-time diffusion from ``source``, one relay at a time.
 
     On infection at X_v, node v draws its report time X_v + Exp(theta) and
@@ -244,7 +242,10 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     draws no report), at max_time, or when no relay is left; in the last
     case without max_time the stop time is the latest infection or report.
     With ``first_report`` it also stops at the earliest report drawn so far
-    once no relay can fire before it, so only that report is kept.
+    once no relay can fire before it, so only that report is kept.  With
+    ``reports=False`` no node draws a report, for observers that read none:
+    the trace has no reports, a run that runs out of relays stops at its last
+    infection, and the first-report rule cannot be used.
 
     From the root of a LazyRegularTree (node 0, the source of every
     generated graph) a second loop runs.  There every relay runs from a
@@ -260,6 +261,8 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
+    if first_report and not reports:
+        raise ValueError("the first-report stop rule needs report draws")
     theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
@@ -281,11 +284,12 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             if n >= max_inf:
                 stop_time = t
                 break
-            # Exp(theta) drawn as expovariate draws it (see the module doc).
-            report = t + -log(1.0 - uniform()) / theta
-            report_times.append(report)
-            if first_report and report < first:
-                first = report
+            if reports:
+                # Exp(theta) drawn as expovariate draws it (see the module doc).
+                report = t + -log(1.0 - uniform()) / theta
+                report_times.append(report)
+                if first_report and report < first:
+                    first = report
             if not v:
                 targets += g.children(0)
                 b = len(targets)
@@ -324,10 +328,11 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
                 if len(X) >= max_inf:
                     stop_time = t
                     break
-                report = t + -log(1.0 - uniform()) / theta
-                report_times.append(report)
-                if first_report and report < first:
-                    first = report
+                if reports:
+                    report = t + -log(1.0 - uniform()) / theta
+                    report_times.append(report)
+                    if first_report and report < first:
+                        first = report
                 for u in neighbors(v):
                     if u not in X:
                         relays.append(v)
@@ -358,7 +363,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         else:
             # The latest infection or report, not the clock, which may have
             # moved on through relays that had no effect.
-            stop_time = max(*X.values(), *report_times)
+            stop_time = max(max(X.values()), max(report_times, default=0.0))
     return SpreadTrace("diffusion", source, X, None, parent, stop_time,
                        report_times=report_times)
 

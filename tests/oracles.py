@@ -7,23 +7,28 @@ diffusion is re-simulated with one timed event per relay and report,
 first-report trials are re-run by loops of their own that stop at the first
 report (the package folds that stop rule into its simulators), diffusion
 first-report detection from the tree's root is summed exactly over the
-infection count, and tree
+infection count, trickle first-report detection on small explicit graphs is
+summed exactly over every history, and tree
 centers are found by testing every side of every node of a Steiner tree
 built from whole tree paths (the package walks one rooted count).  The
 balanced tree is built node by node as an explicit graph (the package
 computes its cut tree's neighbors from node ids).  The stdlib-wrapper
-versions of the diffusion simulator, the trickle slot shuffle and the
-path-by-path Steiner build are the references the package's inline draws
+versions of the diffusion and trickle simulators and the path-by-path
+Steiner build are the references the package's inline draws
 and parent-id attachments must match bit for bit, and the eavesdropper's
 first reports are re-read from a trace's reports dict (the package reads a
-diffusion trace's report list).  Timestamp rumor centrality's ordering count
-is re-counted one infection time at a time, each window by a forward dynamic
-program (the package sweeps all windows that end together at once).  scipy is imported inside
-the quadrature functions, so the rest loads on an interpreter without it.
+diffusion trace's report list).  The trickle loop that shuffles each pool
+at infection is kept as a reference in distribution.  Timestamp rumor
+centrality's ordering count is re-counted one infection time at a time, each
+window by a forward dynamic program (the package sweeps all windows that end
+together at once).  scipy is imported inside the quadrature functions, so
+the rest loads on an interpreter without it.
 """
 
 import math
+from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import product
 
 from rumorlab.graphs import ExplicitGraph, tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace
@@ -152,10 +157,47 @@ def heap_simulate_diffusion(g, params, rng, source=0):
 
 def loop_first_report_trickle(g, params, rng, source=0):
     """Reference trickle first-report trial: its own step loop, returning at
-    the end of the first step with a tap, before that step's new nodes draw
-    their slots.  It ignores max_infections.  The package's first_report_trial
-    must give the same reporters and time and leave the stream in the same
-    state."""
+    the end of the first step with a tap, before that step's new nodes build
+    their pools.  Each serving node picks its slot with rng.randrange over
+    the slots left, swaps it with the last and pops it; a last slot is served
+    without a draw.  It ignores max_infections.  The package's
+    first_report_trial must give the same reporters and time and leave the
+    stream in the same state."""
+    theta = params.theta
+    max_time = params.max_time if params.max_time is not None else math.inf
+
+    X = {source: 0}
+    pools = {source: [*g.neighbors(source), *[TAP] * theta]}  # infection order
+    step = 0
+    while pools and step + 1 <= max_time:
+        step += 1
+        reporters = []
+        newly = []
+        for v in list(pools):
+            pool = pools[v]
+            if len(pool) > 1:
+                i = rng.randrange(len(pool))
+                pool[i], pool[-1] = pool[-1], pool[i]
+            target = pool.pop()
+            if not pool:
+                del pools[v]
+            if target is TAP:
+                reporters.append(v)
+            elif target not in X:
+                X[target] = step
+                newly.append(target)
+        if reporters:
+            return FirstReport(frozenset(reporters), step)
+        for w in newly:
+            pools[w] = [u for u in g.neighbors(w) if u not in X] + [TAP] * theta
+    return FirstReport(frozenset(), None)
+
+
+def shuffle_first_report_trickle(g, params, rng, source=0):
+    """The trickle first-report trial as it was drawn before slots were
+    picked one at a time: each node shuffles its whole pool when infected
+    and serves it in order.  Both draw a uniform serving order per node, so
+    the package must agree with it in distribution."""
     theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
 
@@ -246,6 +288,61 @@ def tree_root_diffusion_ft(d, theta, root_degree=None, max_infections=None):
     return total
 
 
+def trickle_ft_exact(g, theta, sources):
+    """Exact P(hit) of the trickle first-timestamp experiment at t = infinity
+    on the explicit graph g, the source drawn uniformly from ``sources``.
+
+    Walks every trickle history step by step, as bruteforce's
+    enumerate_histories does: each infected node serves one uniformly chosen
+    slot left of its pool (the neighbors uninfected when it was infected,
+    then theta taps).  A history stops at the first step in which a tap
+    fires, with the tie-break crediting 1/|reporters| when the source is
+    among them.  Within a step the nodes tap independently, node v with
+    probability q_v = theta / (slots left), so those ends are summed in
+    closed form: the source taps and k others do with probability q_s
+    P(N = k), credited 1/(1 + k).  Only the histories in which no tap fires
+    are walked on.  Every node keeps its theta taps until the history stops,
+    so every infected node serves at every step.
+    """
+    sources = list(sources)
+    return sum(_trickle_ft_from(g, theta, s) for s in sources) / len(sources)
+
+
+def _trickle_ft_from(g, theta, source):
+    infected = [source]
+    left = {source: list(g.neighbors(source))}  # honest slots left
+
+    def walk():
+        sizes = [len(left[v]) + theta for v in infected]  # the source first
+        others = [1]  # P(N = k): k of the other nodes tap this step
+        for size in sizes[1:]:
+            q = Fraction(theta, size)
+            others = [a * (1 - q) + b * q for a, b in zip(others + [0], [0] + others)]
+        total = Fraction(theta, sizes[0]) * sum(p / (1 + k) for k, p in enumerate(others))
+        # Every node serves an honest slot: 1/size for each choice.
+        weight = Fraction(1, math.prod(sizes))
+        for targets in product(*(left[v] for v in infected)):
+            fresh = []
+            for v, u in zip(infected, targets):
+                left[v].remove(u)
+                if u not in left and u not in fresh:
+                    fresh.append(u)
+            for w in fresh:
+                left[w] = []
+            infected.extend(fresh)
+            for w in fresh:
+                left[w] = [u for u in g.neighbors(w) if u not in left]
+            total += weight * walk()
+            del infected[len(infected) - len(fresh):]
+            for w in fresh:
+                del left[w]
+            for v, u in zip(infected, targets):
+                left[v].append(u)
+        return total
+
+    return walk()
+
+
 def steiner_tree(g, terminals):
     """Union of pairwise tree paths between terminals: adjacency dict.
 
@@ -310,11 +407,14 @@ def rumor_centers(g, infected):
     return {v for v, per in sides.items() if all(c <= half for c in per.values())}
 
 
-def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
+def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=True):
     """Reference for the package's simulate_diffusion: the same loop drawing
     through rng.expovariate and rng.randrange, with its pending relays as a
-    list of (relay, target) pairs.  Traces and the stream left behind must
-    be bit for bit the package's."""
+    list of (relay, target) pairs; with reports=False it draws no report
+    times.  Traces and the stream left behind must be bit for bit the
+    package's."""
+    if first_report and not reports:
+        raise ValueError("the first-report stop rule needs report draws")
     theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
@@ -335,17 +435,18 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
             if len(order) >= max_inf:
                 stop_time = t
                 break
-            report = t + expovariate(theta)
-            report_times.append(report)
-            if first_report and report < first:
-                first = report
+            if reports:
+                report = t + expovariate(theta)
+                report_times.append(report)
+                if first_report and report < first:
+                    first = report
             pending += [(v, u) for u in neighbors(v) if u not in X]
         if not pending:
             if first_report and first <= max_time:
                 stop_time = first
                 break
             stop_time = max_time if params.max_time is not None else max(
-                X[order[-1]], *report_times)
+                [X[order[-1]], *report_times])
             break
         t += expovariate(len(pending))
         if first <= t and first <= max_time:
@@ -357,8 +458,8 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False):
         i = randrange(len(pending))
         pending[i], pending[-1] = pending[-1], pending[i]
         relay, v = pending.pop()
-    reports = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
-    return SpreadTrace("diffusion", source, X, reports, parent, stop_time)
+    kept = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
+    return SpreadTrace("diffusion", source, X, kept, parent, stop_time)
 
 
 def loop_first_reports(trace, t):
@@ -372,13 +473,49 @@ def loop_first_reports(trace, t):
     return first
 
 
-def shuffled_trickle_slots(g, v, infected, theta, rng):
-    """Reference for the package's trickle slots: rng.shuffle of the
-    uninfected neighbors followed by theta taps."""
-    pool = [u for u in g.neighbors(v) if u not in infected]
-    pool.extend([TAP] * theta)
-    rng.shuffle(pool)
-    return pool
+def stdlib_simulate_trickle(g, params, rng, source=0, *, first_report=False):
+    """Reference for the package's simulate_trickle: each step every node
+    with slots left, in infection order, picks one with rng.randrange (none
+    for its last slot), swaps it with the last and pops it.  Traces and the
+    stream left behind must be bit for bit the package's."""
+    theta = params.theta
+    max_time = params.max_time if params.max_time is not None else math.inf
+    max_inf = params.max_infections if params.max_infections is not None else math.inf
+
+    X = {source: 0}
+    parent = {source: None}
+    reports = {}
+    skipped = 0
+    pools = {source: [*g.neighbors(source), *[TAP] * theta]}  # infection order
+    step = 0
+    while pools and len(X) < max_inf and step + 1 <= max_time:
+        step += 1
+        newly = []
+        for v in list(pools):
+            pool = pools[v]
+            if len(pool) > 1:
+                i = rng.randrange(len(pool))
+                pool[i], pool[-1] = pool[-1], pool[i]
+            target = pool.pop()
+            if not pool:
+                del pools[v]
+            if target is TAP:
+                reports.setdefault(v, []).append(step)
+            elif target in X:
+                skipped += 1
+            else:
+                X[target] = step
+                parent[target] = v
+                newly.append(target)
+        if first_report and reports:
+            break
+        for w in newly:
+            pools[w] = [u for u in g.neighbors(w) if u not in X] + [TAP] * theta
+    if (first_report and reports) or len(X) >= max_inf or params.max_time is None:
+        stop_time = step
+    else:
+        stop_time = params.max_time
+    return SpreadTrace("trickle", source, X, reports, parent, stop_time, skipped=skipped)
 
 
 def path_steiner_parents(g, terminals):

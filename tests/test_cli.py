@@ -12,7 +12,7 @@ from rumorlab.analytics import FORMULAS, diffusion_ft
 from rumorlab import harness
 from rumorlab.cli import build_parser, main
 from rumorlab.graphs import load_edge_list
-from rumorlab.spreading import trial_stream
+from rumorlab.spreading import trace_to_csv, trial_stream
 
 
 def run_cli(capsys, *argv):
@@ -385,6 +385,27 @@ class TestSimulate:
         reported = [float(r["first_report_time"]) for r in records if r["first_report_time"]]
         assert len(reported) == 1
         assert reported[0] >= max(float(r["X"]) for r in records)
+
+    def test_dump_trace_of_a_spy_run_is_its_trial_zero(self, tmp_path, monkeypatch):
+        # A spy run draws no report times; the dump is the spread trial 0 ran.
+        traces = []
+        real = harness.simulate_diffusion
+
+        def recording(*args, **kw):
+            traces.append(real(*args, **kw))
+            return traces[-1]
+
+        monkeypatch.setattr(harness, "simulate_diffusion", recording)
+        dump = tmp_path / "trace.csv"
+        assert main(["simulate", "--protocol", "diffusion", "--graph", "random-regular",
+                     "--n", "60", "--d", "4", "--adversary", "spy", "--spy-p", "0.5",
+                     "--estimator", "first-timestamp", "--trials", "3", "--seed", "5",
+                     "--dump-trace", str(dump), "--out", str(tmp_path / "r.csv")]) == 0
+        dumped, *run = traces  # the dump is written before the run starts
+        assert len(run) == 3 and run[0] == dumped and run[1] != dumped
+        assert dump.read_text() == trace_to_csv(run[0])
+        records = list(csv.DictReader(io.StringIO(dump.read_text())))
+        assert len(records) == 60 and not any(r["first_report_time"] for r in records)
 
     def test_dump_trace_on_file_graph_starts_at_trial_zero_source(self, tmp_path):
         edges = tmp_path / "ring.edges"

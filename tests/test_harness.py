@@ -7,6 +7,7 @@ import pytest
 
 from rumorlab import harness
 from rumorlab.analytics import FORMULAS, diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
+from rumorlab.graphs import build_random_regular, load_edge_list
 from rumorlab.harness import (
     METHODS,
     AdversarySpec,
@@ -20,7 +21,7 @@ from rumorlab.harness import (
     wilson_interval,
 )
 from rumorlab.spreading import SpreadParams, simulate_diffusion, simulate_trickle, trial_stream
-from oracles import tree_root_diffusion_ft
+from oracles import tree_root_diffusion_ft, trickle_ft_exact
 
 
 def ft_spec(protocol="diffusion", d=4, theta=1.0, trials=500, seed=1, **kw):
@@ -459,6 +460,44 @@ class TestExactTreeAnchor:
         exact = tree_root_diffusion_ft(d, theta, root_degree, max_infections)
         p_hat = run_experiment(spec).p_hat
         assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials), (p_hat, exact)
+
+
+# A graph with cycles, unequal degrees and a triangle, as an edge list.
+SMALL_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 4), (4, 5), (5, 6), (6, 4),
+               (2, 7), (7, 5)]
+
+
+class TestExactTrickleAnchor:
+    """Trickle first-report p_hat on graphs with cycles against the exact sum
+    over every history (oracles.trickle_ft_exact), on the graph the oracle
+    walked, passed to run_points."""
+
+    TRIALS = 40_000
+
+    def check(self, gspec, g, theta, sources, seed):
+        spec = ExperimentSpec(gspec, SpreadParams("trickle", theta=theta),
+                              AdversarySpec("eavesdropper"), "first-timestamp",
+                              trials=self.TRIALS, master_seed=seed)
+        p_hat = run_points([spec], graphs={(gspec, seed): g})[0].p_hat
+        exact = float(trickle_ft_exact(g, theta, sources))
+        assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / self.TRIALS), (
+            p_hat, exact)
+
+    def test_sum_matches_recorded_values(self):
+        g = build_random_regular(12, 3, seed=4)
+        assert float(trickle_ft_exact(g, 1, [0])) == pytest.approx(0.55689, abs=5e-6)
+        assert float(trickle_ft_exact(g, 2, [0])) == pytest.approx(0.66863, abs=5e-6)
+
+    @pytest.mark.parametrize("theta, seed", [(1, 31), (2, 32)])
+    def test_random_regular_from_node_zero(self, theta, seed):
+        self.check(GraphSpec("random-regular", d=3, n=12), build_random_regular(12, 3, seed=4),
+                   theta, [0], seed)
+
+    def test_edge_list_with_a_uniform_source(self, tmp_path):
+        path = tmp_path / "small.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in SMALL_EDGES))
+        g = load_edge_list(str(path))
+        self.check(GraphSpec("file", path=str(path)), g, 1, g.nodes(), 33)
 
 
 def block_spec(graph, protocol, trials=1, workers=1):

@@ -8,6 +8,7 @@ from oracles import (
     heap_first_report_diffusion,
     heap_simulate_diffusion,
     loop_first_report_trickle,
+    shuffle_first_report_trickle,
 )
 
 from rumorlab.adversary import observe_eavesdropper
@@ -357,6 +358,24 @@ class TestFirstReportStopRule:
 
     TRIALS = 3000
 
+    @pytest.mark.parametrize("graph, theta", [("tree3", 4), ("tree4", 1), ("rr2000", 1)])
+    def test_trickle_matches_shuffle_loop_in_distribution(self, graph, theta):
+        # Slots picked one at a time as they are served, or all shuffled at
+        # infection: both give each node a uniform serving order.
+        g = {"tree3": lazy_regular_tree(3), "tree4": lazy_regular_tree(4),
+             "rr2000": RANDOM_REGULAR_2000_8}[graph]
+        params = SpreadParams("trickle", theta=theta)
+        histograms = []
+        for seed, trial in ((73, first_report_trial), (74, shuffle_first_report_trickle)):
+            results = [trial(g, params, trial_stream(seed, i)) for i in range(self.TRIALS)]
+            histograms.append([[res.time for res in results],
+                               [len(res.reporters) for res in results]])
+        for new, ref in zip(*histograms):
+            for value in set(new) | set(ref):
+                p1, p2 = new.count(value) / self.TRIALS, ref.count(value) / self.TRIALS
+                se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / self.TRIALS)
+                assert abs(p1 - p2) <= 4 * se + 1e-3, (value, p1, p2)
+
     @pytest.mark.parametrize("graph, max_time", [
         ("tree4", None), ("tree4", 0.5), ("rr2000", None), ("rr2000", 0.4),
     ])
@@ -404,6 +423,37 @@ class TestFirstReportStopRule:
             tr = simulate_trickle(g, SpreadParams("trickle", theta=1),
                                   trial_stream(91, i), first_report=True)
             assert tr.reports and all(taps == [tr.stop_time] for taps in tr.reports.values())
+
+
+class TestDiffusionWithoutReports:
+    """reports=False draws no report times: the spy and snapshot runs."""
+
+    def test_first_report_rule_needs_reports(self):
+        with pytest.raises(ValueError, match="report draws"):
+            simulate_diffusion(lazy_regular_tree(3), SpreadParams("diffusion"),
+                               trial_stream(0, 0), first_report=True, reports=False)
+
+    @pytest.mark.parametrize("graph", ["cut tree", "rr60"])
+    def test_exhaustion_stops_at_last_infection(self, graph):
+        g = {"cut tree": lazy_regular_tree(3, depth=4),
+             "rr60": build_random_regular(60, 4, seed=3)}[graph]
+        for i in range(50):
+            params = SpreadParams("diffusion", theta=0.7)
+            bare = simulate_diffusion(g, params, trial_stream(15, i), reports=False)
+            assert bare.reports == {} and bare.report_times == []
+            assert len(bare.X) == g.node_count
+            assert bare.stop_time == max(bare.X.values()) == list(bare.X.values())[-1]
+            assert observe_eavesdropper(bare, bare.stop_time).first_reports == {}
+            assert observe_eavesdropper(bare, math.inf, keep_all=True).all_reports == {}
+
+    def test_horizons_without_reports(self):
+        g = lazy_regular_tree(4)
+        for i in range(50):
+            for params, stop in ((SpreadParams("diffusion", max_time=1.5), 1.5),
+                                 (SpreadParams("diffusion", max_infections=30), None)):
+                bare = simulate_diffusion(g, params, trial_stream(16, i), reports=False)
+                assert bare.stop_time == (stop if stop is not None else bare.X[list(bare.X)[-1]])
+                assert bare.reports == {}
 
 
 class TestTraceDump:

@@ -2,7 +2,7 @@
 stdlib-wrapper references in oracles.py, bit for bit.
 
 The simulators draw straight from random.Random's generator, relying on how
-CPython's expovariate, randrange and shuffle use random() and getrandbits().
+CPython's expovariate and randrange use random() and getrandbits().
 So this module needs neither pytest nor scipy: besides the Tier-1 run it
 runs as a plain script on any interpreter,
 
@@ -17,16 +17,14 @@ from math import log
 
 from oracles import (
     path_steiner_parents,
-    shuffled_trickle_slots,
     stdlib_simulate_diffusion,
+    stdlib_simulate_trickle,
 )
 
-from rumorlab import spreading
 from rumorlab.estimators import _steiner_parents
 from rumorlab.graphs import ExplicitGraph, build_random_regular, lazy_regular_tree
 from rumorlab.spreading import (
     SpreadParams,
-    _trickle_slots,
     simulate_diffusion,
     simulate_trickle,
     trial_stream,
@@ -72,26 +70,10 @@ def test_rejection_pick_equals_randrange():
         assert a.getstate() == b.getstate()
 
 
-def test_trickle_slots_equal_shuffle():
-    g = lazy_regular_tree(6)
-    for seed in range(40):
-        for theta in (1, 2, 5, 9):
-            for infected in ({}, {0: 0}, {0: 0, 1: 1, 8: 1}):
-                v = 1 if 0 in infected else 0
-                a, b = trial_stream(seed, theta), trial_stream(seed, theta)
-                assert (_trickle_slots(g, v, infected, theta, a)
-                        == shuffled_trickle_slots(g, v, infected, theta, b))
-                assert a.getstate() == b.getstate()
-    # A pool of one slot draws nothing.
-    a = trial_stream(0, 0)
-    state = a.getstate()
-    assert _trickle_slots(ExplicitGraph([[]]), 0, {}, 1, a) == [spreading.TAP]
-    assert a.getstate() == state
-
-
 def test_diffusion_equals_stdlib_reference():
     # Spreads from the root of a tree take the root loop, the rest the
-    # general loop; both must meet the one reference.
+    # general loop; both must meet the one reference, with and without
+    # report draws.
     runs = {"root": 0, "general": 0}
     for name, g in _graphs():
         finite = g.node_count != float("inf")
@@ -99,27 +81,30 @@ def test_diffusion_equals_stdlib_reference():
             for theta in (1.0, 0.6):
                 params = SpreadParams("diffusion", theta=theta,
                                       max_time=max_time, max_infections=max_inf)
-                for first_report in (False, True):
+                for first_report, reports in ((False, True), (True, True), (False, False)):
                     for i, source in enumerate((0, 0, 0, 1, 2, 9)):
                         source = min(source, g.node_count - 1)
                         a, b = trial_stream(11, i), trial_stream(11, i)
                         got = simulate_diffusion(g, params, a, source=source,
-                                                 first_report=first_report)
+                                                 first_report=first_report, reports=reports)
                         want = stdlib_simulate_diffusion(g, params, b, source=source,
-                                                         first_report=first_report)
-                        assert got == want, (name, params, first_report, i)
+                                                         first_report=first_report,
+                                                         reports=reports)
+                        case = (name, params, first_report, reports, i)
+                        assert got == want, case
                         assert list(got.X) == list(want.X)
                         assert list(got.parent.items()) == list(want.parent.items())
-                        assert a.getstate() == b.getstate(), (name, params, i)
+                        assert a.getstate() == b.getstate(), case
+                        assert reports or got.reports == {}, case
                         runs["root" if g.is_lazy and source == 0 else "general"] += 1
-    # 2 thetas x 2 stop rules per horizon.  The five trees of more than one
-    # node (17 horizons) start 3 of 6 runs at the root; all 6 runs start at
-    # the root of the one-node tree and off any tree on the random graph
+    # 2 thetas x 3 draw settings per horizon.  The five trees of more than
+    # one node (17 horizons) start 3 of 6 runs at the root; all 6 runs start
+    # at the root of the one-node tree and off any tree on the random graph
     # (4 horizons each).
-    assert runs == {"root": 2 * 2 * (17 * 3 + 4 * 6), "general": 2 * 2 * (17 * 3 + 4 * 6)}
+    assert runs == {"root": 2 * 3 * (17 * 3 + 4 * 6), "general": 2 * 3 * (17 * 3 + 4 * 6)}
 
 
-def test_trickle_equals_shuffle_reference():
+def test_trickle_equals_stdlib_reference():
     for name, g in _graphs():
         finite = g.node_count != float("inf")
         for max_time, max_inf in _horizons("trickle", finite):
@@ -130,13 +115,15 @@ def test_trickle_equals_shuffle_reference():
                     for i in range(6):
                         a, b = trial_stream(12, i), trial_stream(12, i)
                         got = simulate_trickle(g, params, a, first_report=first_report)
-                        spreading._trickle_slots = shuffled_trickle_slots
-                        try:
-                            want = simulate_trickle(g, params, b, first_report=first_report)
-                        finally:
-                            spreading._trickle_slots = _trickle_slots
+                        want = stdlib_simulate_trickle(g, params, b, first_report=first_report)
                         assert got == want, (name, params, first_report, i)
+                        assert list(got.X) == list(want.X)
                         assert a.getstate() == b.getstate(), (name, params, i)
+    # A node with one slot serves it without a draw.
+    a = trial_stream(0, 0)
+    state = a.getstate()
+    tr = simulate_trickle(ExplicitGraph([[]]), SpreadParams("trickle", theta=1), a)
+    assert tr.reports == {0: [1]} and a.getstate() == state
 
 
 def _terminal_sets(g, rng):

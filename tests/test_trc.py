@@ -276,7 +276,7 @@ class TestCutTree:
         leaves = range(explicit.node_count - d * (d - 1) ** (depth - 1), explicit.node_count)
         params = SpreadParams("trickle", theta=theta, max_time=t)
         compared = reached = 0
-        for i in range(40):
+        for i in range(100):
             tr = simulate_trickle(cut, params, trial_stream(700 + d, i))
             assert tr == simulate_trickle(explicit, params, trial_stream(700 + d, i))
             obs = observe_eavesdropper(tr, t, keep_all=True)
