@@ -22,7 +22,6 @@ from .analytics import (
     trickle_ml_upper,
     urn_simulate,
 )
-from .bruteforce import brute_force_posterior, enumerate_histories, observation_atlas
 from .estimators import (
     EstimateResult,
     ball_centrality,

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import analytics
+from ._checks import integer
 from .adversary import observe_eavesdropper, observe_snapshot, observe_spy
 from .estimators import (
     EstimateResult,
@@ -136,11 +137,14 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        if self.kind in ("tree", "balanced-tree", "random-regular") and not self.d:
+        for field, least in (("d", 1), ("n", 1), ("depth", 0), ("root_degree", 1)):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, integer(field, getattr(self, field), least))
+        if self.kind in ("tree", "balanced-tree", "random-regular") and self.d is None:
             raise ValueError(f"graph kind {self.kind!r} needs d")
         if self.kind == "balanced-tree" and self.depth is None:
             raise ValueError("balanced-tree needs depth")
-        if self.kind == "random-regular" and not self.n:
+        if self.kind == "random-regular" and self.n is None:
             raise ValueError("random-regular needs n")
         if self.kind == "file" and not self.path:
             raise ValueError("file graph needs path")
@@ -185,10 +189,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        object.__setattr__(self, "trials", integer("trials", self.trials, 1))
+        object.__setattr__(self, "workers", integer("workers", self.workers, 1))
         _check_compatible(self)
 
 

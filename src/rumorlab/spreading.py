@@ -12,12 +12,12 @@ cheaper), so theta is the report rate relative to the relay rate.  A spread
 relaying at rate r is the one at theta/r, run to horizon r*t, with every time
 divided by r.  simulate_diffusion needs no event heap: it draws the report
 with the infection and, the delays being memoryless, fires the pending relays
-one at a time.  From the root of a LazyRegularTree, the source of every
-generated graph, each relay runs from a parent to a child nobody has
-infected yet, so there it keeps one list of pending targets, extended by
-each new node's child id range, and tests nothing for infection; explicit
-graphs and other sources take the general loop, which filters neighbors(v)
-by the infected.
+one at a time, in one loop for every graph and source.  Only the new
+relays of an infection depend on where the spread runs: from the root of a
+LazyRegularTree, the source of every generated graph, each relay runs from
+a parent to a child nobody has infected yet, so they are the node's child
+id range and no fired relay is tested for infection; elsewhere they are
+neighbors(v) less the infected.
 
 Each simulator draws only what a trial reads: a trickle node picks a slot
 only when it serves one (a node never served draws nothing, and a last slot
@@ -92,8 +92,8 @@ class SpreadParams:
             raise ValueError(f"diffusion needs 0 < theta < inf, got {self.theta}")
         if self.max_time is not None and not 0 <= self.max_time < math.inf:
             raise ValueError(f"max_time must be finite and >= 0, got {self.max_time}")
-        if self.max_infections is not None and self.max_infections < 1:
-            raise ValueError("max_infections must be >= 1")
+        if self.max_infections is not None:
+            self.max_infections = integer("max_infections", self.max_infections, 1)
 
 
 @dataclass(eq=False)
@@ -167,6 +167,10 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
     node's report list; the first entry is the eavesdropper timestamp tau_v.
     With ``first_report`` the run stops at the end of the first step in which
     a tap fires, before the nodes infected in that step build their pools.
+    Steps are synchronous, so the step of the max_infections-th infection
+    runs to its end and the run stops there: nodes that step infects after
+    the K-th are kept, so X can hold more than K nodes, every one past the
+    K-th infected at stop_time.
     """
     if params.protocol != "trickle":
         raise ValueError(f"simulate_trickle got protocol {params.protocol!r}")
@@ -248,16 +252,11 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
     infection, and the first-report rule cannot be used.
 
     From the root of a LazyRegularTree (node 0, the source of every
-    generated graph) a second loop runs.  There every relay runs from a
-    parent to a child, and the only path from the root to a node passes its
-    parent, so no relay lands on an infected node: the loop keeps only the
-    pending targets, adds v's child id range on each infection (computed
-    from v, empty from the cut tree's first_leaf on) and makes no infected
-    test.  A target's sender is its parent, so the trace's parent is a
-    TreeParents view that asks the tree.  Its draws, picks and swaps are the
-    general loop's, whose neighbors(v) less the infected parent are
-    children(v) in order, so the trace and the stream left behind are the
-    same.
+    generated graph) a relay always runs from a parent to a child nobody has
+    infected, so there v's new relays are its child id range (empty from the
+    cut tree's first_leaf on: the same targets in the same order as
+    neighbors(v) less its infected parent), no sender is kept, no target is
+    tested, and the trace's parent is a TreeParents view that asks the tree.
     """
     if params.protocol != "diffusion":
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
@@ -272,24 +271,20 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
     report_times = []  # in infection order, as X
     first = math.inf  # earliest report drawn so far, kept for first_report
     stop_time = None  # stays None when no relay is left
-    t, v = 0.0, source
-    if g.is_lazy and source == 0:
+    tree = g.is_lazy and source == 0
+    if tree:
         # Node v >= 1 has children r+(v-1)c+1 .. r+vc, none from first_leaf on.
         r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
-        targets = []  # pending relays not yet fired
-        n = b = 0  # len(X) and len(targets)
-        while True:
-            X[v] = t
-            n += 1
-            if n >= max_inf:
-                stop_time = t
-                break
-            if reports:
-                # Exp(theta) drawn as expovariate draws it (see the module doc).
-                report = t + -log(1.0 - uniform()) / theta
-                report_times.append(report)
-                if first_report and report < first:
-                    first = report
+        parent = TreeParents(X, g.parent_of)
+    else:
+        neighbors, parent = g.neighbors, {}
+        relays = []  # the senders of the pending relays, pair by pair with targets
+    targets = []  # the targets of the pending relays, not yet fired
+    n = b = 0  # len(X) and len(targets)
+    t, v, relay = 0.0, source, None
+    while stop_time is None:  # once per infection
+        X[v] = t
+        if tree:
             if not v:
                 targets += g.children(0)
                 b = len(targets)
@@ -297,8 +292,24 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
                 lo = r + (v - 1) * c
                 targets += range(lo + 1, lo + c + 1)
                 b += c
-            if not b:
-                break
+        else:
+            parent[v] = relay
+            for u in neighbors(v):
+                if u not in X:
+                    relays.append(v)
+                    targets.append(u)
+            b = len(targets)
+        n += 1
+        if n >= max_inf:
+            stop_time = t
+            break
+        if reports:
+            # Exp(theta) drawn as expovariate draws it (see the module doc).
+            report = t + -log(1.0 - uniform()) / theta
+            report_times.append(report)
+            if first_report and report < first:
+                first = report
+        while b:  # fire relays until one infects
             t += -log(1.0 - uniform()) / b
             if first <= t and first <= max_time:
                 stop_time = first
@@ -306,7 +317,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
             if t > max_time:
                 stop_time = max_time
                 break
-            # randrange(b), then swap the pick with the last target and pop it.
+            # randrange(b), then swap the pick with the last relay and pop it.
             k = b.bit_length()
             i = getrandbits(k)
             while i >= b:
@@ -315,46 +326,15 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
             targets[i] = targets[-1]
             targets.pop()
             b -= 1
-        parent = TreeParents(X, g.parent_of)
-    else:
-        neighbors = g.neighbors
-        parent = {}
-        relays, targets = [], []  # pending relays not yet fired, pair by pair
-        relay = None
-        while True:
-            if v not in X:
-                X[v] = t
-                parent[v] = relay
-                if len(X) >= max_inf:
-                    stop_time = t
-                    break
-                if reports:
-                    report = t + -log(1.0 - uniform()) / theta
-                    report_times.append(report)
-                    if first_report and report < first:
-                        first = report
-                for u in neighbors(v):
-                    if u not in X:
-                        relays.append(v)
-                        targets.append(u)
-            b = len(relays)
-            if not b:
-                break
-            t += -log(1.0 - uniform()) / b
-            if first <= t and first <= max_time:
-                stop_time = first
-                break
-            if t > max_time:
-                stop_time = max_time
-                break
-            k = b.bit_length()
-            i = getrandbits(k)
-            while i >= b:
-                i = getrandbits(k)
-            relay, v = relays[i], targets[i]
-            relays[i], targets[i] = relays[-1], targets[-1]
+            if tree:
+                break  # a child nobody has infected
+            relay = relays[i]
+            relays[i] = relays[-1]
             relays.pop()
-            targets.pop()
+            if v not in X:
+                break
+        else:
+            break  # no relay left
     if stop_time is None:  # used up
         if first_report and first <= max_time:
             stop_time = first

@@ -21,13 +21,18 @@ from rumorlab.analytics import (
     trickle_ml_upper,
     urn_simulate,
 )
-from rumorlab.bruteforce import enumerate_histories, observation_atlas
 from rumorlab.estimators import ball_centrality, reporting_centrality, spy_first_timestamp
 from rumorlab.graphs import lazy_regular_tree
 from rumorlab.harness import AdversarySpec, ExperimentSpec, GraphSpec, run_experiment
 from rumorlab.spreading import SpreadParams, simulate_diffusion, simulate_trickle, trial_stream
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
-from oracles import build_regular_tree, ei_quadrature, reg_inc_beta_half_quadrature
+from oracles import (
+    build_regular_tree,
+    ei_quadrature,
+    enumerate_histories,
+    observation_atlas,
+    reg_inc_beta_half_quadrature,
+)
 
 
 def test_criterion_01_diffusion_first_timestamp_exactness():

@@ -16,13 +16,21 @@ from rumorlab.analytics import (
     trickle_ml_lower,
     urn_simulate,
 )
-from rumorlab.bruteforce import enumerate_histories
 from rumorlab.graphs import lazy_regular_tree
 from rumorlab.harness import AdversarySpec, ExperimentSpec, GraphSpec
 from rumorlab.spreading import SpreadParams
 from rumorlab.trc import check_setting
 
+from oracles import enumerate_histories
+
 TREE = lazy_regular_tree(3, depth=2)
+
+
+def _spec(trials=10, workers=1):
+    return ExperimentSpec(GraphSpec("tree", d=4), SpreadParams("diffusion"),
+                          AdversarySpec("eavesdropper"), "first-timestamp",
+                          trials=trials, master_seed=0, workers=workers)
+
 
 # Each integer input: a call with x in its place, and the least value it takes.
 INTEGER_INPUTS = {
@@ -36,6 +44,13 @@ INTEGER_INPUTS = {
     "enumerate_histories-t": (lambda x: enumerate_histories(TREE, 0, 1, x), 0),
     "SpreadParams-trickle-theta": (lambda x: SpreadParams("trickle", theta=x), 1),
     "check_setting-theta": (lambda x: check_setting(4, x), 1),
+    "SpreadParams-max_infections": (lambda x: SpreadParams("diffusion", max_infections=x), 1),
+    "GraphSpec-d": (lambda x: GraphSpec("tree", d=x), 1),
+    "GraphSpec-n": (lambda x: GraphSpec("random-regular", d=4, n=x), 1),
+    "GraphSpec-depth": (lambda x: GraphSpec("balanced-tree", d=3, depth=x), 0),
+    "GraphSpec-root_degree": (lambda x: GraphSpec("tree", d=4, root_degree=x), 1),
+    "ExperimentSpec-trials": (lambda x: _spec(trials=x), 1),
+    "ExperimentSpec-workers": (lambda x: _spec(workers=x), 1),
 }
 
 
@@ -80,11 +95,6 @@ def test_estimation_time_is_finite_and_nonnegative(t):
 
 
 def test_experiment_needs_a_worker():
-    def spec(workers):
-        return ExperimentSpec(GraphSpec("tree", d=4), SpreadParams("diffusion"),
-                              AdversarySpec("eavesdropper"), "first-timestamp",
-                              trials=10, master_seed=0, workers=workers)
-
     with pytest.raises(ValueError, match="workers"):
-        spec(0)
-    assert spec(1).workers == 1
+        _spec(workers=0)
+    assert _spec(workers=1).workers == 1

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracles
-from oracles import build_regular_tree
+from oracles import brute_force_posterior, build_regular_tree, enumerate_histories
 
 from rumorlab.adversary import Observation, observe_eavesdropper, observe_spy
 from rumorlab.analytics import diffusion_ft
-from rumorlab.bruteforce import brute_force_posterior, enumerate_histories
 from rumorlab.estimators import (
     InfeasibleObservationError,
     NoReportsError,

@@ -71,6 +71,20 @@ class TestTrickle:
         assert tr.X == {0: 0}
         assert tr.stop_time == 0
 
+    def test_infection_budget_finishes_the_step_of_the_kth_infection(self):
+        # Steps are synchronous: the step of the K-th infection runs to its
+        # end, so the nodes it infects after the K-th are kept, at stop_time.
+        g, k = lazy_regular_tree(4), 5
+        params = SpreadParams("trickle", theta=1, max_infections=k)
+        sizes = set()
+        for i in range(500):
+            tr = simulate_trickle(g, params, trial_stream(60, i))
+            times = list(tr.X.values())
+            assert len(times) >= k
+            assert all(x == tr.stop_time == times[k - 1] for x in times[k - 1:])
+            sizes.add(len(times))
+        assert min(sizes) == k < max(sizes)
+
     def test_source_first_report_probability(self):
         # First slot is one of theta taps among d + theta connections.
         d, theta, trials = 4, 1, 100_000
@@ -196,6 +210,32 @@ class TestDiffusion:
                                 trial_stream(5, 3))
         for v in list(tr.X)[1:]:
             assert tr.X[v] > tr.X[tr.parent[v]]
+
+    def test_tree_root_spreads_look_up_no_neighbors_or_parents(self):
+        # From the root, neighbors(v) less the infected parent are children(v)
+        # in order, so filtering neighbors there too would leave every trace
+        # and stream the same; only the calls show it.
+        g = lazy_regular_tree(5)
+        calls = {"neighbors": 0, "parent_of": 0}
+
+        def counting(name):
+            method = getattr(g, name)
+
+            def call(v):
+                calls[name] += 1
+                return method(v)
+            return call
+
+        g.neighbors, g.parent_of = counting("neighbors"), counting("parent_of")
+        params = SpreadParams("diffusion", theta=1.0, max_infections=500)
+        for i, (first_report, reports) in enumerate(((False, True), (False, False),
+                                                     (True, True))):
+            tr = simulate_diffusion(g, params, trial_stream(61, i),
+                                    first_report=first_report, reports=reports)
+            assert first_report or len(tr.X) == 500
+        assert calls == {"neighbors": 0, "parent_of": 0}
+        simulate_diffusion(g, params, trial_stream(61, 3), source=3)
+        assert calls["neighbors"] >= 1
 
     def test_reports_strictly_after_infection(self):
         tr = simulate_diffusion(lazy_regular_tree(3),

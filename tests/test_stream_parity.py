@@ -71,9 +71,10 @@ def test_rejection_pick_equals_randrange():
 
 
 def test_diffusion_equals_stdlib_reference():
-    # Spreads from the root of a tree take the root loop, the rest the
-    # general loop; both must meet the one reference, with and without
-    # report draws.
+    # Spreads from the root of a tree add child id ranges and test no fired
+    # relay for infection; the rest filter neighbors and test.  Both
+    # branches of the one relay loop must meet the one reference, with and
+    # without report draws.
     runs = {"root": 0, "general": 0}
     for name, g in _graphs():
         finite = g.node_count != float("inf")

@@ -7,14 +7,19 @@ from fractions import Fraction
 import pytest
 
 from rumorlab.adversary import Observation, observe_eavesdropper
-from rumorlab.bruteforce import enumerate_histories, observation_atlas
 from rumorlab.estimators import InfeasibleObservationError
 from rumorlab.graphs import hop_distance, lazy_regular_tree, tree_path
 from rumorlab.spreading import SpreadParams, simulate_trickle, trial_stream
 from rumorlab import trc
 from rumorlab.trc import ordering_count, timestamp_rumor_centrality
 
-from oracles import build_regular_tree, reference_assign, reference_ordering_count
+from oracles import (
+    build_regular_tree,
+    enumerate_histories,
+    observation_atlas,
+    reference_assign,
+    reference_ordering_count,
+)
 
 
 def obs_from_key(key, t):
