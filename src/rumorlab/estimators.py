@@ -29,9 +29,9 @@ class EstimateResult:
 
 
 def _pick_uniform(candidates, rng):
+    if len(candidates) == 1 or rng is None:
+        return min(candidates)
     ordered = sorted(candidates)
-    if len(ordered) == 1 or rng is None:
-        return ordered[0]
     return ordered[rng.randrange(len(ordered))]
 
 

@@ -55,7 +55,7 @@ class ExplicitGraph:
         return 0 <= v < len(self._adj)
 
     def neighbors(self, v):
-        if not self.has_node(v):
+        if not 0 <= v < len(self._adj):
             raise ValueError(f"unknown node {v}")
         return self._adj[v]
 
@@ -180,12 +180,27 @@ def lazy_regular_tree(d, root_degree=None, depth=None):
 _RR_RESTARTS = 100
 
 
+def _shuffle(x, getrandbits):
+    """random.Random.shuffle(x) for the generator behind getrandbits, call
+    for call: Fisher-Yates from the end, each index picked below i + 1 by
+    the getrandbits rejection loop behind randrange."""
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def build_random_regular(n, d, seed):
     """Random simple d-regular graph on n nodes via the configuration model.
 
     Stubs are paired uniformly; valid (simple, non-loop) pairs are kept and
     clashed stubs are re-shuffled until none remain, restarting from scratch
-    when no suitable pairing can exist.  Deterministic given ``seed``.
+    when no suitable pairing can exist.  Deterministic given ``seed``: each
+    shuffle is random.Random(seed).shuffle's, draw for draw, made straight
+    from the generator (_shuffle) without its per-stub method call.
     Asymptotically uniform for d much smaller than n.
     """
     import random as _random
@@ -196,7 +211,7 @@ def build_random_regular(n, d, seed):
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
         raise ValueError(f"need d < n, got n={n}, d={d}")
-    rng = _random.Random(seed)
+    getrandbits = _random.Random(seed).getrandbits
 
     def suitable(edges, leftover):
         # True if some pair of leftover stubs can still form a fresh edge.
@@ -214,7 +229,7 @@ def build_random_regular(n, d, seed):
         stubs = list(range(n)) * d
         while stubs:
             leftover = {}
-            rng.shuffle(stubs)
+            _shuffle(stubs, getrandbits)
             it = iter(stubs)
             for s1, s2 in zip(it, it):
                 if s1 > s2:

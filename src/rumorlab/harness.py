@@ -124,7 +124,8 @@ class GraphSpec:
     root_degree modifies only the infinite tree's root (the diffusion
     first-timestamp closed form is exact for root_degree = d - 2).  A kind
     rejects the fields it would ignore: root_degree, depth, n and path each
-    belong to one kind.
+    belong to one kind.  A spec names only graphs that can be built: a tree
+    needs d >= 2, a random-regular graph an even n*d and d < n.
     """
 
     kind: str
@@ -142,10 +143,17 @@ class GraphSpec:
                 object.__setattr__(self, field, integer(field, getattr(self, field), least))
         if self.kind in ("tree", "balanced-tree", "random-regular") and self.d is None:
             raise ValueError(f"graph kind {self.kind!r} needs d")
+        if self.kind in ("tree", "balanced-tree") and self.d < 2:
+            raise ValueError(f"regular tree degree must be >= 2, got {self.d}")
         if self.kind == "balanced-tree" and self.depth is None:
             raise ValueError("balanced-tree needs depth")
-        if self.kind == "random-regular" and self.n is None:
-            raise ValueError("random-regular needs n")
+        if self.kind == "random-regular":
+            if self.n is None:
+                raise ValueError("random-regular needs n")
+            if self.n * self.d % 2:
+                raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
+            if self.d >= self.n:
+                raise ValueError(f"need d < n, got n={self.n}, d={self.d}")
         if self.kind == "file" and not self.path:
             raise ValueError("file graph needs path")
         for field, kind in _FIELD_KIND.items():

@@ -17,7 +17,9 @@ relays of an infection depend on where the spread runs: from the root of a
 LazyRegularTree, the source of every generated graph, each relay runs from
 a parent to a child nobody has infected yet, so they are the node's child
 id range and no fired relay is tested for infection; elsewhere they are
-neighbors(v) less the infected.
+neighbors(v) less the infected.  Trickle gives a new node its slots the same
+way: its child id range and taps from the tree's root, its uninfected
+neighbors and taps elsewhere.
 
 Each simulator draws only what a trial reads: a trickle node picks a slot
 only when it serves one (a node never served draws nothing, and a last slot
@@ -31,8 +33,10 @@ of the wrapper calls, without their per-draw interpreter overhead.
 
 Both simulators take a first_report stop rule: the run ends at the earliest
 adversary report, since nothing later can change who reported first.
-first_report_trial, the t = infinity first-timestamp experiment, is that rule
-and nothing more, so it honours max_time and max_infections like a full run.
+first_report_trial, the t = infinity first-timestamp experiment, runs the
+simulator's own loop under that rule, with the same draws, so it honours
+max_time and max_infections like a full run; it keeps only what it returns,
+the reporters and their time, and no parents, relay senders or trace.
 
 The ground truth lives in a SpreadTrace: per-node infection times X, per-node
 adversary report times, infection parents, and the realized horizon.  A
@@ -53,6 +57,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import log
+from typing import NamedTuple
 
 from ._checks import integer
 
@@ -148,8 +153,7 @@ class TreeParents(Mapping):
         return len(self._X)
 
 
-@dataclass(frozen=True)
-class FirstReport:
+class FirstReport(NamedTuple):
     """All nodes achieving the minimal adversary report time (trickle can
     tie; diffusion ties have probability zero), or an explicit no-report."""
 
@@ -171,16 +175,33 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
     runs to its end and the run stops there: nodes that step infects after
     the K-th are kept, so X can hold more than K nodes, every one past the
     K-th infected at stop_time.
+
+    From the root of a LazyRegularTree a new node's uninfected connections
+    are its child id range (none for a cut tree's leaf), the same slots in
+    the same order as neighbors(w) less its infected parent.
     """
     if params.protocol != "trickle":
         raise ValueError(f"simulate_trickle got protocol {params.protocol!r}")
+    X, reports, parent, skipped, stop_time = _trickle(g, params, rng, source,
+                                                      first_report, True)
+    return SpreadTrace("trickle", source, X, reports, parent, stop_time,
+                       skipped=skipped)
+
+
+def _trickle(g, params, rng, source, first_report, parents):
+    """simulate_trickle's loop: (X, reports, parent, skipped, stop_time),
+    with parent None unless ``parents``."""
     taps = [TAP] * params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections
     neighbors, getrandbits = g.neighbors, rng.getrandbits
+    tree = g.is_lazy and source == 0
+    if tree:
+        # Node w >= 1 has children r+(w-1)c+1 .. r+wc, none from first_leaf on.
+        r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
 
     X = {source: 0}
-    parent = {source: None}
+    parent = {source: None} if parents else None
     reports = {}
     skipped = 0
     # (node, slots left) in infection order; a node leaves with its last slot.
@@ -209,7 +230,8 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
                 reports.setdefault(v, []).append(step)
             elif target not in X:
                 X[target] = step
-                parent[target] = v
+                if parents:
+                    parent[target] = v
                 newly.append(target)
                 if max_inf is not None and len(X) >= max_inf:
                     stop = True
@@ -218,8 +240,14 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
         if first_report and reports:
             break
         for w in newly:
-            pool = [u for u in neighbors(w) if u not in X]
-            pool += taps
+            if not tree:
+                pool = [u for u in neighbors(w) if u not in X]
+                pool += taps
+            elif w < first_leaf:
+                lo = r + (w - 1) * c
+                pool = [*range(lo + 1, lo + c + 1), *taps]
+            else:
+                pool = taps.copy()
             still_active.append((w, pool))
         active = still_active
 
@@ -229,8 +257,7 @@ def simulate_trickle(g, params, rng, source=0, *, first_report=False):
         stop_time = params.max_time
     else:
         stop_time = step
-    return SpreadTrace("trickle", source, X, reports, parent, stop_time,
-                       skipped=skipped)
+    return X, reports, parent, skipped, stop_time
 
 
 def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=True):
@@ -262,6 +289,15 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
         raise ValueError(f"simulate_diffusion got protocol {params.protocol!r}")
     if first_report and not reports:
         raise ValueError("the first-report stop rule needs report draws")
+    X, report_times, parent, stop_time = _diffusion(g, params, rng, source, first_report,
+                                                    reports, True)
+    return SpreadTrace("diffusion", source, X, None, parent, stop_time,
+                       report_times=report_times)
+
+
+def _diffusion(g, params, rng, source, first_report, reports, parents):
+    """simulate_diffusion's loop: (X, report_times, parent, stop_time), with
+    parent None and no relay's sender kept unless ``parents``."""
     theta = params.theta
     max_time = params.max_time if params.max_time is not None else math.inf
     max_inf = params.max_infections if params.max_infections is not None else math.inf
@@ -275,9 +311,10 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
     if tree:
         # Node v >= 1 has children r+(v-1)c+1 .. r+vc, none from first_leaf on.
         r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
-        parent = TreeParents(X, g.parent_of)
+        parent = TreeParents(X, g.parent_of) if parents else None
     else:
-        neighbors, parent = g.neighbors, {}
+        neighbors = g.neighbors
+        parent = {} if parents else None
         relays = []  # the senders of the pending relays, pair by pair with targets
     targets = []  # the targets of the pending relays, not yet fired
     n = b = 0  # len(X) and len(targets)
@@ -293,11 +330,12 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
                 targets += range(lo + 1, lo + c + 1)
                 b += c
         else:
-            parent[v] = relay
             for u in neighbors(v):
                 if u not in X:
-                    relays.append(v)
                     targets.append(u)
+            if parents:
+                parent[v] = relay
+                relays += [v] * (len(targets) - b)
             b = len(targets)
         n += 1
         if n >= max_inf:
@@ -328,9 +366,10 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
             b -= 1
             if tree:
                 break  # a child nobody has infected
-            relay = relays[i]
-            relays[i] = relays[-1]
-            relays.pop()
+            if parents:
+                relay = relays[i]
+                relays[i] = relays[-1]
+                relays.pop()
             if v not in X:
                 break
         else:
@@ -344,8 +383,7 @@ def simulate_diffusion(g, params, rng, source=0, *, first_report=False, reports=
             # The latest infection or report, not the clock, which may have
             # moved on through relays that had no effect.
             stop_time = max(max(X.values()), max(report_times, default=0.0))
-    return SpreadTrace("diffusion", source, X, None, parent, stop_time,
-                       report_times=report_times)
+    return X, report_times, parent, stop_time
 
 
 def first_report_trial(g, params, rng, source=0):
@@ -357,11 +395,19 @@ def first_report_trial(g, params, rng, source=0):
     of the spread.  The run also stops at max_time and at the
     max_infections-th infection; with no report by then the result is an
     explicit FirstReport(frozenset(), None).
+
+    It runs the simulator's own loop, draw for draw, but keeps no parents
+    and builds no SpreadTrace: the reporters are the trickle nodes with a
+    report, or the diffusion nodes whose report time is at most the stop
+    time (the rule SpreadTrace.reports applies, ties included).
     """
-    sim = simulate_trickle if params.protocol == "trickle" else simulate_diffusion
-    trace = sim(g, params, rng, source=source, first_report=True)
-    reporters = frozenset(trace.reports)
-    return FirstReport(reporters, trace.stop_time if reporters else None)
+    if params.protocol == "trickle":
+        _, reports, _, _, stop_time = _trickle(g, params, rng, source, True, False)
+        reporters = frozenset(reports)
+    else:
+        X, report_times, _, stop_time = _diffusion(g, params, rng, source, True, True, False)
+        reporters = frozenset([w for w, r in zip(X, report_times) if r <= stop_time])
+    return FirstReport(reporters, stop_time if reporters else None)
 
 
 def trace_to_csv(trace):

@@ -45,8 +45,8 @@ INTEGER_INPUTS = {
     "SpreadParams-trickle-theta": (lambda x: SpreadParams("trickle", theta=x), 1),
     "check_setting-theta": (lambda x: check_setting(4, x), 1),
     "SpreadParams-max_infections": (lambda x: SpreadParams("diffusion", max_infections=x), 1),
-    "GraphSpec-d": (lambda x: GraphSpec("tree", d=x), 1),
-    "GraphSpec-n": (lambda x: GraphSpec("random-regular", d=4, n=x), 1),
+    "GraphSpec-d": (lambda x: GraphSpec("tree", d=x), 2),
+    "GraphSpec-n": (lambda x: GraphSpec("random-regular", d=2, n=x), 3),
     "GraphSpec-depth": (lambda x: GraphSpec("balanced-tree", d=3, depth=x), 0),
     "GraphSpec-root_degree": (lambda x: GraphSpec("tree", d=4, root_degree=x), 1),
     "ExperimentSpec-trials": (lambda x: _spec(trials=x), 1),

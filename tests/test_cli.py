@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from rumorlab.analytics import FORMULAS, diffusion_ft
-from rumorlab import harness
+from rumorlab import cli, harness
 from rumorlab.cli import build_parser, main
 from rumorlab.graphs import load_edge_list
 from rumorlab.spreading import trace_to_csv, trial_stream
@@ -24,6 +24,14 @@ def run_cli(capsys, *argv):
 def experiment_args(command):
     """compare runs both protocols and takes no --protocol."""
     return [command] if command == "compare" else [command, "--protocol", "trickle"]
+
+
+def forbid_graph_builds(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    monkeypatch.setattr(harness, "build_graph", no_build)
 
 
 def parse_report_csv(text):
@@ -215,6 +223,34 @@ class TestUsageErrors:
                                  "--values", values, "--trials", "10")
         assert (code, out) == (2, "")
         assert "at least one value" in err
+
+    @pytest.mark.parametrize("graph", [
+        ("--graph", "tree", "--d", "1"),
+        ("--graph", "balanced-tree", "--d", "1", "--depth", "3"),
+        ("--graph", "random-regular", "--n", "7", "--d", "3"),
+        ("--graph", "random-regular", "--n", "4", "--d", "4"),
+    ])
+    def test_graph_that_cannot_be_built_exits_2_before_any_trial(self, capsys, monkeypatch,
+                                                                 graph):
+        forbid_graph_builds(monkeypatch)
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "diffusion", *graph,
+                                 "--max-infections", "10", "--trials", "5",
+                                 "--estimator", "first-timestamp")
+        assert (code, out) == (2, "")
+        assert err.startswith("rumorlab: error:")
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("graph, values", [
+        (("--graph", "tree"), "3,1"),
+        (("--graph", "random-regular", "--n", "7"), "2,3"),
+    ])
+    def test_d_sweep_point_that_cannot_be_built_exits_2(self, capsys, monkeypatch, command,
+                                                        graph, values):
+        forbid_graph_builds(monkeypatch)
+        code, out, err = run_cli(capsys, *experiment_args(command), *graph, "--d", "4",
+                                 "--axis", "d", "--values", values, "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("rumorlab: error:")
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_sweep_point_rejected_when_built_exits_2(self, capsys, command):

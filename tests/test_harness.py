@@ -13,6 +13,7 @@ from rumorlab.harness import (
     AdversarySpec,
     ExperimentSpec,
     GraphSpec,
+    build_graph,
     run_experiment,
     run_points,
     sweep,
@@ -85,6 +86,27 @@ class TestValidation:
             GraphSpec(kind="file")
         with pytest.raises(ValueError):
             GraphSpec(kind="random-regular", d=4)
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("tree", {"d": 1}, "degree must be >= 2"),
+        ("balanced-tree", {"d": 1, "depth": 3}, "degree must be >= 2"),
+        ("random-regular", {"d": 3, "n": 7}, "n\\*d must be even"),
+        ("random-regular", {"d": 4, "n": 4}, "d < n"),
+        ("random-regular", {"d": 5, "n": 4}, "d < n"),
+    ])
+    def test_graph_that_cannot_be_built_is_rejected(self, kind, fields, message):
+        with pytest.raises(ValueError, match=message):
+            GraphSpec(kind=kind, **fields)
+        # A d sweep builds each point's spec, and so rejects the point.
+        base = dataclasses.replace(ft_spec(), graph=GraphSpec(kind=kind, **{**fields, "d": 2}))
+        with pytest.raises(ValueError, match=message):
+            sweep_specs(base, "d", [2, fields["d"]])
+
+    def test_smallest_buildable_graphs_are_accepted(self):
+        for gspec in (GraphSpec(kind="tree", d=2), GraphSpec(kind="balanced-tree", d=2, depth=3),
+                      GraphSpec(kind="random-regular", d=2, n=3),
+                      GraphSpec(kind="random-regular", d=3, n=4)):
+            build_graph(gspec, 0)
 
     @pytest.mark.parametrize("graph", [GraphSpec(kind="random-regular", d=4, n=10),
                                        GraphSpec(kind="file", path="g.edges")])

@@ -170,6 +170,30 @@ class TestTrickle:
             expected += max(0, min(t - x, uninfected + theta))
         assert transmissions == expected
 
+    @pytest.mark.parametrize("g", [lazy_regular_tree(4), lazy_regular_tree(3, depth=3),
+                                   lazy_regular_tree(3, root_degree=1)])
+    def test_tree_root_pools_look_up_only_the_source(self, g):
+        # From the root a new node's pool is its child id range (taps only at
+        # a cut tree's leaf): the source's own pool is the one neighbors call.
+        # The streams are checked against neighbors filtering in
+        # test_stream_parity; only the calls show the difference.
+        calls = []
+        neighbors = g.neighbors
+
+        def counting(v):
+            calls.append(v)
+            return neighbors(v)
+
+        g.neighbors = counting
+        params = SpreadParams("trickle", theta=1, max_time=6)
+        for i in range(4):
+            calls.clear()
+            tr = simulate_trickle(g, params, trial_stream(62, i))
+            assert len(tr.X) > 1 and calls == [0]
+        calls.clear()
+        tr = simulate_trickle(g, params, trial_stream(62, 9), source=3)
+        assert len(tr.X) > 1 and len(calls) > 1
+
 
 class TestDiffusion:
     def test_report_delay_mean(self):

@@ -1,8 +1,10 @@
-"""The simulators' inline draws and the parent-id Steiner build against the
-stdlib-wrapper references in oracles.py, bit for bit.
+"""The simulators' inline draws, the configuration model's inline shuffle,
+the parent-free first-report path and the parent-id Steiner build against
+the stdlib-wrapper and traced references, bit for bit.
 
-The simulators draw straight from random.Random's generator, relying on how
-CPython's expovariate and randrange use random() and getrandbits().
+The simulators and build_random_regular draw straight from random.Random's
+generator, relying on how CPython's expovariate, randrange and shuffle use
+random() and getrandbits().
 So this module needs neither pytest nor scipy: besides the Tier-1 run it
 runs as a plain script on any interpreter,
 
@@ -22,9 +24,11 @@ from oracles import (
 )
 
 from rumorlab.estimators import _steiner_parents
-from rumorlab.graphs import ExplicitGraph, build_random_regular, lazy_regular_tree
+from rumorlab.graphs import ExplicitGraph, _shuffle, build_random_regular, lazy_regular_tree
 from rumorlab.spreading import (
+    FirstReport,
     SpreadParams,
+    first_report_trial,
     simulate_diffusion,
     simulate_trickle,
     trial_stream,
@@ -68,6 +72,17 @@ def test_rejection_pick_equals_randrange():
                 i = a.getrandbits(k)
             assert i == b.randrange(n)
         assert a.getstate() == b.getstate()
+
+
+def test_inline_shuffle_equals_random_shuffle():
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in [*range(71), 16_000]:
+            x, y = list(range(n)), list(range(n))
+            _shuffle(x, a.getrandbits)
+            b.shuffle(y)
+            assert x == y, (seed, n)
+            assert a.getstate() == b.getstate(), (seed, n)
 
 
 def test_diffusion_equals_stdlib_reference():
@@ -125,6 +140,35 @@ def test_trickle_equals_stdlib_reference():
     state = a.getstate()
     tr = simulate_trickle(ExplicitGraph([[]]), SpreadParams("trickle", theta=1), a)
     assert tr.reports == {0: [1]} and a.getstate() == state
+
+
+def test_first_report_trial_equals_the_traced_run():
+    # first_report_trial keeps no parents and builds no trace.  It must give
+    # the reporters and time of the traced run under the same stop rule, and
+    # leave the stream where that run leaves it.
+    outcomes = {"reported": 0, "silent": 0}
+    for name, g in _graphs():
+        finite = g.node_count != float("inf")
+        sources = [s for s in (0, 3) if s < g.node_count]
+        for protocol, sim in (("trickle", simulate_trickle), ("diffusion", simulate_diffusion)):
+            for max_time, max_inf in _horizons(protocol, finite):
+                for theta in (1, 3):
+                    params = SpreadParams(protocol, theta=theta, max_time=max_time,
+                                          max_infections=max_inf)
+                    for source in sources:
+                        for i in range(6):
+                            a, b = trial_stream(15, i), trial_stream(15, i)
+                            got = first_report_trial(g, params, a, source=source)
+                            trace = sim(g, params, b, source=source, first_report=True)
+                            reporters = frozenset(trace.reports)
+                            want = FirstReport(reporters, trace.stop_time if reporters else None)
+                            case = (name, params, source, i)
+                            assert type(got) is FirstReport, case
+                            assert type(got.reporters) is frozenset, case
+                            assert got == want, case
+                            assert a.getstate() == b.getstate(), case
+                            outcomes["reported" if reporters else "silent"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def _terminal_sets(g, rng):
