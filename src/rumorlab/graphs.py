@@ -25,6 +25,11 @@ INFINITY = math.inf
 class ExplicitGraph:
     """Simple undirected graph over node ids 0..node_count-1.
 
+    The constructor sorts each neighbor list, drops repeats and rejects
+    self-loops, ids out of range and one-way edges, naming the first
+    offending edge.  build_random_regular builds its lists sorted and
+    simple itself and wraps them through ``_trusted``, with no second pass.
+
     ``node_labels``, when present, maps the dense ids back to the original
     labels of an ingested edge list (index i holds the original id of node i).
     """
@@ -32,7 +37,8 @@ class ExplicitGraph:
     is_lazy = False
 
     def __init__(self, adjacency, degree_hint=None, node_labels=None):
-        self._adj = [sorted(set(nbrs)) for nbrs in adjacency]
+        nbr_sets = [set(nbrs) for nbrs in adjacency]
+        self._adj = [sorted(nbrs) for nbrs in nbr_sets]
         self.degree_hint = degree_hint
         self.node_labels = node_labels
         for v, nbrs in enumerate(self._adj):
@@ -41,8 +47,18 @@ class ExplicitGraph:
                     raise ValueError(f"self-loop at node {v}")
                 if not 0 <= u < len(self._adj):
                     raise ValueError(f"edge {v}-{u} leaves the node range")
-                if v not in self._adj[u]:
+                if v not in nbr_sets[u]:
                     raise ValueError(f"adjacency not symmetric at edge {v}-{u}")
+
+    @classmethod
+    def _trusted(cls, adj, degree_hint=None):
+        """The graph over lists that are already sorted, simple and
+        symmetric, taken as they are: no copy and no check."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g.degree_hint = degree_hint
+        g.node_labels = None
+        return g
 
     @property
     def node_count(self):
@@ -202,6 +218,10 @@ def build_random_regular(n, d, seed):
     shuffle is random.Random(seed).shuffle's, draw for draw, made straight
     from the generator (_shuffle) without its per-stub method call.
     Asymptotically uniform for d much smaller than n.
+
+    Kept pairs go straight into per-node neighbor lists, which are sorted
+    once at the end; the lists are simple and symmetric by construction, so
+    the graph takes them without a second validation pass.
     """
     import random as _random
 
@@ -213,45 +233,47 @@ def build_random_regular(n, d, seed):
         raise ValueError(f"need d < n, got n={n}, d={d}")
     getrandbits = _random.Random(seed).getrandbits
 
-    def suitable(edges, leftover):
+    def suitable(adj, leftover):
         # True if some pair of leftover stubs can still form a fresh edge.
         if not leftover:
             return True
         nodes = sorted(leftover)
         for i, s1 in enumerate(nodes):
             for s2 in nodes[i + 1:]:
-                if (s1, s2) not in edges:
+                if s2 not in adj[s1]:
                     return True
         return False
 
     def try_creation():
-        edges = set()
+        adj = [[] for _ in range(n)]
         stubs = list(range(n)) * d
         while stubs:
             leftover = {}
             _shuffle(stubs, getrandbits)
             it = iter(stubs)
             for s1, s2 in zip(it, it):
+                # The smaller stub first: leftover's insertion order is the
+                # order of the next shuffle's stubs.
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if s1 != s2 and (s1, s2) not in edges:
-                    edges.add((s1, s2))
+                nbrs = adj[s1]
+                if s1 != s2 and s2 not in nbrs:
+                    nbrs.append(s2)
+                    adj[s2].append(s1)
                 else:
                     leftover[s1] = leftover.get(s1, 0) + 1
                     leftover[s2] = leftover.get(s2, 0) + 1
-            if not suitable(edges, leftover):
+            if not suitable(adj, leftover):
                 return None
             stubs = [v for v, c in leftover.items() for _ in range(c)]
-        return edges
+        return adj
 
     for _ in range(_RR_RESTARTS):
-        edges = try_creation()
-        if edges is not None:
-            adjacency = [[] for _ in range(n)]
-            for u, v in edges:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            return ExplicitGraph(adjacency, degree_hint=d)
+        adj = try_creation()
+        if adj is not None:
+            for nbrs in adj:
+                nbrs.sort()
+            return ExplicitGraph._trusted(adj, degree_hint=d)
     raise RuntimeError(
         f"configuration model failed for n={n}, d={d} after {_RR_RESTARTS} restarts"
     )

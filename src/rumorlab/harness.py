@@ -11,9 +11,12 @@ estimate in order.  It aggregates hits into a DetectionReport with a Wilson
 strict-win rate where that form is the trickle strict-win bound.
 sweep runs one spec per axis value and run_experiment is its one-point case:
 each distinct (GraphSpec, master_seed) graph is built once, by the caller or
-in the calling process, and shared by every point and worker; with workers > 1
-all points run on one process pool, each worker receives the graphs once when
-it starts, and the pool is shut down before the call returns.
+in the calling process, and shared by every point and worker.  A point's
+trials split into at most spec.workers chunks of whole blocks, and all chunks
+of a call run on one process pool of min(max spec.workers, chunks in the
+call) processes, or in the calling process when that is 1; each worker
+receives the graphs once when it starts, and the pool is shut down before
+the call returns.
 
 Reports are reproducible bit-for-bit: streams are keyed by block index, not
 worker, and each worker runs whole blocks, so the result is independent of
@@ -406,7 +409,10 @@ def run_points(specs, graphs=None):
         chunk = -(-spec.trials // (spec.workers * _BLOCK)) * _BLOCK
         points.append([(lo, min(lo + chunk, spec.trials))
                        for lo in range(0, spec.trials, chunk)])
-    workers = max((spec.workers for spec in specs), default=1)
+    # No more workers than chunks, and no pool for one: a worker with no
+    # chunk would only start, receive the graphs and shut down.
+    workers = min(max((spec.workers for spec in specs), default=1),
+                  sum(map(len, points)))
     # Each worker receives the graphs once, at its start.
     pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                 initargs=(graphs,)) if workers > 1 else None)

@@ -17,7 +17,10 @@ balanced tree is built node by node as an explicit graph (the package
 computes its cut tree's neighbors from node ids).  The stdlib-wrapper
 versions of the diffusion and trickle simulators and the path-by-path
 Steiner build are the references the package's inline draws
-and parent-id attachments must match bit for bit, and the eavesdropper's
+and parent-id attachments must match bit for bit; so is the configuration
+model kept as an edge set, shuffled by random.Random.shuffle and validated
+by the public ExplicitGraph constructor (the package pairs stubs straight
+into sorted neighbor lists it does not re-check).  The eavesdropper's
 first reports are re-read from a trace's reports dict (the package reads a
 diffusion trace's report list).  The trickle loop that shuffles each pool
 at infection is kept as a reference in distribution.  Timestamp rumor
@@ -28,12 +31,13 @@ the rest loads on an interpreter without it.
 """
 
 import math
+import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 
 from rumorlab._checks import integer
-from rumorlab.graphs import ExplicitGraph, tree_path
+from rumorlab.graphs import _RR_RESTARTS, ExplicitGraph, tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace
 
 
@@ -659,6 +663,53 @@ def path_steiner_parents(g, terminals):
         for i in range(len(path) - 2, -1, -1):
             parent[path[i]] = path[i + 1]
     return parent
+
+
+def reference_random_regular(n, d, seed, restarts=_RR_RESTARTS):
+    """Reference for build_random_regular: the configuration model kept as a
+    set of edge tuples, shuffled by random.Random.shuffle and handed to the
+    validating ExplicitGraph constructor.  The package pairs stubs straight
+    into sorted neighbor lists; with the same number of restarts its graph
+    must equal this one, list for list, and it must fail where this one
+    fails."""
+    if n <= 0 or d < 0 or (n * d) % 2 or d >= n:
+        raise ValueError(f"no simple {d}-regular graph on {n} nodes")
+    rng = random.Random(seed)
+
+    def suitable(edges, leftover):
+        nodes = sorted(leftover)
+        return not leftover or any((s1, s2) not in edges
+                                   for i, s1 in enumerate(nodes) for s2 in nodes[i + 1:])
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            leftover = {}
+            rng.shuffle(stubs)
+            it = iter(stubs)
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    leftover[s1] = leftover.get(s1, 0) + 1
+                    leftover[s2] = leftover.get(s2, 0) + 1
+            if not suitable(edges, leftover):
+                return None
+            stubs = [v for v, c in leftover.items() for _ in range(c)]
+        return edges
+
+    for _ in range(restarts):
+        edges = try_creation()
+        if edges is not None:
+            adjacency = [[] for _ in range(n)]
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            return ExplicitGraph(adjacency, degree_hint=d)
+    raise RuntimeError(f"configuration model failed for n={n}, d={d}")
 
 
 def reference_ordering_count(g, root, reports, t, theta=1):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,37 @@ class TestLazyRegularTree:
             assert g.neighbors(v) == explicit.neighbors(v)
         assert [g.parent_of(v) for v in range(7)] == [None, 0, 0, 1, 1, 2, 2]
         assert g.neighbors(3) == [1, 7, 8]
+
+
+class TestExplicitGraph:
+    def test_sorts_and_drops_repeats(self):
+        g = ExplicitGraph([[2, 1, 1], [0], [0, 0]])
+        assert [g.neighbors(v) for v in g.nodes()] == [[1, 2], [0], [0]]
+        assert g.edge_count() == 2
+
+    @pytest.mark.parametrize("adjacency, message", [
+        ([[1], [0, 1]], "self-loop at node 1"),
+        ([[1, 0], [0]], "self-loop at node 0"),
+        ([[1, 3], [0]], "edge 0-3 leaves the node range"),
+        ([[-1], []], "edge 0--1 leaves the node range"),
+        ([[1], []], "adjacency not symmetric at edge 0-1"),
+        ([[], [0]], "adjacency not symmetric at edge 1-0"),
+        # The first offending edge, nodes in order and each list sorted.
+        ([[2, 1], [], [1]], "adjacency not symmetric at edge 0-1"),
+        ([[1], [0, 5], [2]], "edge 1-5 leaves the node range"),
+        ([[1, 2], [0], [0, 2, 7]], "self-loop at node 2"),
+    ])
+    def test_rejects_with_the_first_offending_edge(self, adjacency, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExplicitGraph(adjacency)
+
+    def test_hub_heavy_star(self):
+        # The symmetry test looks the hub up in a set, not by a scan of its
+        # 20,000 neighbors per leaf.
+        leaves = 20_000
+        g = ExplicitGraph([list(range(leaves, 0, -1))] + [[0]] * leaves)
+        assert g.neighbors(0) == list(range(1, leaves + 1))
+        assert g.degree(leaves) == 1 and g.edge_count() == leaves
 
 
 class TestRandomRegular:

@@ -540,6 +540,24 @@ class TestBlocks:
                 for w in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
 
+    def test_pool_starts_only_the_workers_that_get_work(self, monkeypatch):
+        started = []
+        real = harness.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            started.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
+        graph = self.GRAPHS[0]
+        # Calls of 1, 2 (two points) and 2 (one point of 100 trials) chunks.
+        calls = [[(64, 2)], [(10, 3), (64, 3)], [(100, 3)]]
+        for call, want in zip(calls, [[], [2], [2, 2]]):
+            reports = run_points([block_spec(graph, "diffusion", n, w) for n, w in call])
+            serial = run_points([block_spec(graph, "diffusion", n, 1) for n, _ in call])
+            assert [outcome(r) for r in reports] == [outcome(r) for r in serial]
+            assert started == want, call
+
     @pytest.mark.parametrize("graph", GRAPHS, ids=["random-regular", "tree"])
     def test_first_n_trials_are_the_run_of_n(self, graph, monkeypatch):
         outcomes = []

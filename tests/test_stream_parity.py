@@ -1,6 +1,7 @@
-"""The simulators' inline draws, the configuration model's inline shuffle,
-the parent-free first-report path and the parent-id Steiner build against
-the stdlib-wrapper and traced references, bit for bit.
+"""The simulators' inline draws, the configuration model's inline shuffle
+and adjacency-list pairing, the parent-free first-report path and the
+parent-id Steiner build against the stdlib-wrapper and traced references,
+bit for bit.
 
 The simulators and build_random_regular draw straight from random.Random's
 generator, relying on how CPython's expovariate, randrange and shuffle use
@@ -13,16 +14,20 @@ runs as a plain script on any interpreter,
 which calls every test function here and exits 1 if one fails.
 """
 
+import hashlib
 import random
 import sys
+from functools import partial
 from math import log
 
 from oracles import (
     path_steiner_parents,
+    reference_random_regular,
     stdlib_simulate_diffusion,
     stdlib_simulate_trickle,
 )
 
+from rumorlab import graphs
 from rumorlab.estimators import _steiner_parents
 from rumorlab.graphs import ExplicitGraph, _shuffle, build_random_regular, lazy_regular_tree
 from rumorlab.spreading import (
@@ -83,6 +88,68 @@ def test_inline_shuffle_equals_random_shuffle():
             b.shuffle(y)
             assert x == y, (seed, n)
             assert a.getstate() == b.getstate(), (seed, n)
+
+
+def _small_builds(restarts):
+    """Build every feasible (n, d) below 16 nodes at 30 seeds each, by the
+    generator and the edge-set reference, both with the given number of
+    restarts; return how many were built and how many failed."""
+    outcomes = {"built": 0, "failed": 0}
+
+    def adj(build, n, d, seed):
+        try:
+            return build(n, d, seed)._adj
+        except RuntimeError:
+            return "failed"
+
+    saved, graphs._RR_RESTARTS = graphs._RR_RESTARTS, restarts
+    try:
+        for n in range(1, 16):
+            for d in range(n):
+                if n * d % 2:
+                    continue
+                for seed in range(30):
+                    got = adj(build_random_regular, n, d, seed)
+                    want = adj(partial(reference_random_regular, restarts=restarts), n, d, seed)
+                    assert got == want, (n, d, seed, restarts)
+                    outcomes["failed" if got == "failed" else "built"] += 1
+    finally:
+        graphs._RR_RESTARTS = saved
+    assert sum(outcomes.values()) == 92 * 30, outcomes
+    return outcomes
+
+
+def test_random_regular_equals_edge_set_reference():
+    # At the generator's own restart count thousands of tries restart and
+    # no build fails.
+    assert _small_builds(graphs._RR_RESTARTS)["failed"] == 0
+
+
+def test_random_regular_fails_where_the_reference_fails():
+    # With one try, a build fails where the first pairing gets stuck.
+    outcomes = _small_builds(1)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_random_regular_hashes_unchanged():
+    # The lists of the edge-set build this generator replaced, seeds 0-14.
+    want = {
+        (2000, 8): "090ef889514de0230fb52428f964c49f2e277277e42ecfc7bf048ab77f3ec428",
+        (200, 4): "97fe17004db9501bd625f35312944185fef83c28109e6b1aeb28a98d176fc1fc",
+    }
+    for (n, d), digest in want.items():
+        h = hashlib.sha256()
+        for seed in range(15):
+            h.update(repr(build_random_regular(n, d, seed)._adj).encode())
+        assert h.hexdigest() == digest, (n, d)
+
+
+def test_generated_graph_passes_the_public_constructor():
+    for n, d, seed in ((200, 4, 1), (2000, 8, 3), (15, 14, 0), (12, 5, 7)):
+        g = build_random_regular(n, d, seed)
+        checked = ExplicitGraph(g._adj)
+        assert checked._adj == g._adj
+        assert g.degree_hint == d and g.node_labels is None
 
 
 def test_diffusion_equals_stdlib_reference():
