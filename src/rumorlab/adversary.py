@@ -8,6 +8,9 @@ Three observers:
 * spy: every infected non-source node is independently corrupted with
   probability p; a spy leaks its exact infection time and the neighbor that
   relayed to it.  Spies are re-sampled per trial from the supplied stream.
+  A trial that needs only the earliest spy draws that spy's position in
+  infection order before the spread (first_spy_position) and observes the
+  spread it stops there (observe_first_spy).
 * snapshot: the infected set {v : X_v <= T}, nothing else.
 
 Each observer drops everything after the estimation time, so an estimator
@@ -15,6 +18,7 @@ that reads only the Observation can never peek past it.
 """
 
 import math
+from math import log, log1p
 from dataclasses import dataclass
 
 
@@ -71,6 +75,38 @@ def observe_spy(trace, p, t=math.inf, rng=None):
             times[v] = x
             infectors[v] = infector(v)
     return Observation("spy", spy_times=times, spy_infectors=infectors)
+
+
+def first_spy_position(p, rng):
+    """The index j >= 1 in infection order (the source is index 0) of the
+    first spy, or None for no spy: 1 + floor(E / lam) with E ~ Exp(1), drawn
+    as the simulators draw it, and lam = -log(1 - p), so P(j > k) = (1 - p)**k
+    exactly, in one draw whatever p.  p = 1 (j = 1) and p = 0 (None) draw
+    nothing, as in observe_spy; so does a p so small that E / lam overflows.
+    """
+    if p == 1:
+        return 1
+    if p == 0:
+        return None
+    q = -log(1.0 - rng.random()) / -log1p(-p)
+    return 1 + int(q) if q < math.inf else None
+
+
+def observe_first_spy(trace, j, p, rng=None):
+    """The spy observation of a spread stopped at its first spy X[j] (j from
+    first_spy_position): that spy, and each node infected after it, which a
+    synchronous (trickle) run infects in the same step, with one spy draw per
+    such node as in observe_spy.  Without X[j] (j is None, or the spread
+    ended first) there is no spy and nothing is drawn."""
+    if j is None or j >= len(trace.X):
+        return Observation("spy", spy_times={}, spy_infectors={})
+    nodes = list(trace.X)
+    parent = trace.parent
+    infector = getattr(parent, "parent_of", parent.__getitem__)
+    spies = [nodes[j]]
+    spies += [v for v in nodes[j + 1:] if p == 1 or rng.random() < p]
+    return Observation("spy", spy_times={v: trace.X[v] for v in spies},
+                       spy_infectors={v: infector(v) for v in spies})
 
 
 def observe_snapshot(trace, T):

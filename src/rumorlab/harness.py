@@ -32,7 +32,13 @@ from dataclasses import dataclass, replace
 
 from . import analytics
 from ._checks import integer
-from .adversary import observe_eavesdropper, observe_snapshot, observe_spy
+from .adversary import (
+    first_spy_position,
+    observe_eavesdropper,
+    observe_first_spy,
+    observe_snapshot,
+    observe_spy,
+)
 from .estimators import (
     EstimateResult,
     _pick_uniform,
@@ -63,7 +69,8 @@ class Method:
     when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
     every eavesdropper tap; first_report stops the trial at the first report
     when t = infinity (_stops_at_first_report), since nothing after it can
-    change the argmin.
+    change the argmin, and first_spy likewise at the first spy
+    (_stops_at_first_spy).
     """
 
     theory: dict
@@ -71,6 +78,7 @@ class Method:
     trees_only: bool = False
     keep_all: bool = False
     first_report: bool = False
+    first_spy: bool = False
 
 
 def _rumor_center(obs, g, t, rng, theta):
@@ -85,7 +93,7 @@ METHODS = {
         lambda obs, g, t, rng, theta: first_timestamp(obs, rng), first_report=True),
     ("first-timestamp", "spy"): Method(
         {"trickle": "spy_ft_lb", "diffusion": "spy_ft_lb"},
-        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng)),
+        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng), first_spy=True),
     ("ball-centrality", "eavesdropper"): Method(
         {"trickle": "trickle_ml_lb"},
         lambda obs, g, t, rng, theta: ball_centrality(obs, g, rng)),
@@ -317,24 +325,48 @@ def _stops_at_first_report(method, adversary):
     return method.first_report and adversary.estimation_time is None
 
 
-def _simulate(spec, g, rng, source, first_report=False):
-    """The trial's spread.  Trickle taps shape the spread and are always
-    drawn; a diffusion run draws report times only for the eavesdropper,
-    since the spy and snapshot observers read none."""
-    if spec.params.protocol == "trickle":
-        return simulate_trickle(g, spec.params, rng, source=source, first_report=first_report)
-    return simulate_diffusion(g, spec.params, rng, source=source, first_report=first_report,
+def _stops_at_first_spy(method, adversary):
+    """Whether a trial of method against adversary ends at its first spy
+    (spy first-timestamp at t = infinity)."""
+    return method.first_spy and adversary.estimation_time is None
+
+
+def _simulate(spec, g, rng, source, first_report=False, params=None):
+    """The trial's spread, under spec.params unless params is given.  Trickle
+    taps shape the spread and are always drawn; a diffusion run draws report
+    times only for the eavesdropper, since the spy and snapshot observers
+    read none."""
+    params = params or spec.params
+    if params.protocol == "trickle":
+        return simulate_trickle(g, params, rng, source=source, first_report=first_report)
+    return simulate_diffusion(g, params, rng, source=source, first_report=first_report,
                               reports=spec.adversary.model == "eavesdropper")
+
+
+def _first_spy_spread(spec, g, rng, source):
+    """(j, trace): the position j of the trial's first spy, drawn before the
+    spread (None for no spy), and the spread run to the (j+1)-th infection or
+    the spec's own horizon, whichever comes first.  A run to fewer
+    infections is, draw for draw, a prefix of the longer run, so X[j] is the
+    first spy if len(X) > j, and otherwise the trial has none
+    (observe_first_spy)."""
+    j = first_spy_position(spec.adversary.p, rng)
+    params = spec.params
+    if j is not None and (params.max_infections is None or j + 1 < params.max_infections):
+        params = replace(params, max_infections=j + 1)
+    return j, _simulate(spec, g, rng, source, params=params)
 
 
 def trial_trace(spec, g):
     """The spread of the spec's trial 0 on g, the run's own graph, as run_trial
     simulates it: the first draws of block 0's stream, stopping at the first
-    report where the trial does."""
+    report or the first spy where the trial does."""
     rng = trial_stream(spec.master_seed, 0)
-    first_report = _stops_at_first_report(METHODS[spec.estimator, spec.adversary.model],
-                                          spec.adversary)
-    return _simulate(spec, g, rng, _source(spec, g, rng), first_report)
+    method = METHODS[spec.estimator, spec.adversary.model]
+    source = _source(spec, g, rng)
+    if _stops_at_first_spy(method, spec.adversary):
+        return _first_spy_spread(spec, g, rng, source)[1]
+    return _simulate(spec, g, rng, source, _stops_at_first_report(method, spec.adversary))
 
 
 def run_trial(spec, g, rng):
@@ -353,9 +385,15 @@ def run_trial(spec, g, rng):
             return (False, False, None)
         return (_pick_uniform(res.reporters, rng) == source, res.reporters == {source}, res.time)
 
-    trace = _simulate(spec, g, rng, source)
+    first_spy = _stops_at_first_spy(method, adv)
+    if first_spy:
+        j, trace = _first_spy_spread(spec, g, rng, source)
+    else:
+        trace = _simulate(spec, g, rng, source)
     t = adv.estimation_time if adv.estimation_time is not None else trace.stop_time
-    if adv.model == "eavesdropper":
+    if first_spy:
+        obs = observe_first_spy(trace, j, adv.p, rng)
+    elif adv.model == "eavesdropper":
         obs = observe_eavesdropper(trace, t, keep_all=method.keep_all)
     elif adv.model == "spy":
         obs = observe_spy(trace, adv.p, t, rng)

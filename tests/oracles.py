@@ -5,9 +5,12 @@ functions are recomputed by adaptive quadrature (scipy.integrate.quad),
 including a genuine principal-value integral for the exponential integral,
 diffusion is re-simulated with one timed event per relay and report,
 first-report trials are re-run by loops of their own that stop at the first
-report (the package folds that stop rule into its simulators), diffusion
+report (the package folds that stop rule into its simulators), spy
+first-timestamp trials are re-run as whole spreads with a spy draw per node
+(the package stops them at a first spy drawn before the spread), diffusion
 first-report detection from the tree's root is summed exactly over the
-infection count, every trickle history on a small graph is enumerated with
+infection count, spy first-timestamp detection from there over the first
+spy's position (and, at small K, over every infection order), every trickle history on a small graph is enumerated with
 its exact rational probability (the ground truth of the trickle estimators),
 trickle first-report detection on small explicit graphs is summed exactly
 over every history, and tree
@@ -35,10 +38,13 @@ import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
+from typing import NamedTuple
 
 from rumorlab._checks import integer
+from rumorlab.adversary import observe_spy
+from rumorlab.estimators import spy_first_timestamp
 from rumorlab.graphs import _RR_RESTARTS, ExplicitGraph, tree_path
-from rumorlab.spreading import TAP, FirstReport, SpreadTrace
+from rumorlab.spreading import TAP, FirstReport, SpreadTrace, trial_stream
 
 
 def ei_quadrature(x):
@@ -293,6 +299,74 @@ def tree_root_diffusion_ft(d, theta, root_degree=None, max_infections=None):
         reach *= b / (b + n * theta)
         n += 1
     return total
+
+
+class SpyFT(NamedTuple):
+    p_hit: Fraction
+    mean_stop: Fraction
+    var_stop: Fraction
+
+
+def spy_ft_exact(d, K, p, root_degree=None):
+    """Exact spy first-timestamp experiment at t = infinity from the root of
+    the infinite d-regular tree whose root has root_degree r (default d),
+    with horizon K infections: P(hit) and the mean and variance of the stop
+    time, in Fractions (give p as a Fraction or an exact float).
+
+    Spies are independent of the spread, so the first spy is the j-th
+    non-source infection with probability p (1-p)**(j-1), and it names its
+    infector, the source iff it is a root child.  After n infections, m of
+    them root children, b_n = r + (n-1)(d-2) relays are pending, each as
+    likely to fire next, r - m of them to uninfected root children; so the
+    chance that infection n is a root child follows from the distribution of
+    m, carried one infection at a time.  The trial stops at the first spy's
+    infection, T_{j+1}, or at T_K when no spy is among the first K - 1; T_n
+    sums independent Exp(b_i) gaps for i < n, whatever the order.
+    """
+    r = d if root_degree is None else root_degree
+    p = Fraction(p)
+    m_dist = [Fraction(1)] + [Fraction(0)] * r  # P(m root children infected)
+    mean = var = Fraction(0)  # of T_n, the time of the n-th infection
+    p_hit = mean_stop = second = Fraction(0)
+    none = Fraction(1)  # P(no spy among the infections so far)
+    for n in range(1, K):
+        b = r + (n - 1) * (d - 2)
+        child = sum(q * (r - m) for m, q in enumerate(m_dist)) / b
+        m_dist = [q * (b - r + m) / b + (m_dist[m - 1] * (r - m + 1) / b if m else 0)
+                  for m, q in enumerate(m_dist)]
+        mean, var = mean + Fraction(1, b), var + Fraction(1, b * b)
+        # Infection n, at T_{n+1}, is the first spy.
+        w = none * p
+        p_hit += w * child
+        mean_stop += w * mean
+        second += w * (var + mean * mean)
+        none -= w
+    mean_stop += none * mean
+    second += none * (var + mean * mean)
+    return SpyFT(p_hit, mean_stop, second - mean_stop * mean_stop)
+
+
+def enumerate_spy_ft(d, K, p, root_degree=None):
+    """P(hit) of the spy first-timestamp experiment from the root of the
+    d-regular tree (root degree root_degree, default d) with horizon K,
+    summed over every order of the first K infections on the explicit tree:
+    each order has probability prod 1/(pending relays), and the first spy is
+    the j-th non-source infection with probability p (1-p)**(j-1)."""
+    g = build_regular_tree(d, K, root_degree)
+    root_children = set(g.neighbors(0))
+
+    def walk(pending, infected, j):
+        if j == K:
+            return Fraction(0)
+        total = Fraction(0)
+        for i, v in enumerate(pending):
+            hit = p * (1 - p) ** (j - 1) if v in root_children else 0
+            rest = pending[:i] + pending[i + 1:] + [u for u in g.neighbors(v)
+                                                    if u not in infected]
+            total += (hit + walk(rest, infected | {v}, j + 1)) / len(pending)
+        return total
+
+    return walk(list(root_children), {0}, 1)
 
 
 # Exact enumeration oracle for trickle spreading on small graphs.
@@ -593,6 +667,36 @@ def stdlib_simulate_diffusion(g, params, rng, source=0, *, first_report=False, r
         relay, v = pending.pop()
     kept = {w: [r] for w, r in zip(order, report_times) if r <= stop_time}
     return SpreadTrace("diffusion", source, X, kept, parent, stop_time)
+
+
+def full_spread_spy_ft_trial(spec, g, rng):
+    """Reference for the harness's spy first-timestamp trial at t = infinity,
+    which stops at its first spy: the whole spread to the spec's own horizon
+    (by the stdlib-wrapper simulators, with no report draws), a spy draw for
+    every infected non-source node (observe_spy), then spy_first_timestamp.
+    A file graph's source is drawn first.  Returns (hit, stop_time)."""
+    source = rng.randrange(g.node_count) if spec.graph.kind == "file" else 0
+    if spec.params.protocol == "trickle":
+        trace = stdlib_simulate_trickle(g, spec.params, rng, source)
+    else:
+        trace = stdlib_simulate_diffusion(g, spec.params, rng, source, reports=False)
+    obs = observe_spy(trace, spec.adversary.p, trace.stop_time, rng)
+    if not obs.spy_times:
+        return False, trace.stop_time
+    return spy_first_timestamp(obs, rng).chosen == source, trace.stop_time
+
+
+def full_spread_spy_ft_run(spec, g):
+    """(hits, stop times) of the spec's trials by full_spread_spy_ft_trial,
+    on the harness's streams: block b of 64 trials on trial_stream(seed, b)."""
+    hits, stops = 0, []
+    for i in range(spec.trials):
+        if i % 64 == 0:
+            rng = trial_stream(spec.master_seed, i // 64)
+        hit, stop = full_spread_spy_ft_trial(spec, g, rng)
+        hits += hit
+        stops.append(stop)
+    return hits, stops
 
 
 def loop_first_reports(trace, t):

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rumorlab.adversary import observe_eavesdropper, observe_snapshot, observe_spy
+from rumorlab.adversary import (first_spy_position, observe_eavesdropper, observe_first_spy,
+                                observe_snapshot, observe_spy)
 from rumorlab.graphs import build_random_regular, lazy_regular_tree
 from rumorlab.spreading import (SpreadParams, SpreadTrace, TreeParents, simulate_diffusion,
                                 simulate_trickle, trial_stream)
@@ -179,6 +180,55 @@ class TestSpy:
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             observe_spy(diffusion_trace(), 1.5, 1.0, trial_stream(0, 0))
+
+
+class TestFirstSpy:
+    def test_p_one_and_p_zero_draw_nothing(self):
+        rng = trial_stream(2, 0)
+        state = rng.getstate()
+        assert first_spy_position(1.0, rng) == 1
+        assert first_spy_position(0.0, rng) is None
+        assert rng.getstate() == state
+
+    def test_one_draw_whatever_p(self):
+        for p in (0.9, 0.3, 1e-9, 1e-320):
+            rng, ref = trial_stream(3, 0), trial_stream(3, 0)
+            first_spy_position(p, rng)
+            ref.random()
+            assert rng.getstate() == ref.getstate(), p
+        # So small a p puts the first spy past any spread that can be run.
+        assert first_spy_position(1e-320, trial_stream(3, 0)) is None
+
+    @pytest.mark.parametrize("p", [0.7, 0.2, 0.01])
+    def test_position_is_geometric(self, p):
+        # P(j > k) = (1 - p)**k: each tail frequency within 4 standard errors.
+        rng, n = trial_stream(4, 0), 20_000
+        draws = [first_spy_position(p, rng) for _ in range(n)]
+        for k in (1, 2, 5, 20):
+            tail = (1 - p) ** k
+            got = sum(j > k for j in draws) / n
+            assert abs(got - tail) <= 4 * math.sqrt(tail * (1 - tail) / n) + 1e-12, (k, got)
+
+    def test_first_spy_and_same_step_spies_with_their_infectors(self):
+        tr = trickle_trace(seed=5, t=6)
+        nodes = list(tr.X)
+        j = next(i for i, v in enumerate(nodes) if tr.X[v] == tr.X[nodes[-1]])
+        assert len(nodes) > j + 2  # the last step infects more than two nodes
+        obs = observe_first_spy(tr, j, 1.0)
+        assert set(obs.spy_times) == set(nodes[j:])
+        assert obs.spy_times == {v: tr.X[v] for v in nodes[j:]}
+        assert obs.spy_infectors == {v: tr.parent[v] for v in nodes[j:]}
+        # At p < 1 each later node draws once, in order, as observe_spy does.
+        rng, ref = trial_stream(6, 0), trial_stream(6, 0)
+        obs = observe_first_spy(tr, j, 0.5, rng)
+        later = [v for v in nodes[j + 1:] if ref.random() < 0.5]
+        assert list(obs.spy_times) == [nodes[j], *later]
+        assert rng.getstate() == ref.getstate()
+        # No first spy in the spread: nothing observed and nothing drawn.
+        for none in (None, len(nodes)):
+            obs = observe_first_spy(tr, none, 0.5, rng)
+            assert obs.spy_times == obs.spy_infectors == {}
+        assert rng.getstate() == ref.getstate()
 
 
 class TestSnapshot:

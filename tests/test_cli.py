@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rumorlab.adversary import first_spy_position
 from rumorlab.analytics import FORMULAS, diffusion_ft
 from rumorlab import cli, harness
 from rumorlab.cli import build_parser, main
@@ -423,7 +424,9 @@ class TestSimulate:
         assert reported[0] >= max(float(r["X"]) for r in records)
 
     def test_dump_trace_of_a_spy_run_is_its_trial_zero(self, tmp_path, monkeypatch):
-        # A spy run draws no report times; the dump is the spread trial 0 ran.
+        # A spy run draws no report times; the dump is the spread trial 0 ran,
+        # which stops at its first spy: the position drawn first on block 0's
+        # stream (the source is node 0 on a generated graph, drawn by none).
         traces = []
         real = harness.simulate_diffusion
 
@@ -441,7 +444,10 @@ class TestSimulate:
         assert len(run) == 3 and run[0] == dumped and run[1] != dumped
         assert dump.read_text() == trace_to_csv(run[0])
         records = list(csv.DictReader(io.StringIO(dump.read_text())))
-        assert len(records) == 60 and not any(r["first_report_time"] for r in records)
+        assert len(records) == len(run[0].X) < 60
+        assert not any(r["first_report_time"] for r in records)
+        # Diffusion has no ties: the last record is the first spy, X[j].
+        assert len(records) == first_spy_position(0.5, trial_stream(5, 0)) + 1
 
     def test_dump_trace_on_file_graph_starts_at_trial_zero_source(self, tmp_path):
         edges = tmp_path / "ring.edges"

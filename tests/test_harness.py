@@ -2,10 +2,12 @@ import dataclasses
 import math
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
 from rumorlab import harness
+from rumorlab.adversary import first_spy_position
 from rumorlab.analytics import FORMULAS, diffusion_ft, trickle_ft_lower_bound, trickle_ml_upper
 from rumorlab.graphs import build_random_regular, load_edge_list
 from rumorlab.harness import (
@@ -22,7 +24,13 @@ from rumorlab.harness import (
     wilson_interval,
 )
 from rumorlab.spreading import SpreadParams, simulate_diffusion, simulate_trickle, trial_stream
-from oracles import tree_root_diffusion_ft, trickle_ft_exact
+from oracles import (
+    enumerate_spy_ft,
+    full_spread_spy_ft_run,
+    spy_ft_exact,
+    tree_root_diffusion_ft,
+    trickle_ft_exact,
+)
 
 
 def ft_spec(protocol="diffusion", d=4, theta=1.0, trials=500, seed=1, **kw):
@@ -271,8 +279,9 @@ def test_methods_call_layers_by_their_harness_names(monkeypatch):
     for name in LAYER_NAMES:
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
     for (est, adv), method in METHODS.items():
-        # t = None runs a first-report entry to its first report only.
-        for t in (None, 6) if method.first_report else (6,):
+        # t = None runs a first-report entry to its first report only, and a
+        # first-spy entry to its first spy.
+        for t in (None, 6) if method.first_report or method.first_spy else (6,):
             run_experiment(ExperimentSpec(
                 GraphSpec(kind="balanced-tree", d=3, depth=4),
                 SpreadParams("trickle", theta=1, max_time=t),
@@ -522,6 +531,106 @@ class TestExactTrickleAnchor:
         self.check(GraphSpec("file", path=str(path)), g, 1, g.nodes(), 33)
 
 
+def spy_ft_spec(graph, protocol, p, trials, seed, max_infections=None):
+    return ExperimentSpec(graph, SpreadParams(protocol, theta=1, max_infections=max_infections),
+                          AdversarySpec("spy", p=p), "first-timestamp", trials=trials,
+                          master_seed=seed)
+
+
+class TestFirstSpyStop:
+    """Spy first-timestamp trials at t = infinity stop at the first spy: the
+    exact anchor from the tree's root (oracles.spy_ft_exact), and the whole
+    spread with a spy draw per node (oracles.full_spread_spy_ft_run) where
+    the anchor does not reach."""
+
+    TRIALS = 20_000
+
+    def test_exact_sum_is_the_enumeration(self):
+        p = Fraction(7, 10)
+        for d, K, root_degree in [(3, 6, None), (4, 5, None), (5, 4, None), (4, 5, 2), (2, 6, 1)]:
+            assert spy_ft_exact(d, K, p, root_degree).p_hit == enumerate_spy_ft(
+                d, K, p, root_degree), (d, K, root_degree)
+        # The values an order-by-order enumeration gave, at p = 0.7.
+        for (d, K), want in {(3, 6): 0.82849, (4, 6): 0.829752, (5, 5): 0.829341,
+                             (3, 8): 0.828715}.items():
+            assert float(spy_ft_exact(d, K, p).p_hit) == pytest.approx(want, abs=5e-7)
+
+    @pytest.mark.parametrize("d, K, p, root_degree, seed", [
+        (5, 500, Fraction(7, 10), None, 41),  # perfbench's rc-fullspread spy-ft spec
+        (3, 50, Fraction(1, 5), None, 42),
+        (4, 60, Fraction(3, 10), 2, 43),
+    ])
+    def test_p_hat_and_mean_stop_time_within_four_standard_errors(self, d, K, p, root_degree,
+                                                                  seed):
+        exact = spy_ft_exact(d, K, p, root_degree)
+        r = run_experiment(spy_ft_spec(GraphSpec("tree", d=d, root_degree=root_degree),
+                                       "diffusion", float(p), self.TRIALS, seed, K))
+        hit, mean, var = float(exact.p_hit), float(exact.mean_stop), float(exact.var_stop)
+        assert abs(r.p_hat - hit) <= 4 * math.sqrt(hit * (1 - hit) / self.TRIALS), (r.p_hat, hit)
+        assert abs(r.mean_stop_time - mean) <= 4 * math.sqrt(var / self.TRIALS), (
+            r.mean_stop_time, mean)
+
+    def check_against_full_spread(self, spec, g):
+        p_hat = run_points([spec], graphs={(spec.graph, spec.master_seed): g})[0].p_hat
+        ref = dataclasses.replace(spec, master_seed=spec.master_seed + 1)
+        p_ref = full_spread_spy_ft_run(ref, g)[0] / ref.trials
+        pooled = (p_hat + p_ref) / 2
+        assert abs(p_hat - p_ref) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / spec.trials), (
+            p_hat, p_ref)
+
+    def test_trickle_ties_and_spies_past_the_horizon_match_the_full_spread(self, monkeypatch):
+        spec = spy_ft_spec(GraphSpec("random-regular", d=4, n=200), "trickle", 0.05,
+                           self.TRIALS, 44, max_infections=60)
+        seen = []
+        real = harness.observe_first_spy
+
+        def recording(trace, j, p, rng):
+            obs = real(trace, j, p, rng)
+            seen.append((j, len(obs.spy_times)))
+            return obs
+
+        monkeypatch.setattr(harness, "observe_first_spy", recording)
+        self.check_against_full_spread(spec, build_graph(spec.graph, spec.master_seed))
+        # Spies that tie with the first, in its step, and first spies infected
+        # in the step of the K-th infection but after it.
+        assert sum(n > 1 for _, n in seen) > 100
+        assert sum(j >= 60 for j, _ in seen) > 100
+
+    @pytest.mark.parametrize("protocol", ["trickle", "diffusion"])
+    def test_circulant_file_graph_with_drawn_sources_matches_the_full_spread(
+            self, protocol, tmp_path):
+        # The golden rows' 60-node circulant graph (offsets 1 and 7).
+        path = tmp_path / "circulant.edges"
+        path.write_text("".join(f"{v} {(v + k) % 60}\n" for v in range(60) for k in (1, 7)))
+        path = str(path)
+        spec = spy_ft_spec(GraphSpec("file", path=path), protocol, 0.2, self.TRIALS, 45)
+        self.check_against_full_spread(spec, load_edge_list(path))
+
+    @pytest.mark.parametrize("protocol", ["trickle", "diffusion"])
+    @pytest.mark.parametrize("graph, K", [
+        (GraphSpec("tree", d=3), 40),
+        (GraphSpec("random-regular", d=4, n=100), None),
+    ], ids=["tree", "random-regular"])
+    def test_p_one_always_hits(self, graph, K, protocol):
+        assert run_experiment(spy_ft_spec(graph, protocol, 1.0, 300, 46, K)).hits == 300
+
+    @pytest.mark.parametrize("protocol", ["trickle", "diffusion"])
+    @pytest.mark.parametrize("graph, K", [
+        (GraphSpec("tree", d=3), 40),
+        (GraphSpec("random-regular", d=4, n=100), 60),
+        (GraphSpec("random-regular", d=4, n=100), None),
+    ], ids=["tree", "random-regular-K", "random-regular"])
+    def test_p_zero_draws_nothing_more_than_the_full_spread(self, graph, K, protocol):
+        # No spy means no stop and no draw: every trial is the whole spread,
+        # draw for draw, and a counted miss with that spread's stop time.
+        spec = spy_ft_spec(graph, protocol, 0.0, 200, 47, K)
+        g = build_graph(graph, spec.master_seed)
+        r = run_points([spec], graphs={(graph, spec.master_seed): g})[0]
+        hits, stops = full_spread_spy_ft_run(spec, g)
+        assert r.hits == hits == 0
+        assert r.mean_stop_time == math.fsum(stops) / len(stops)
+
+
 def block_spec(graph, protocol, trials=1, workers=1):
     return ExperimentSpec(graph, SpreadParams(protocol, theta=1.0), AdversarySpec("eavesdropper"),
                           "first-timestamp", trials=trials, master_seed=13, workers=workers)
@@ -583,10 +692,21 @@ class TestBlocks:
                              params=SpreadParams("trickle", theta=1, max_time=5),
                              adversary=AdversarySpec("eavesdropper", estimation_time=5)),
          simulate_trickle, False),
-    ], ids=["first-report", "full-spread"])
+        # The spy FT experiment at t = infinity stops at its first spy.
+        (spy_ft_spec(GraphSpec(kind="random-regular", d=4, n=60), "trickle", 0.1, 1, 13,
+                     max_infections=50), simulate_trickle, False),
+    ], ids=["first-report", "full-spread", "first-spy"])
     def test_trial_trace_is_trial_zero_on_the_given_graph(self, spec, simulate, first_report):
         g = harness.build_graph(spec.graph, spec.master_seed)
-        expected = simulate(g, spec.params, trial_stream(spec.master_seed, 0), source=0,
-                            first_report=first_report)
+        rng = trial_stream(spec.master_seed, 0)
+        params = spec.params
+        if spec.adversary.model == "spy":
+            # The first spy's position is drawn first; the spread stops there.
+            j = first_spy_position(spec.adversary.p, rng)
+            params = dataclasses.replace(params, max_infections=j + 1)
+        expected = simulate(g, params, rng, source=0, first_report=first_report)
         assert trial_trace(spec, g) == expected
-        assert (len(expected.reports) == 1) if first_report else expected.stop_time == 5
+        if spec.adversary.model == "spy":
+            assert j < len(expected.X) < 50
+        else:
+            assert (len(expected.reports) == 1) if first_report else expected.stop_time == 5
