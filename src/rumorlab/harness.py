@@ -12,11 +12,15 @@ strict-win rate where that form is the trickle strict-win bound.
 sweep runs one spec per axis value and run_experiment is its one-point case:
 each distinct (GraphSpec, master_seed) graph is built once, by the caller or
 in the calling process, and shared by every point and worker.  A point's
-trials split into at most spec.workers chunks of whole blocks, and all chunks
-of a call run on one process pool of min(max spec.workers, chunks in the
-call) processes, or in the calling process when that is 1; each worker
-receives the graphs once when it starts, and the pool is shut down before
-the call returns.
+trials split into at most spec.workers chunks of whole blocks, and the
+chunks of a call run on W = min(max spec.workers, chunks in the call)
+processes: the calling process and W - 1 children forked once the graphs
+exist, which inherit them without pickling.  The chunks are dealt to the
+processes snake-wise (0..W-1, then W-1..0, ...), so each gets about the
+same share of every point.  Each child sends its results back on a pipe
+and exits; every child has exited and been reaped before the call returns
+or raises.  Where os.fork does not exist, every chunk runs in the calling
+process.
 
 Reports are reproducible bit-for-bit: streams are keyed by block index, not
 worker, and each worker runs whole blocks, so the result is independent of
@@ -27,7 +31,9 @@ block, but no other block.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 from . import analytics
@@ -420,54 +426,98 @@ def _run_block(spec, g, lo, hi):
     return hits, strict, stops
 
 
-# A pool worker's graphs, keyed by (GraphSpec, master_seed); set once per
-# worker by _init_worker, and never in the calling process.
-_worker_graphs = None
-
-
-def _init_worker(graphs):
-    global _worker_graphs
-    _worker_graphs = graphs
-
-
-def _run_pooled_block(spec, lo, hi):
-    return _run_block(spec, _worker_graphs[spec.graph, spec.master_seed], lo, hi)
-
-
 def run_points(specs, graphs=None):
     """One report per spec, in order (see the module docstring).  graphs maps
     (GraphSpec, master_seed) to a graph the caller already built; run_points
-    builds the others."""
-    graphs, points = dict(graphs or {}), []
-    for spec in specs:
+    builds the others.  The reports are the same whether the chunks run in
+    one process or several, with os.fork or without."""
+    graphs, chunks = dict(graphs or {}), []
+    for p, spec in enumerate(specs):
         key = (spec.graph, spec.master_seed)
         if key not in graphs:
             graphs[key] = build_graph(spec.graph, spec.master_seed)
         # Whole blocks per chunk, so no block's stream is split across workers.
-        chunk = -(-spec.trials // (spec.workers * _BLOCK)) * _BLOCK
-        points.append([(lo, min(lo + chunk, spec.trials))
-                       for lo in range(0, spec.trials, chunk)])
-    # No more workers than chunks, and no pool for one: a worker with no
-    # chunk would only start, receive the graphs and shut down.
-    workers = min(max((spec.workers for spec in specs), default=1),
-                  sum(map(len, points)))
-    # Each worker receives the graphs once, at its start.
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                initargs=(graphs,)) if workers > 1 else None)
-    reports = []
+        size = -(-spec.trials // (spec.workers * _BLOCK)) * _BLOCK
+        chunks += [(p, spec, graphs[key], lo, min(lo + size, spec.trials))
+                   for lo in range(0, spec.trials, size)]
+    # No more processes than chunks: one with no chunk would only fork and exit.
+    workers = min(max((spec.workers for spec in specs), default=1), len(chunks))
+    if not hasattr(os, "fork"):
+        workers = 1
+    # Snake-wise: process k runs chunks k, 2W-1-k, 2W+k, 4W-1-k, ...
+    shares = [[] for _ in range(workers)]
+    for i in range(len(chunks)):
+        k = i % (2 * workers)
+        shares[min(k, 2 * workers - 1 - k)].append(i)
+
+    def run_share(share):
+        return [(i, _run_block(*chunks[i][1:])) for i in share]
+
+    parts = [[] for _ in specs]
+    for i, part in _run_shares(shares, run_share):
+        parts[chunks[i][0]].append(part)
+    return [_aggregate(spec, point) for spec, point in zip(specs, parts)]
+
+
+def _run_shares(shares, run_share):
+    """Every share's (chunk index, result) pairs, in chunk order.
+
+    shares[0] runs in this process, after each other share is handed to a
+    child forked for it.  A child writes one pickled list of pairs, or the
+    exception its share raised, to its pipe and exits.  This raises what a
+    share raised, or RuntimeError for a child that exited without writing a
+    whole report; either way every child is reaped first, and killed if its
+    report is not read."""
+    children = []  # (pid, read end of its pipe), in share order
     try:
-        if pool is not None:
-            points = [[pool.submit(_run_pooled_block, spec, lo, hi) for lo, hi in chunks]
-                      for spec, chunks in zip(specs, points)]
-        for spec, chunks in zip(specs, points):
-            g = graphs[spec.graph, spec.master_seed]
-            parts = [c.result() if pool is not None else _run_block(spec, g, *c)
-                     for c in chunks]
-            reports.append(_aggregate(spec, parts))
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(run_share, share, read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results = run_share(shares[0])
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            children.pop(0)
+            status = os.waitpid(pid, 0)[1]
+            try:
+                report = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(f"worker process {pid} exited with wait status {status} "
+                                   f"after writing {len(data)} bytes, not a whole report")
+            if isinstance(report, BaseException):
+                raise report
+            results += report
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return reports
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return sorted(results)
+
+
+def _child(run_share, share, read, write):
+    """A forked child's whole life: run the share, write its report, exit."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            report = run_share(share)
+        except BaseException as exc:
+            report = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                report = RuntimeError(f"worker process raised {exc!r}")
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _aggregate(spec, parts):
@@ -508,7 +558,8 @@ SWEEP_AXES = ("d", "theta", "t", "p", "trials")
 def sweep(base, axis, values):
     """One report per axis value; theory overlay attached where applicable.
 
-    The points share one graph build per distinct graph and one process pool.
+    The points share one graph build per distinct graph, and one set of
+    worker processes.
     """
     return run_points(sweep_specs(base, axis, values))
 

@@ -109,7 +109,7 @@ def test_rows_and_rejections_match_the_recording(tmp_path):
 
 def test_every_combination_gives_the_same_report_at_two_workers(tmp_path):
     # 129 trials: three blocks of 64, split over two chunks at two workers,
-    # so each worker starts from the pool's initializer.
+    # so every point runs one chunk in the caller and one in a forked child.
     specs = combinations(write_edge_list(tmp_path / "circulant.edges")).values()
     specs = [spec for spec in specs if spec is not None]
 

@@ -1,7 +1,7 @@
 import dataclasses
 import math
-import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -335,16 +335,26 @@ class TestReports:
         assert r.theory == pytest.approx(trickle_ml_upper(4, 1).value)
 
     def test_mean_stop_time_logged_for_infection_horizon(self):
+        # From the root of the uncut tree every pending relay targets an
+        # uninfected child, so after n infections b_n = r + (n-1)(d-2) relays
+        # are pending at rate 1 each: T_K is a sum of K-1 independent
+        # exponentials with rates b_1..b_{K-1}.
+        d, K, trials = 4, 50, 2000
+        rates = [d + (n - 1) * (d - 2) for n in range(1, K)]
+        mean = math.fsum(1 / b for b in rates)
+        sd = math.sqrt(math.fsum(1 / b**2 for b in rates))
+        assert (round(mean, 6), round(sd, 6)) == (1.749603, 0.395327)
         spec = ExperimentSpec(
-            graph=GraphSpec(kind="tree", d=4),
-            params=SpreadParams("diffusion", theta=1.0, max_infections=50),
+            graph=GraphSpec(kind="tree", d=d),
+            params=SpreadParams("diffusion", theta=1.0, max_infections=K),
             adversary=AdversarySpec("eavesdropper"),
             estimator="reporting-centrality",
-            trials=30,
+            trials=trials,
             master_seed=6,
         )
         r = run_experiment(spec)
         assert r.mean_stop_time is not None and r.mean_stop_time > 0
+        assert abs(r.mean_stop_time - mean) <= 4 * sd / math.sqrt(trials), r.mean_stop_time
 
     def test_loaded_graph_uses_random_sources(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -398,6 +408,11 @@ def rr_spec(protocol="trickle", workers=1):
         master_seed=12,
         workers=workers,
     )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def outcome(report):
@@ -459,7 +474,7 @@ class TestSharedGraphSweep:
     def test_pool_shut_down_when_sweep_returns(self):
         reports = sweep(rr_spec(workers=2), "theta", [1.0, 2.0])
         assert len(reports) == 2
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 class TestExactTreeAnchor:
@@ -650,22 +665,25 @@ class TestBlocks:
         assert rows[0] == rows[1] == rows[2]
 
     def test_pool_starts_only_the_workers_that_get_work(self, monkeypatch):
-        started = []
-        real = harness.ProcessPoolExecutor
+        forks = []
+        real = os.fork
 
-        def recording(max_workers, **kwargs):
-            started.append(max_workers)
-            return real(max_workers=max_workers, **kwargs)
+        def recording():
+            forks.append(1)
+            return real()
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(os, "fork", recording)
         graph = self.GRAPHS[0]
-        # Calls of 1, 2 (two points) and 2 (one point of 100 trials) chunks.
+        # Calls of 1, 2 (two points) and 2 (one point of 100 trials) chunks:
+        # the caller alone, then the caller and one child.
         calls = [[(64, 2)], [(10, 3), (64, 3)], [(100, 3)]]
-        for call, want in zip(calls, [[], [2], [2, 2]]):
+        for call, processes in zip(calls, [1, 2, 2]):
+            forks.clear()
             reports = run_points([block_spec(graph, "diffusion", n, w) for n, w in call])
+            assert 1 + len(forks) == processes, call
             serial = run_points([block_spec(graph, "diffusion", n, 1) for n, _ in call])
             assert [outcome(r) for r in reports] == [outcome(r) for r in serial]
-            assert started == want, call
+        assert_no_child_left()
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=["random-regular", "tree"])
     def test_first_n_trials_are_the_run_of_n(self, graph, monkeypatch):
@@ -710,3 +728,69 @@ class TestBlocks:
             assert j < len(expected.X) < 50
         else:
             assert (len(expected.reports) == 1) if first_report else expected.stop_time == 5
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedWorkers:
+    """A call's chunks run in the caller and in children forked for it
+    (harness._run_shares); no child outlives the call."""
+
+    # Four chunks at 4 workers: the caller runs chunk 0, three children the rest.
+    SPECS = [block_spec(GraphSpec(kind="random-regular", d=4, n=60), "diffusion", 256, 4)]
+
+    def test_exception_in_a_child_reaches_the_caller(self, monkeypatch):
+        parent, real = os.getpid(), harness._run_block
+
+        def failing(spec, g, lo, hi):
+            if os.getpid() != parent and lo == 128:
+                raise KeyError(f"no trial {lo}")
+            return real(spec, g, lo, hi)
+
+        monkeypatch.setattr(harness, "_run_block", failing)
+        with pytest.raises(KeyError, match="no trial 128"):
+            run_points(self.SPECS)
+        assert_no_child_left()
+
+    def test_child_that_exits_without_a_report_is_an_error(self, monkeypatch):
+        parent, real = os.getpid(), harness._run_block
+
+        def exiting(spec, g, lo, hi):
+            if os.getpid() != parent and lo == 64:
+                os._exit(3)
+            return real(spec, g, lo, hi)
+
+        monkeypatch.setattr(harness, "_run_block", exiting)
+        with pytest.raises(RuntimeError, match="not a whole report"):
+            run_points(self.SPECS)
+        assert_no_child_left()
+
+    def test_children_killed_when_the_callers_share_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def stalling(spec, g, lo, hi):
+            if os.getpid() == parent:
+                raise ValueError("the caller's share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_run_block", stalling)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the caller's share failed"):
+            run_points(self.SPECS)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_without_fork_every_chunk_runs_in_the_caller(self, monkeypatch):
+        forked = [outcome(r) for r in run_points(self.SPECS)]
+        monkeypatch.delattr(os, "fork")
+        parent, real = os.getpid(), harness._run_block
+        chunks = []
+
+        def recording(spec, g, lo, hi):
+            assert os.getpid() == parent
+            chunks.append(lo)
+            return real(spec, g, lo, hi)
+
+        monkeypatch.setattr(harness, "_run_block", recording)
+        assert [outcome(r) for r in run_points(self.SPECS)] == forked
+        assert chunks == [0, 64, 128, 192]
+        assert_no_child_left()
