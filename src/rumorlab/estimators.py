@@ -10,7 +10,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import hop_distance, tree_path
+from .graphs import check_lazy_tree, hop_distance, tree_path
 
 
 class NoReportsError(ValueError):
@@ -105,27 +105,25 @@ def _ball(g, center, radius):
 # ---------------------------------------------------------------------------
 
 def _steiner_parents(g, terminals):
-    """Steiner tree of the terminals as {node: parent}, rooted at the
-    smallest terminal and listing every parent before its children.
+    """Steiner tree of the terminals in the LazyRegularTree g as
+    {node: parent}, rooted at the smallest terminal and listing every parent
+    before its children.
 
-    Terminals join in ascending order, and each adds only its new nodes.  On
-    the arithmetic tree a terminal whose parent id is already in the tree
-    attaches to it directly, which is the path tree_path(..., stop=) would
-    return; any other terminal's path toward the root stops at the first
-    node already in the tree.
+    Terminals join in ascending order, and each adds only its new nodes.  A
+    terminal whose parent id is already in the tree attaches to it directly,
+    which is the path tree_path(..., stop=) would return; any other
+    terminal's path toward the root stops at the first node already in the
+    tree.
     """
     terminals = sorted(terminals)
     anchor = terminals[0]
     parent = {anchor: None}
-    lazy = g.is_lazy
-    if lazy:
-        r, c = g.root_degree, g.d - 1
+    r, c = g.root_degree, g.d - 1
     for v in terminals[1:]:
-        if lazy:
-            p = 0 if v <= r else (v - r - 1) // c + 1  # g.parent_of(v), as v > 0
-            if p in parent:
-                parent[v] = p
-                continue
+        p = 0 if v <= r else (v - r - 1) // c + 1  # g.parent_of(v), as v > 0
+        if p in parent:
+            parent[v] = p
+            continue
         path = tree_path(g, v, anchor, stop=parent)
         for i in range(len(path) - 2, -1, -1):
             parent[path[i]] = path[i + 1]
@@ -160,8 +158,9 @@ def reporting_centrality(obs, g, rng=None):
     of the reporting nodes (eavesdropper reporters or spies).  At most one
     such node exists, on the reporters' Steiner tree; zero is an explicit
     miss (chosen=None), counted against the estimator.  A single center needs
-    no tie-break, so ``rng`` is not drawn.
+    no tie-break, so ``rng`` is not drawn.  ``g`` must be a LazyRegularTree.
     """
+    check_lazy_tree(g)
     if obs.variant == "eavesdropper":
         reporters = set(obs.first_reports)
     elif obs.variant == "spy":
@@ -177,23 +176,20 @@ def reporting_centrality(obs, g, rng=None):
 
 
 def rumor_centers(g, infected_nodes):
-    """All v whose every adjacent subtree holds at most N/2 infected nodes.
+    """All v whose every adjacent subtree holds at most N/2 infected nodes:
+    the rumor centers of Shah and Zaman.
 
     The snapshot-adversary baseline; a nonempty tree has one or two centers.
-    ``g`` must be a tree and the infected set a connected part of it, or
-    ValueError is raised: the Steiner tree of the infected set may add no
-    other node, and on an explicit graph, which can have cycles, the infected
-    set must also span exactly N - 1 edges.  The infinite tree is a tree by
-    construction.
+    ``g`` must be a LazyRegularTree, infinite or cut, and the infected set a
+    connected part of it, so that its Steiner tree adds no other node; else
+    ValueError is raised.
     """
+    check_lazy_tree(g)
     infected = set(infected_nodes)
     if not infected:
         raise ValueError("empty infected set")
     parent = _steiner_parents(g, infected)
-    n = len(infected)
-    edges = n - 1 if g.is_lazy else sum(u in infected for v in infected
-                                         for u in g.neighbors(v)) // 2
-    if len(parent) != n or edges != n - 1:
+    if len(parent) != len(infected):
         raise ValueError("infected set is not a tree")
     center, up, half = _center_walk(parent, infected)
     return {center, parent[center]} if up == half else {center}

@@ -12,12 +12,19 @@ Two graph flavors share one read interface (``neighbors`` / ``degree`` /
   truncation bias enters at the boundary.  Cut at a depth it is the balanced
   tree, whose leaves sit at that depth.
 
+The simulators and ``hop_distance`` run on both.  ``tree_path`` and the tree
+estimators (reporting centrality, rumor centers, timestamp rumor
+centrality) read the arithmetic numbering, so they take a LazyRegularTree
+only and reject any other graph through ``check_lazy_tree``.
+
 Both flavors are immutable after construction and safe to share across
 threads/processes.
 """
 
 from collections import deque
 import math
+
+from ._checks import integer
 
 INFINITY = math.inf
 
@@ -30,16 +37,16 @@ class ExplicitGraph:
     offending edge.  build_random_regular builds its lists sorted and
     simple itself and wraps them through ``_trusted``, with no second pass.
 
-    ``node_labels``, when present, maps the dense ids back to the original
-    labels of an ingested edge list (index i holds the original id of node i).
+    ``node_labels`` (keyword-only), when present, maps the dense ids back to
+    the original labels of an ingested edge list (index i holds the original
+    id of node i).
     """
 
     is_lazy = False
 
-    def __init__(self, adjacency, degree_hint=None, node_labels=None):
+    def __init__(self, adjacency, *, node_labels=None):
         nbr_sets = [set(nbrs) for nbrs in adjacency]
         self._adj = [sorted(nbrs) for nbrs in nbr_sets]
-        self.degree_hint = degree_hint
         self.node_labels = node_labels
         for v, nbrs in enumerate(self._adj):
             for u in nbrs:
@@ -51,12 +58,11 @@ class ExplicitGraph:
                     raise ValueError(f"adjacency not symmetric at edge {v}-{u}")
 
     @classmethod
-    def _trusted(cls, adj, degree_hint=None):
+    def _trusted(cls, adj):
         """The graph over lists that are already sorted, simple and
         symmetric, taken as they are: no copy and no check."""
         g = cls.__new__(cls)
         g._adj = adj
-        g.degree_hint = degree_hint
         g.node_labels = None
         return g
 
@@ -112,21 +118,14 @@ class LazyRegularTree:
     is_lazy = True
 
     def __init__(self, d, root_degree=None, depth=None):
-        if d < 2:
-            raise ValueError(f"regular tree degree must be >= 2, got {d}")
-        if root_degree is None:
-            root_degree = d
-        if root_degree < 1:
-            raise ValueError(f"root degree must be >= 1, got {root_degree}")
-        self.d = d
-        self.root_degree = root_degree
-        self.degree_hint = d
-        self.depth = depth
+        d = integer("regular tree degree", d, 2)
+        root_degree = d if root_degree is None else integer("root degree", root_degree, 1)
+        if depth is not None:
+            depth = integer("depth", depth, 0)
+        self.d, self.root_degree, self.depth = d, root_degree, depth
         self.node_count = INFINITY
         self.first_leaf = INFINITY
         if depth is not None:
-            if depth < 0:
-                raise ValueError(f"depth must be >= 0, got {depth}")
             level_sizes = [1] + [root_degree * (d - 1) ** k for k in range(depth)]
             self.node_count = sum(level_sizes)
             self.first_leaf = self.node_count - level_sizes[-1]
@@ -225,8 +224,7 @@ def build_random_regular(n, d, seed):
     """
     import random as _random
 
-    if n <= 0 or d < 0:
-        raise ValueError(f"need n > 0 and d >= 0, got n={n}, d={d}")
+    n, d = integer("n", n, 1), integer("d", d, 0)
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -273,7 +271,7 @@ def build_random_regular(n, d, seed):
         if adj is not None:
             for nbrs in adj:
                 nbrs.sort()
-            return ExplicitGraph._trusted(adj, degree_hint=d)
+            return ExplicitGraph._trusted(adj)
     raise RuntimeError(
         f"configuration model failed for n={n}, d={d} after {_RR_RESTARTS} restarts"
     )
@@ -351,51 +349,35 @@ def hop_distance(g, u, v):
     return INFINITY
 
 
-def tree_path(g, u, v, stop=None):
-    """Node sequence of the unique u..v path in a tree graph.
+def check_lazy_tree(g):
+    """Raise ValueError, naming g's type, unless g is a LazyRegularTree."""
+    if not isinstance(g, LazyRegularTree):
+        raise ValueError(f"need a LazyRegularTree (infinite or cut), got {type(g).__name__}")
 
-    With a node set ``stop`` the path ends at its first node in ``stop``.  On
-    an explicit graph the search from u ends at the nearest node of ``stop``,
-    which is that node when ``stop`` is a subtree holding v (the union of
-    earlier paths in a Steiner tree build).  Both ends must be nodes of g.
+
+def tree_path(g, u, v, stop=None):
+    """Node sequence of the unique u..v path in the LazyRegularTree g.
+
+    With a node set ``stop`` the path ends at its first node in ``stop``.
+    Both ends must be nodes of g.  The larger id climbs to its parent until
+    both ends meet (see hop_distance) or the climb from u enters ``stop``;
+    then v's half is scanned back down.
     """
+    check_lazy_tree(g)
     if not g.has_node(u) or not g.has_node(v):
         raise ValueError(f"unknown node in pair ({u}, {v})")
     stop = stop or ()
-    if g.is_lazy:
-        # Climb the larger id until both ends meet (see hop_distance), or
-        # until the climb from u enters stop; else scan v's half down.
-        up, vp = [u], [v]
-        while u != v and u not in stop:
-            if u > v:
-                u = g.parent_of(u)
-                up.append(u)
-            else:
-                v = g.parent_of(v)
-                vp.append(v)
-        if u not in stop:
-            for w in reversed(vp[:-1]):
-                up.append(w)
-                if w in stop:
-                    break
-        return up
-    # BFS parents from u until v (or a stop node) is found, then walk back.
-    parent = {u: None}
-    end = u if u == v or u in stop else None
-    frontier = deque([u])
-    while frontier and end is None:
-        w = frontier.popleft()
-        for x in g.neighbors(w):
-            if x not in parent:
-                parent[x] = w
-                if x == v or x in stop:
-                    end = x
-                    break
-                frontier.append(x)
-    if end is None:
-        raise ValueError(f"nodes {u} and {v} are disconnected")
-    path = [end]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    up, vp = [u], [v]
+    while u != v and u not in stop:
+        if u > v:
+            u = g.parent_of(u)
+            up.append(u)
+        else:
+            v = g.parent_of(v)
+            vp.append(v)
+    if u not in stop:
+        for w in reversed(vp[:-1]):
+            up.append(w)
+            if w in stop:
+                break
+    return up

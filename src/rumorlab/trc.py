@@ -48,12 +48,13 @@ re-roots it for each candidate with one BFS.
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
 ball-intersection feasibility test, which never discards a positive-count
-candidate.  Degrees above 6 are refused unless explicitly allowed.
+candidate.  Degrees above 6 are refused unless explicitly allowed.  The tree
+is a LazyRegularTree, infinite or cut; any other graph is refused.
 """
 
 from ._checks import integer
 from .estimators import EstimateResult, InfeasibleObservationError, _pick_uniform
-from .graphs import INFINITY, hop_distance, tree_path
+from .graphs import INFINITY, check_lazy_tree, hop_distance, tree_path
 
 
 def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
@@ -80,16 +81,17 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
                                allow_high_degree=False):
     """ML source estimate for a trickle eavesdropper observation.
 
-    Needs keep_all report times and t >= d + theta.  Returns the argmax set
-    of ordering counts with a uniform pick, and the per-candidate counts as
-    the score map.
+    Needs a LazyRegularTree g, keep_all report times and t >= d + theta.
+    Returns the argmax set of ordering counts with a uniform pick, and the
+    per-candidate counts as the score map.
     """
+    check_lazy_tree(g)
     if obs.variant != "eavesdropper":
         raise ValueError("timestamp rumor centrality needs an eavesdropper observation")
     if obs.all_reports is None:
         raise ValueError("timestamp rumor centrality needs keep_all report times")
-    d = _infer_degree(g, obs)
-    check_setting(d, theta, t, g.root_degree if g.is_lazy else None, allow_high_degree)
+    d = g.d
+    check_setting(d, theta, t, g.root_degree, allow_high_degree)
     theta, t = int(theta), int(t)
     reports = {}
     for v, times in obs.all_reports.items():
@@ -120,12 +122,6 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
     return EstimateResult(_pick_uniform(ties, rng), ties, score=scores)
 
 
-def _infer_degree(g, obs):
-    if g.degree_hint is not None:
-        return g.degree_hint
-    return max(g.degree(v) for v in obs.first_reports)
-
-
 def _ball_feasible(g, v, first_reports):
     # Sound prefilter: any feasible source sits within tau_w - 1 hops of
     # every reporter w (X_w >= hop, first tap >= X_w + 1).
@@ -134,10 +130,11 @@ def _ball_feasible(g, v, first_reports):
 
 def ordering_count(g, root, reports, t, theta=1):
     """Exact number of feasible trickle executions through time t with source
-    ``root`` matching ``reports`` (node -> sorted tuple of tap times <= t).
+    ``root`` matching ``reports`` (node -> sorted tuple of tap times <= t) on
+    the LazyRegularTree g.
     """
-    check_setting(g.degree_hint, theta, root_degree=g.root_degree if g.is_lazy else None,
-                  allow_high_degree=True)
+    check_lazy_tree(g)
+    check_setting(g.d, theta, root_degree=g.root_degree, allow_high_degree=True)
     return _Store(g, reports, t, theta, [*reports, root]).count(root)
 
 

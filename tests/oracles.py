@@ -13,9 +13,12 @@ infection count, spy first-timestamp detection from there over the first
 spy's position (and, at small K, over every infection order), every trickle history on a small graph is enumerated with
 its exact rational probability (the ground truth of the trickle estimators),
 trickle first-report detection on small explicit graphs is summed exactly
-over every history, and tree
+over every history, snapshot rumor-center detection from the tree's root
+over every infection order, and tree
 centers are found by testing every side of every node of a Steiner tree
-built from whole tree paths (the package walks one rooted count).  The
+built from paths that step to the neighbor one hop nearer their end, on
+explicit trees too (the package walks one rooted count on its arithmetic
+tree).  The
 balanced tree is built node by node as an explicit graph (the package
 computes its cut tree's neighbors from node ids).  The stdlib-wrapper
 versions of the diffusion and trickle simulators and the path-by-path
@@ -43,7 +46,7 @@ from typing import NamedTuple
 from rumorlab._checks import integer
 from rumorlab.adversary import observe_spy
 from rumorlab.estimators import spy_first_timestamp
-from rumorlab.graphs import _RR_RESTARTS, ExplicitGraph, tree_path
+from rumorlab.graphs import _RR_RESTARTS, ExplicitGraph, hop_distance, tree_path
 from rumorlab.spreading import TAP, FirstReport, SpreadTrace, trial_stream
 
 
@@ -115,7 +118,7 @@ def build_regular_tree(d, depth, root_degree=None):
                 adjacency[v].append(child)
                 next_frontier.append(child)
         frontier = next_frontier
-    return ExplicitGraph(adjacency, degree_hint=d)
+    return ExplicitGraph(adjacency)
 
 
 def heap_simulate_diffusion(g, params, rng, source=0):
@@ -369,6 +372,33 @@ def enumerate_spy_ft(d, K, p, root_degree=None):
     return walk(list(root_children), {0}, 1)
 
 
+def snapshot_rumor_centers_exact(d, K):
+    """P(hit) of the snapshot rumor-center experiment from the root of the
+    d-regular tree with horizon K, as a Fraction.  The spread stops at its
+    K-th infection and the snapshot holds all K infected nodes; a uniform
+    pick among their rumor centers (rumor_centers below) names the root with
+    probability 1/|centers| when it is one.  Summed over every order of the
+    first K infections on the explicit tree, each with probability
+    prod 1/(pending relays), as enumerate_spy_ft sums them."""
+    g = build_regular_tree(d, K - 1)
+    credit = {}  # infected set -> the root's share of its centers
+
+    def walk(pending, infected):
+        if len(infected) == K:
+            if infected not in credit:
+                centers = rumor_centers(g, infected)
+                credit[infected] = Fraction(int(0 in centers), len(centers))
+            return credit[infected]
+        total = Fraction(0)
+        for i, v in enumerate(pending):
+            rest = pending[:i] + pending[i + 1:] + [u for u in g.neighbors(v)
+                                                    if u not in infected]
+            total += walk(rest, infected | {v})
+        return total / len(pending)
+
+    return walk(list(g.neighbors(0)), frozenset([0]))
+
+
 # Exact enumeration oracle for trickle spreading on small graphs.
 #
 # Walks every trickle execution ("history") through estimation time t: at each
@@ -550,23 +580,32 @@ def _trickle_ft_from(g, theta, source):
     return walk()
 
 
+def stepwise_path(g, u, v, stop=()):
+    """u..v path found by moving, each step, to the neighbor one hop nearer
+    v; it ends early at its first node in ``stop``."""
+    path = [u]
+    dist = hop_distance(g, u, v)
+    while path[-1] != v and path[-1] not in stop:
+        dist -= 1
+        path.append(next(w for w in g.neighbors(path[-1]) if hop_distance(g, w, v) == dist))
+    return path
+
+
 def steiner_tree(g, terminals):
     """Union of pairwise tree paths between terminals: adjacency dict.
 
     Each terminal's path to the smallest one stops at the first node already
-    in the union, a subtree that holds the rest of that path.
+    in the union, a subtree that holds the rest of that path.  The paths are
+    stepwise_path's, so g may be any tree, explicit or lazy.
     """
     terminals = sorted(terminals)
     anchor = terminals[0]
     adj = {anchor: set()}
     for v in terminals[1:]:
-        path = tree_path(g, v, anchor)
+        path = stepwise_path(g, v, anchor, stop=adj)
         for a, b in zip(path, path[1:]):
-            known = b in adj
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-            if known:
-                break
     return adj
 
 
@@ -812,7 +851,7 @@ def reference_random_regular(n, d, seed, restarts=_RR_RESTARTS):
             for u, v in edges:
                 adjacency[u].append(v)
                 adjacency[v].append(u)
-            return ExplicitGraph(adjacency, degree_hint=d)
+            return ExplicitGraph(adjacency)
     raise RuntimeError(f"configuration model failed for n={n}, d={d}")
 
 

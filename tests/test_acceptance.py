@@ -130,7 +130,9 @@ def test_criterion_05_trc_equals_ml_oracle():
     # argmax equals the exact posterior argmax, all feasible histories of a
     # fixed observation have identical rational probability, and the
     # count/posterior ratio is one shared constant.  Exact, no tolerance.
-    g = build_regular_tree(2, 10)
+    # The oracle walks the explicit balanced tree; the package counts on the
+    # cut tree, built independently and numbered the same.
+    g, cut = build_regular_tree(2, 10), lazy_regular_tree(2, depth=10)
     theta, t = 1, 4
     window = [0, 1, 2, 3, 4, 5, 6]  # root plus both branches to depth 3
     atlas = observation_atlas(g, window, theta, t)
@@ -148,7 +150,7 @@ def test_criterion_05_trc_equals_ml_oracle():
 
         posterior = {v: sum(histories[v].get(key, []), Fraction(0)) for v in candidates}
         reports = {v: tuple(times) for v, times in key}
-        counts = {v: ordering_count(g, v, reports, t, theta) for v in candidates}
+        counts = {v: ordering_count(cut, v, reports, t, theta) for v in candidates}
 
         ratios = {Fraction(counts[v]) / posterior[v] for v in support}
         assert len(ratios) == 1, key

@@ -12,6 +12,7 @@ from rumorlab.analytics import diffusion_ft
 from rumorlab.estimators import (
     InfeasibleObservationError,
     NoReportsError,
+    _center_walk,
     _steiner_parents,
     ball_centrality,
     first_timestamp,
@@ -19,7 +20,8 @@ from rumorlab.estimators import (
     rumor_centers,
     spy_first_timestamp,
 )
-from rumorlab.graphs import ExplicitGraph, lazy_regular_tree
+from rumorlab.graphs import ExplicitGraph, build_random_regular, lazy_regular_tree
+from rumorlab.trc import ordering_count, timestamp_rumor_centrality
 from rumorlab.spreading import (
     SpreadParams,
     first_report_trial,
@@ -179,18 +181,20 @@ class TestBallCentrality:
 
 class TestReportingCentrality:
     def figure_graph(self):
-        # Source 0 with three subtrees; reporters split {2, 2, 1}, Y = 5.
-        return graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (3, 7)])
+        # Source 0 with three subtrees: on the cut 3-regular tree 0's children
+        # are 1, 2, 3, 1's are 4, 5, 2's are 6, 7, 3's are 8, 9 and 4's are 10,
+        # 11.  The reporters below split {2, 2, 1}, Y = 5.
+        return lazy_regular_tree(3, depth=3)
 
     def test_figure_configuration_center_is_source(self):
-        obs = Observation("spy", spy_times={1: 1, 4: 2, 2: 1, 5: 2, 3: 1},
+        obs = Observation("spy", spy_times={1: 1, 4: 2, 2: 1, 6: 2, 3: 1},
                           spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         assert res.candidates == frozenset([0])
         assert res.chosen == 0
 
     def test_all_reporters_in_one_subtree_means_miss_at_source(self):
-        obs = Observation("spy", spy_times={1: 1, 4: 2, 6: 3}, spy_infectors={})
+        obs = Observation("spy", spy_times={1: 1, 4: 2, 10: 3}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         # every reporter sits in 0's subtree through 1, so 0 is not a center;
         # the unique center is inside that subtree instead
@@ -202,7 +206,7 @@ class TestReportingCentrality:
         assert res.candidates == frozenset([4])
 
     def test_two_reporters_miss(self):
-        obs = Observation("spy", spy_times={4: 1, 5: 2}, spy_infectors={})
+        obs = Observation("spy", spy_times={4: 1, 6: 2}, spy_infectors={})
         res = reporting_centrality(obs, self.figure_graph())
         assert res.chosen is None
         assert res.candidates == frozenset()
@@ -227,24 +231,25 @@ class TestReportingCentrality:
 
 class TestRumorCenters:
     def test_single_node(self):
-        g = build_regular_tree(3, 2)
+        g = lazy_regular_tree(3, depth=2)
         assert rumor_centers(g, {4}) == {4}
 
     def test_path_of_four_has_two_middle_centers(self):
-        g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
-        assert rumor_centers(g, {0, 1, 2, 3}) == {1, 2}
+        # The 2-regular tree is the line ... 3 - 1 - 0 - 2 - 4 ...
+        g = lazy_regular_tree(2)
+        assert rumor_centers(g, {3, 1, 0, 2}) == {0, 1}
 
     def test_star_center(self):
-        g = graph_from_edges([(0, i) for i in range(1, 6)])
+        g = lazy_regular_tree(5, depth=1)
         assert rumor_centers(g, set(range(6))) == {0}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rumor_centers(build_regular_tree(3, 1), set())
+            rumor_centers(lazy_regular_tree(3, depth=1), set())
 
     def test_non_tree_rejected(self):
         g = graph_from_edges([(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need a LazyRegularTree .*got ExplicitGraph$"):
             rumor_centers(g, {0, 1, 2})
 
     @given(seed=st.integers(0, 500))
@@ -278,18 +283,34 @@ def prufer_tree(seq):
 
 
 def tree_cases():
-    """(graph, nodes to draw terminals from) on both tree kinds."""
+    """(graph, nodes to draw terminals from): the infinite and the cut tree,
+    then random labelled trees, which only the oracles and _center_walk
+    take."""
     for d, radius in ((3, 6), (4, 5), (5, 4)):
         g = lazy_regular_tree(d)
         yield g, sorted(_ball_nodes(g, radius))
     for d, depth in ((3, 6), (4, 4)):
-        g = build_regular_tree(d, depth)
+        g = lazy_regular_tree(d, depth=depth)
         yield g, list(g.nodes())
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(2, 60)
         g = prufer_tree([rng.randrange(n) for _ in range(n - 2)])
         yield g, list(g.nodes())
+
+
+def rooted(adj):
+    """The oracle's Steiner tree as {node: parent}, rooted at its first node
+    and listing every parent before its children, as _center_walk reads it."""
+    root = next(iter(adj))
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in sorted(adj[v]):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return parent
 
 
 def _ball_nodes(g, radius):
@@ -302,7 +323,8 @@ def _ball_nodes(g, radius):
 
 class TestTreeCenters:
     """The rooted Steiner build and the center walk against the whole-path
-    Steiner tree and the every-side center tests of tests/oracles.py."""
+    Steiner tree and the every-side center tests of tests/oracles.py.  On the
+    labelled trees the walk runs alone, fed from the oracle's Steiner tree."""
 
     def terminal_sets(self, nodes, rng, count=40):
         for _ in range(count):
@@ -311,6 +333,8 @@ class TestTreeCenters:
     def test_steiner_tree_matches_whole_paths(self):
         rng = random.Random(1)
         for g, nodes in tree_cases():
+            if isinstance(g, ExplicitGraph):
+                break  # the labelled trees come last
             for terminals in self.terminal_sets(nodes, rng):
                 parent = _steiner_parents(g, terminals)
                 adj = oracles.steiner_tree(g, terminals)
@@ -325,13 +349,17 @@ class TestTreeCenters:
         misses = 0
         for g, nodes in tree_cases():
             for terminals in self.terminal_sets(nodes, rng):
-                obs = Observation("spy", spy_times=dict.fromkeys(terminals, 1.0),
-                                  spy_infectors={})
-                res = reporting_centrality(obs, g)
-                want = oracles.reporting_centers(oracles.steiner_tree(g, terminals),
-                                                 dict.fromkeys(terminals, 1))
-                assert res.candidates == frozenset(want)
-                assert res.chosen == (min(want) if want else None)
+                adj = oracles.steiner_tree(g, terminals)
+                want = oracles.reporting_centers(adj, dict.fromkeys(terminals, 1))
+                if isinstance(g, ExplicitGraph):
+                    center, up, half = _center_walk(rooted(adj), terminals)
+                    assert ({center} if up < half else set()) == want
+                else:
+                    obs = Observation("spy", spy_times=dict.fromkeys(terminals, 1.0),
+                                      spy_infectors={})
+                    res = reporting_centrality(obs, g)
+                    assert res.candidates == frozenset(want)
+                    assert res.chosen == (min(want) if want else None)
                 misses += not want
         assert misses > 20  # the exact-half splits that make a miss are covered
 
@@ -340,17 +368,51 @@ class TestTreeCenters:
         pairs = 0
         for g, nodes in tree_cases():
             for terminals in self.terminal_sets(nodes, rng):
-                infected = set(oracles.steiner_tree(g, terminals))
-                centers = rumor_centers(g, infected)
+                adj = oracles.steiner_tree(g, terminals)
+                infected = set(adj)
+                if isinstance(g, ExplicitGraph):
+                    # The infected set is connected: its Steiner tree is adj.
+                    parent = rooted(adj)
+                    center, up, half = _center_walk(parent, infected)
+                    centers = {center, parent[center]} if up == half else {center}
+                else:
+                    centers = rumor_centers(g, infected)
                 assert centers == oracles.rumor_centers(g, infected)
                 pairs += len(centers) == 2
         assert pairs > 20
 
-    @pytest.mark.parametrize("g", [lazy_regular_tree(3), build_regular_tree(3, 3)],
-                             ids=["lazy", "explicit"])
-    def test_disconnected_infected_set_rejected(self, g):
-        with pytest.raises(ValueError, match="not a tree"):
+    @pytest.mark.parametrize("g, message", [
+        (lazy_regular_tree(3), "not a tree"),
+        (lazy_regular_tree(3, depth=3), "not a tree"),
+        (build_regular_tree(3, 3), "^need a LazyRegularTree .*got ExplicitGraph$"),
+    ], ids=["lazy", "cut", "explicit"])
+    def test_disconnected_infected_set_rejected(self, g, message):
+        with pytest.raises(ValueError, match=message):
             rumor_centers(g, {0, 7})
+
+
+TREE_CALLS = {
+    "reporting_centrality": lambda g: reporting_centrality(
+        Observation("spy", spy_times={0: 1.0, 5: 2.0, 30: 2.5}, spy_infectors={}), g),
+    "rumor_centers": lambda g: rumor_centers(g, {0, *g.neighbors(0)}),
+    "timestamp_rumor_centrality": lambda g: timestamp_rumor_centrality(
+        Observation("eavesdropper", first_reports={0: 1}, all_reports={0: (1,)}), g, 5),
+    "ordering_count": lambda g: ordering_count(g, 0, {0: (1,)}, 5),
+}
+
+
+@pytest.mark.parametrize("call", TREE_CALLS)
+@pytest.mark.parametrize("graph", [
+    lambda: build_regular_tree(4, 4),
+    lambda: build_random_regular(50, 4, seed=1),
+], ids=["explicit-tree", "random-regular"])
+def test_tree_estimators_reject_other_graphs(call, graph):
+    # Each of them used to answer on any graph, with no meaning off the
+    # arithmetic tree: on this random-regular graph, which has cycles,
+    # reporting centrality named node 28 for these three spies.  tree_path's
+    # cases are in test_graphs.py.
+    with pytest.raises(ValueError, match="^need a LazyRegularTree .*got ExplicitGraph$"):
+        TREE_CALLS[call](graph())
 
 
 class TestBruteForcePosterior:

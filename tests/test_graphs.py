@@ -15,7 +15,7 @@ from rumorlab.graphs import (
     tree_path,
 )
 
-from oracles import build_regular_tree
+from oracles import build_regular_tree, stepwise_path
 
 
 def tree_node_count(d, depth):
@@ -102,6 +102,27 @@ class TestLazyRegularTree:
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             lazy_regular_tree(1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"d": 2.5}, "regular tree degree"),
+        ({"d": float("nan")}, "regular tree degree"),
+        ({"d": math.inf}, "regular tree degree"),
+        ({"d": None}, "regular tree degree"),
+        ({"d": 3, "depth": 2.5}, "depth"),
+        ({"d": 3, "depth": -1.0}, "depth"),
+        ({"d": 3, "root_degree": 2.5}, "root degree"),
+        ({"d": 3, "root_degree": 0}, "root degree"),
+    ], ids=["d=2.5", "d=nan", "d=inf", "d=None", "depth=2.5", "depth=-1.0", "root=2.5",
+            "root=0"])
+    def test_non_integer_inputs_raise_value_error(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^need integer {name} >= "):
+            lazy_regular_tree(**kwargs)
+
+    def test_whole_floats_are_integers(self):
+        g = lazy_regular_tree(3.0, root_degree=2.0, depth=2.0)
+        assert (g.d, g.root_degree, g.depth) == (3, 2, 2)
+        assert all(type(x) is int for x in (g.d, g.root_degree, g.depth, g.node_count))
+        assert list(g.nodes()) == list(range(7))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -196,6 +217,13 @@ class TestExplicitGraph:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExplicitGraph(adjacency)
 
+    def test_node_labels_is_keyword_only(self):
+        # A positional second argument, such as the degree the constructor
+        # once took there, is an error rather than a label list.
+        assert ExplicitGraph([[1], [0]], node_labels=[5, 7]).node_labels == [5, 7]
+        with pytest.raises(TypeError):
+            ExplicitGraph([[1], [0]], 1)
+
     def test_hub_heavy_star(self):
         # The symmetry test looks the hub up in a set, not by a scan of its
         # 20,000 neighbors per leaf.
@@ -240,6 +268,17 @@ class TestRandomRegular:
             build_random_regular(5, 3, seed=0)  # n*d odd
         with pytest.raises(ValueError):
             build_random_regular(4, 4, seed=0)  # d >= n
+
+    @pytest.mark.parametrize("n, d, name", [
+        (50, 4.5, "d"), (50, float("nan"), "d"), (50, -2, "d"), (50, None, "d"),
+        (50.5, 4, "n"), (0, 0, "n"), (math.inf, 4, "n"),
+    ])
+    def test_non_integer_inputs_raise_value_error(self, n, d, name):
+        with pytest.raises(ValueError, match=f"^need integer {name} >= "):
+            build_random_regular(n, d, seed=1)
+
+    def test_whole_floats_are_integers(self):
+        assert build_random_regular(50.0, 4.0, 1)._adj == build_random_regular(50, 4, 1)._adj
 
 
 class TestLoadEdgeList(object):
@@ -346,7 +385,7 @@ def test_lazy_path_queries_match_bfs_on_explicit_tree(d, root_degree, depth):
     for _ in range(200):
         a, b = rng.choice(nodes), rng.choice(nodes)
         assert hop_distance(g, a, b) == hop_distance(explicit, a, b)
-        assert tree_path(g, a, b) == tree_path(explicit, a, b)
+        assert tree_path(g, a, b) == stepwise_path(explicit, a, b)
 
 
 def load_edge_list_from_edges(edges):
@@ -366,19 +405,17 @@ class TestTreePath:
             [[u for u in g.neighbors(v) if u in set(nodes)] for v in nodes]
         )
         for a, b in [(0, max(nodes)), (1, 2), (3, 4)]:
-            assert tree_path(g, a, b) == tree_path(explicit, a, b)
+            assert tree_path(g, a, b) == stepwise_path(explicit, a, b)
             path = tree_path(g, a, b)
             assert path[0] == a and path[-1] == b
             assert len(path) == hop_distance(g, a, b) + 1
 
-
-def stepwise_path(g, u, v):
-    """u..v path found by moving, each step, to the neighbor one hop nearer v."""
-    path = [u]
-    while path[-1] != v:
-        dist = hop_distance(g, path[-1], v)
-        path.append(next(w for w in g.neighbors(path[-1]) if hop_distance(g, w, v) == dist - 1))
-    return path
+    @pytest.mark.parametrize("g", [build_regular_tree(3, 2), build_random_regular(50, 4, seed=1)],
+                             ids=["explicit-tree", "random-regular"])
+    @pytest.mark.parametrize("stop", [None, {0}])
+    def test_other_graphs_rejected(self, g, stop):
+        with pytest.raises(ValueError, match="^need a LazyRegularTree .*got ExplicitGraph$"):
+            tree_path(g, 0, 5, stop=stop)
 
 
 def prefix_to_stop(path, stop):
@@ -390,8 +427,8 @@ def prefix_to_stop(path, stop):
 
 class TestTreePathStop:
     @pytest.mark.parametrize("g", [lazy_regular_tree(3), lazy_regular_tree(4, root_degree=2),
-                                   build_regular_tree(3, 5), lazy_regular_tree(3, depth=5)],
-                             ids=["lazy", "lazy-root2", "explicit", "cut"])
+                                   lazy_regular_tree(3, depth=5)],
+                             ids=["lazy", "lazy-root2", "cut"])
     def test_prefix_up_to_first_stop_node(self, g):
         nodes = ball(g, 0, 5)
         rng = random.Random(11)
@@ -408,30 +445,24 @@ class TestTreePathStop:
             assert tree_path(g, u, v, stop=stop) == prefix_to_stop(full, stop)
             assert tree_path(g, u, v, stop={u}) == [u]
             assert tree_path(g, u, u, stop=stop) == [u]
-            if g.is_lazy:  # on the arithmetic trees any stop set works
-                other = set(rng.sample(nodes, 5))
-                assert tree_path(g, u, v, stop=other) == prefix_to_stop(full, other)
+            # On the arithmetic trees any stop set works.
+            other = set(rng.sample(nodes, 5))
+            assert tree_path(g, u, v, stop=other) == prefix_to_stop(full, other)
 
     def test_u_equals_v(self):
-        for g in (lazy_regular_tree(3), build_regular_tree(3, 2)):
+        for g in (lazy_regular_tree(3), lazy_regular_tree(3, depth=2)):
             assert tree_path(g, 4, 4) == [4]
             assert tree_path(g, 4, 4, stop=set()) == [4]
 
-    @pytest.mark.parametrize("g", [lazy_regular_tree(3, depth=2), lazy_regular_tree(3),
-                                   build_regular_tree(3, 2)], ids=["cut", "lazy", "explicit"])
+    @pytest.mark.parametrize("g", [lazy_regular_tree(3, depth=2), lazy_regular_tree(3)],
+                             ids=["cut", "lazy"])
     @pytest.mark.parametrize("stop", [None, {0}])
     def test_unknown_end_raises(self, g, stop):
-        # As hop_distance does; the cut and explicit trees end at node 9.
+        # As hop_distance does; the cut tree ends at node 9.
         far = -1 if g.node_count == math.inf else 50
         for u, v in ((0, far), (far, 0), (far, far)):
             with pytest.raises(ValueError, match="unknown node"):
                 tree_path(g, u, v, stop=stop)
-
-    @pytest.mark.parametrize("stop", [None, {2, 3}])
-    def test_disconnected_explicit_pair_raises(self, stop):
-        g = load_edge_list_from_edges([(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="disconnected"):
-            tree_path(g, 0, 3, stop=stop)
 
 
 class TestAdjacencyInvariants:

@@ -27,6 +27,7 @@ from rumorlab.spreading import SpreadParams, simulate_diffusion, simulate_trickl
 from oracles import (
     enumerate_spy_ft,
     full_spread_spy_ft_run,
+    snapshot_rumor_centers_exact,
     spy_ft_exact,
     tree_root_diffusion_ft,
     trickle_ft_exact,
@@ -644,6 +645,48 @@ class TestFirstSpyStop:
         hits, stops = full_spread_spy_ft_run(spec, g)
         assert r.hits == hits == 0
         assert r.mean_stop_time == math.fsum(stops) / len(stops)
+
+
+def snapshot_spec(d, K, trials, seed):
+    return ExperimentSpec(GraphSpec("tree", d=d),
+                          SpreadParams("diffusion", theta=1.0, max_infections=K),
+                          AdversarySpec("snapshot"), "rumor-centers", trials=trials,
+                          master_seed=seed)
+
+
+def stop_time_moments(d, K):
+    """Mean and SD of T_K from the root of the uncut tree: K-1 independent
+    exponential gaps with rates b_n = d + (n-1)(d-2), n < K."""
+    rates = [d + (n - 1) * (d - 2) for n in range(1, K)]
+    return math.fsum(1 / b for b in rates), math.sqrt(math.fsum(1 / b**2 for b in rates))
+
+
+class TestSnapshotRumorCenters:
+    """Snapshot rumor centers from the root of the uncut tree, stopped at the
+    K-th infection: the exact anchor summed over every infection order
+    (oracles.snapshot_rumor_centers_exact), and the stop time T_K."""
+
+    TRIALS = 20_000
+
+    def test_exact_values(self):
+        assert [snapshot_rumor_centers_exact(d, K) for d, K in ((3, 6), (4, 6), (5, 5))] == [
+            Fraction(5, 14), Fraction(47, 128), Fraction(9, 22)]
+
+    @pytest.mark.parametrize("d, K, seed", [(3, 6, 51), (4, 6, 52), (5, 5, 53)])
+    def test_p_hat_and_mean_stop_time_within_four_standard_errors(self, d, K, seed):
+        hit = float(snapshot_rumor_centers_exact(d, K))
+        mean, sd = stop_time_moments(d, K)
+        r = run_experiment(snapshot_spec(d, K, self.TRIALS, seed))
+        assert abs(r.p_hat - hit) <= 4 * math.sqrt(hit * (1 - hit) / self.TRIALS), (r.p_hat, hit)
+        assert abs(r.mean_stop_time - mean) <= 4 * sd / math.sqrt(self.TRIALS), r.mean_stop_time
+
+    def test_mean_stop_time_at_the_benchmark_size(self):
+        # d=5, K=500, the snapshot spec of perfbench's rc-fullspread.
+        trials = 1000
+        mean, sd = stop_time_moments(5, 500)
+        assert (round(mean, 5), round(sd, 5)) == (2.01106, 0.30035)
+        r = run_experiment(snapshot_spec(5, 500, trials, 54))
+        assert abs(r.mean_stop_time - mean) <= 4 * sd / math.sqrt(trials), r.mean_stop_time
 
 
 def block_spec(graph, protocol, trials=1, workers=1):

@@ -35,14 +35,16 @@ def falling(n, r):
     return out
 
 
-def check_counts_match_oracle(g, sources, theta, t, enum_cache=None):
-    """For every observation reachable from ``sources``: ordering_count equals
-    the oracle's history count per candidate, candidate by candidate.
+def check_counts_match_oracle(d, depth, sources, theta, t, enum_cache=None):
+    """For every observation reachable from ``sources`` on the d-regular tree
+    cut at ``depth``: ordering_count on the cut tree equals the oracle's
+    history count on the explicit balanced tree, candidate by candidate.
 
     The oracle's theta taps are distinguishable connections, so it multiplies
     every distinct execution by falling(theta, observed taps) per node -- a
     factor fixed by the observation alone, applied to both sides here.
     """
+    g, cut = build_regular_tree(d, depth), lazy_regular_tree(d, depth=depth)
     atlas = observation_atlas(g, sources, theta, t)
     cache = enum_cache if enum_cache is not None else {}
 
@@ -59,32 +61,30 @@ def check_counts_match_oracle(g, sources, theta, t, enum_cache=None):
             tap_orderings *= falling(theta, len(times))
         candidates = sorted(v for v, times in key if min(times) <= t)
         for c in candidates:
-            count = ordering_count(g, c, reports, t, theta)
+            count = ordering_count(cut, c, reports, t, theta)
             assert count * tap_orderings == len(histories(c).get(key, [])), (key, c)
     return atlas
 
 
 class TestOrderingCountExactness:
     def test_matches_oracle_on_the_line(self):
-        g = build_regular_tree(2, 8)
-        check_counts_match_oracle(g, [0, 1, 2], theta=1, t=3)
+        check_counts_match_oracle(2, 8, [0, 1, 2], theta=1, t=3)
 
     def test_matches_oracle_with_two_taps(self):
         # General-theta extension is validated only against the oracle.
-        g = build_regular_tree(2, 8)
-        check_counts_match_oracle(g, [0, 1], theta=2, t=3)
+        check_counts_match_oracle(2, 8, [0, 1], theta=2, t=3)
 
     def test_matches_oracle_on_a_leafy_path(self):
-        # Explicit graphs count leaf slots exactly (a leaf has only its tap).
-        g = build_regular_tree(2, 2)  # 5-node path, leaves at depth 2
-        check_counts_match_oracle(g, list(range(5)), theta=1, t=3)
+        # The cut tree counts leaf slots exactly (a leaf has only its tap):
+        # a 5-node path, leaves at depth 2.
+        check_counts_match_oracle(2, 2, list(range(5)), theta=1, t=3)
 
     def test_matches_oracle_on_degree_three(self):
-        g = build_regular_tree(3, 6)
-        atlas = check_counts_match_oracle(g, [0], theta=1, t=4)
+        atlas = check_counts_match_oracle(3, 6, [0], theta=1, t=4)
         # Exhaustively: the true source lies in every ball intersection.
         from rumorlab.estimators import ball_centrality
 
+        g = lazy_regular_tree(3, depth=6)
         for key in atlas:
             obs = obs_from_key(key, 4)
             assert 0 in ball_centrality(obs, g).candidates
@@ -173,25 +173,25 @@ def candidates_of(obs, d, theta):
     return [v for v, tau in obs.first_reports.items() if tau <= d + theta]
 
 
-def map_onto_balanced(lazy, root, nodes, explicit):
-    """Image of each of ``nodes`` in the balanced tree ``explicit`` with the
-    lazy tree's ``root`` at node 0: a node maps to the node reached by the same
-    sequence of child indices (children in neighbor order, minus the parent)."""
+def map_onto_balanced(lazy, root, nodes, balanced):
+    """Image of each of ``nodes`` in the balanced tree with the lazy tree's
+    ``root`` at node 0: a node maps to the node reached by the same sequence
+    of child indices (children in neighbor order, minus the parent)."""
     image = {}
     for w in nodes:
         e, e_parent, prev = 0, None, None
         path = tree_path(lazy, root, w)
         for a, b in zip(path, path[1:]):
             index = [x for x in lazy.neighbors(a) if x != prev].index(b)
-            e, e_parent = [x for x in explicit.neighbors(e) if x != e_parent][index], e
+            e, e_parent = [x for x in balanced.neighbors(e) if x != e_parent][index], e
             prev = a
         image[w] = e
     return image
 
 
-class TestFastPathAgainstExplicitTree:
+class TestFastPathAgainstCutTree:
     """The infinite tree counts every unobserved subtree by infection time
-    alone; the explicit tree counts each one from its real children, the path
+    alone; the cut tree counts each one from its real children, the path
     the brute-force oracle tests verify.  A balanced tree with no leaf within
     t hops of the root candidate looks like the infinite tree to every
     execution, so the two counts must agree.  Each candidate is mapped to the
@@ -199,7 +199,7 @@ class TestFastPathAgainstExplicitTree:
     they would need depth up to 2t)."""
 
     @pytest.mark.parametrize("d,theta", [(3, 1), (3, 2), (4, 1), (4, 2)])
-    def test_lazy_counts_equal_explicit_counts(self, d, theta):
+    def test_infinite_counts_equal_cut_counts(self, d, theta):
         t = d + theta
         compared = positive = 0
         trees = {}
@@ -208,12 +208,12 @@ class TestFastPathAgainstExplicitTree:
             for c in candidates_of(obs, d, theta):
                 depth = max([t + 1] + [hop_distance(g, c, w) for w in reports])
                 if depth not in trees:
-                    trees[depth] = build_regular_tree(d, depth)
-                explicit = trees[depth]
-                image = map_onto_balanced(g, c, reports, explicit)
+                    trees[depth] = lazy_regular_tree(d, depth=depth)
+                cut = trees[depth]
+                image = map_onto_balanced(g, c, reports, cut)
                 mapped = {image[w]: times for w, times in reports.items()}
                 count = ordering_count(g, c, reports, t, theta)
-                assert ordering_count(explicit, 0, mapped, t, theta) == count, (c, reports)
+                assert ordering_count(cut, 0, mapped, t, theta) == count, (c, reports)
                 compared += 1
                 positive += count > 0
         assert positive >= 25 and compared > positive
@@ -246,15 +246,13 @@ class TestOneSkeletonPerCall:
 
 class TestSharedTables:
     @pytest.mark.parametrize("d,theta,graph", [
-        (3, 1, "lazy"), (4, 2, "lazy"), (5, 1, "lazy"), (3, 2, "balanced"), (4, 1, "balanced"),
-        (3, 2, "cut"), (4, 1, "cut"),
+        (3, 1, "lazy"), (4, 2, "lazy"), (5, 1, "lazy"), (3, 2, "cut"), (4, 1, "cut"),
     ])
     def test_scores_equal_separate_counts(self, d, theta, graph):
         # One estimator call shares its tables across candidates; each score
         # must still equal a count made with tables of its own.
         t = d + theta
-        tree = {"lazy": lazy_regular_tree(d), "balanced": build_regular_tree(d, 4),
-                "cut": lazy_regular_tree(d, depth=4)}[graph]
+        tree = lazy_regular_tree(d) if graph == "lazy" else lazy_regular_tree(d, depth=4)
         checked = 0
         for g, reports, obs in simulated_observations(lambda: tree, d, theta, t, 97 + d, 30):
             res = timestamp_rumor_centrality(obs, g, t, theta=theta)
@@ -270,8 +268,9 @@ class TestSharedTables:
 class TestCutTree:
     """The balanced tree is the infinite tree cut at a depth.  Both it and the
     explicit balanced tree list neighbors in the same order, so one stream
-    gives one spread on both, and every TRC score must agree when the spread
-    reaches the leaves, whether they report or stay unobserved subtrees."""
+    gives one spread on both, and every TRC score on the cut tree must equal
+    the reference count on the explicit tree when the spread reaches the
+    leaves, whether they report or stay unobserved subtrees."""
 
     @pytest.mark.parametrize("d,theta,depth,t", [
         (3, 1, 3, 6), (3, 2, 3, 6), (2, 1, 4, 6), (4, 1, 2, 5), (4, 1, 4, 5), (3, 1, 4, 4),
@@ -288,8 +287,11 @@ class TestCutTree:
             if not obs.first_reports:
                 continue
             ours = timestamp_rumor_centrality(obs, cut, t, theta=theta)
-            ref = timestamp_rumor_centrality(obs, explicit, t, theta=theta)
-            assert (ours.score, ours.candidates) == (ref.score, ref.candidates), i
+            reports = {v: tuple(sorted(times)) for v, times in obs.all_reports.items()}
+            ref = {v: reference_ordering_count(explicit, v, reports, t, theta) for v in ours.score}
+            best = max(ref.values())
+            assert ours.score == ref, i
+            assert ours.candidates == {v for v, score in ref.items() if score == best}, i
             compared += 1
             reached += any(v in leaves for v in tr.X)
         assert compared >= 30 and reached >= 10
@@ -320,14 +322,16 @@ class TestSweepAgainstReference:
         (2, 2, 1, 0), (2, 3, 2, 1), (3, 2, 1, 0), (3, 3, 1, 1), (3, 3, 2, 0), (4, 2, 1, 0), (4, 2, 1, 1),
     ])
     def test_balanced_scores_equal_reference_counts(self, d, depth, theta, extra):
+        # The package on the cut tree, the reference on the explicit one.
         t = d + theta + extra
-        g = build_regular_tree(d, depth)
-        leaves = range(g.node_count - d * (d - 1) ** (depth - 1), g.node_count)
+        g, explicit = lazy_regular_tree(d, depth=depth), build_regular_tree(d, depth)
+        leaves = range(g.first_leaf, g.node_count)
         checked = reached = 0
         for _, reports, obs in simulated_observations(lambda: g, d, theta, t, 500 + d, 30):
             res = timestamp_rumor_centrality(obs, g, t, theta=theta)
             for v, score in res.score.items():
-                assert score == reference_ordering_count(g, v, reports, t, theta), (v, reports)
+                assert score == reference_ordering_count(explicit, v, reports, t, theta), (
+                    v, reports)
                 checked += 1
             reached += any(v in leaves for v in reports)
         assert checked >= 30 and reached >= 5
