@@ -113,9 +113,13 @@ def _steiner_parents(g, terminals):
     terminal whose parent id is already in the tree attaches to it directly,
     which is the path tree_path(..., stop=) would return; any other
     terminal's path toward the root stops at the first node already in the
-    tree.
+    tree.  A tree's ids run from 0 without a gap, so testing the smallest
+    and the largest terminal rejects every id it does not have.
     """
     terminals = sorted(terminals)
+    for v in (terminals[0], terminals[-1]):
+        if not g.has_node(v):
+            raise ValueError(f"unknown node {v}")
     anchor = terminals[0]
     parent = {anchor: None}
     r, c = g.root_degree, g.d - 1

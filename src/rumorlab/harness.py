@@ -73,18 +73,16 @@ class Method:
     its closed form there, or None.  estimate(obs, g, t, rng, theta)
     returns an EstimateResult; it looks the layer functions up in this module
     when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
-    every eavesdropper tap; first_report stops the trial at the first report
-    when t = infinity (_stops_at_first_report), since nothing after it can
-    change the argmin, and first_spy likewise at the first spy
-    (_stops_at_first_spy).
+    every eavesdropper tap; stop is where a trial ends when t = infinity
+    (_stop): "report" at the first report, "spy" at the first spy, since
+    nothing after it can change the estimate, or None for the full spread.
     """
 
     theory: dict
     estimate: object
     trees_only: bool = False
     keep_all: bool = False
-    first_report: bool = False
-    first_spy: bool = False
+    stop: str | None = None
 
 
 def _rumor_center(obs, g, t, rng, theta):
@@ -93,13 +91,16 @@ def _rumor_center(obs, g, t, rng, theta):
     return EstimateResult(_pick_uniform(centers, rng), centers)
 
 
+_RC = Method({"trickle": None, "diffusion": "rc_constant"},
+             lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True)
+
 METHODS = {
     ("first-timestamp", "eavesdropper"): Method(
         {"trickle": "trickle_ft_lb", "diffusion": "diffusion_ft"},
-        lambda obs, g, t, rng, theta: first_timestamp(obs, rng), first_report=True),
+        lambda obs, g, t, rng, theta: first_timestamp(obs, rng), stop="report"),
     ("first-timestamp", "spy"): Method(
         {"trickle": "spy_ft_lb", "diffusion": "spy_ft_lb"},
-        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng), first_spy=True),
+        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng), stop="spy"),
     ("ball-centrality", "eavesdropper"): Method(
         {"trickle": "trickle_ml_lb"},
         lambda obs, g, t, rng, theta: ball_centrality(obs, g, rng)),
@@ -107,12 +108,8 @@ METHODS = {
         {"trickle": "trickle_ml_ub"},
         lambda obs, g, t, rng, theta: timestamp_rumor_centrality(obs, g, int(t), rng, theta),
         trees_only=True, keep_all=True),
-    ("reporting-centrality", "eavesdropper"): Method(
-        {"trickle": None, "diffusion": "rc_constant"},
-        lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
-    ("reporting-centrality", "spy"): Method(
-        {"trickle": None, "diffusion": "rc_constant"},
-        lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True),
+    ("reporting-centrality", "eavesdropper"): _RC,
+    ("reporting-centrality", "spy"): _RC,
     ("rumor-centers", "snapshot"): Method(
         {"trickle": None, "diffusion": None}, _rumor_center, trees_only=True),
 }
@@ -231,7 +228,7 @@ def _check_compatible(spec):
         raise ValueError(f"{est} is defined on trees only (graph kind tree or balanced-tree)")
     p = spec.params
     if (spec.graph.kind == "tree" and p.max_time is None and p.max_infections is None
-            and not _stops_at_first_report(method, spec.adversary)):
+            and _stop(method, spec.adversary) != "report"):
         raise ValueError("a full simulation on the infinite tree needs a horizon: "
                          "max_time (--t) or max_infections (--max-infections)")
     if est == "timestamp-rumor-centrality":
@@ -325,42 +322,31 @@ def _source(spec, g, rng):
     return rng.randrange(g.node_count) if spec.graph.kind == "file" else 0
 
 
-def _stops_at_first_report(method, adversary):
-    """Whether a trial of method against adversary ends at its first report
-    (eavesdropper first-timestamp at t = infinity)."""
-    return method.first_report and adversary.estimation_time is None
+def _stop(method, adversary):
+    """Where a trial of method against adversary ends early: method.stop at
+    t = infinity, else None."""
+    return method.stop if adversary.estimation_time is None else None
 
 
-def _stops_at_first_spy(method, adversary):
-    """Whether a trial of method against adversary ends at its first spy
-    (spy first-timestamp at t = infinity)."""
-    return method.first_spy and adversary.estimation_time is None
-
-
-def _simulate(spec, g, rng, source, first_report=False, params=None):
-    """The trial's spread, under spec.params unless params is given.  Trickle
-    taps shape the spread and are always drawn; a diffusion run draws report
-    times only for the eavesdropper, since the spy and snapshot observers
-    read none."""
-    params = params or spec.params
+def _spread(spec, g, rng, source, stop):
+    """(j, trace): the trial's spread, run to the first report if stop is
+    "report".  If stop is "spy", j is the position of the first spy, drawn
+    before the spread (None for no spy), and the spread runs to the (j+1)-th
+    infection or the spec's own horizon, whichever comes first; a run to
+    fewer infections is, draw for draw, a prefix of the longer run, so X[j]
+    is the first spy if len(X) > j, and otherwise the trial has none
+    (observe_first_spy).  Otherwise j is None.  Trickle taps shape the
+    spread and are always drawn; a diffusion run draws report times only
+    for the eavesdropper, since the spy and snapshot observers read none."""
+    params, j = spec.params, None
+    if stop == "spy":
+        j = first_spy_position(spec.adversary.p, rng)
+        if j is not None and (params.max_infections is None or j + 1 < params.max_infections):
+            params = replace(params, max_infections=j + 1)
     if params.protocol == "trickle":
-        return simulate_trickle(g, params, rng, source=source, first_report=first_report)
-    return simulate_diffusion(g, params, rng, source=source, first_report=first_report,
-                              reports=spec.adversary.model == "eavesdropper")
-
-
-def _first_spy_spread(spec, g, rng, source):
-    """(j, trace): the position j of the trial's first spy, drawn before the
-    spread (None for no spy), and the spread run to the (j+1)-th infection or
-    the spec's own horizon, whichever comes first.  A run to fewer
-    infections is, draw for draw, a prefix of the longer run, so X[j] is the
-    first spy if len(X) > j, and otherwise the trial has none
-    (observe_first_spy)."""
-    j = first_spy_position(spec.adversary.p, rng)
-    params = spec.params
-    if j is not None and (params.max_infections is None or j + 1 < params.max_infections):
-        params = replace(params, max_infections=j + 1)
-    return j, _simulate(spec, g, rng, source, params=params)
+        return j, simulate_trickle(g, params, rng, source=source, first_report=stop == "report")
+    return j, simulate_diffusion(g, params, rng, source=source, first_report=stop == "report",
+                                 reports=spec.adversary.model == "eavesdropper")
 
 
 def trial_trace(spec, g):
@@ -368,11 +354,8 @@ def trial_trace(spec, g):
     simulates it: the first draws of block 0's stream, stopping at the first
     report or the first spy where the trial does."""
     rng = trial_stream(spec.master_seed, 0)
-    method = METHODS[spec.estimator, spec.adversary.model]
-    source = _source(spec, g, rng)
-    if _stops_at_first_spy(method, spec.adversary):
-        return _first_spy_spread(spec, g, rng, source)[1]
-    return _simulate(spec, g, rng, source, _stops_at_first_report(method, spec.adversary))
+    stop = _stop(METHODS[spec.estimator, spec.adversary.model], spec.adversary)
+    return _spread(spec, g, rng, _source(spec, g, rng), stop)[1]
 
 
 def run_trial(spec, g, rng):
@@ -384,20 +367,17 @@ def run_trial(spec, g, rng):
     source = _source(spec, g, rng)
     adv = spec.adversary
     method = METHODS[spec.estimator, adv.model]
+    stop = _stop(method, adv)
 
-    if _stops_at_first_report(method, adv):
+    if stop == "report":
         res = first_report_trial(g, spec.params, rng, source=source)
         if not res.reporters:
             return (False, False, None)
         return (_pick_uniform(res.reporters, rng) == source, res.reporters == {source}, res.time)
 
-    first_spy = _stops_at_first_spy(method, adv)
-    if first_spy:
-        j, trace = _first_spy_spread(spec, g, rng, source)
-    else:
-        trace = _simulate(spec, g, rng, source)
+    j, trace = _spread(spec, g, rng, source, stop)
     t = adv.estimation_time if adv.estimation_time is not None else trace.stop_time
-    if first_spy:
+    if stop == "spy":
         obs = observe_first_spy(trace, j, adv.p, rng)
     elif adv.model == "eavesdropper":
         obs = observe_eavesdropper(trace, t, keep_all=method.keep_all)

@@ -415,6 +415,18 @@ def test_tree_estimators_reject_other_graphs(call, graph):
         TREE_CALLS[call](graph())
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: rumor_centers(g, {0, 1, 4, 10}),
+    lambda g: reporting_centrality(
+        Observation("spy", spy_times={0: 1.0, 4: 2.0, 10: 3.0, 11: 3.0}, spy_infectors={}), g),
+], ids=["rumor_centers", "reporting_centrality"])
+def test_tree_estimators_reject_ids_past_the_cut(call):
+    # The cut tree's nodes are 0-9.  Terminals used to attach by arithmetic
+    # parent id: rumor centers answered {1, 4} and reporting centrality 4.
+    with pytest.raises(ValueError, match="^unknown node"):
+        call(lazy_regular_tree(3, depth=2))
+
+
 class TestBruteForcePosterior:
     def test_total_probability_per_source(self):
         g = build_regular_tree(2, 5)

@@ -260,12 +260,13 @@ class TestDeterminism:
         assert r.hits == 1
 
 
-# The layer calls of a trial.  perfbench's tracer replaces these names in
-# rumorlab.harness, so every METHODS entry must look them up when it runs.
-LAYER_NAMES = ("first_report_trial", "observe_eavesdropper", "observe_spy",
-               "observe_snapshot", "first_timestamp", "spy_first_timestamp",
-               "ball_centrality", "timestamp_rumor_centrality", "reporting_centrality",
-               "rumor_centers")
+# The names perfbench's tracer replaces in rumorlab.harness, so every METHODS
+# entry and run_experiment must look them up when they run.
+LAYER_NAMES = ("run_trial", "trial_stream", "lazy_regular_tree", "build_random_regular",
+               "simulate_trickle", "simulate_diffusion", "first_report_trial",
+               "observe_eavesdropper", "observe_spy", "observe_snapshot", "first_timestamp",
+               "spy_first_timestamp", "ball_centrality", "timestamp_rumor_centrality",
+               "reporting_centrality", "rumor_centers")
 
 
 def test_methods_call_layers_by_their_harness_names(monkeypatch):
@@ -279,15 +280,17 @@ def test_methods_call_layers_by_their_harness_names(monkeypatch):
 
     for name in LAYER_NAMES:
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    runs = [(GraphSpec(kind="random-regular", d=4, n=60), "first-timestamp", "eavesdropper",
+             "diffusion", 6)]
     for (est, adv), method in METHODS.items():
-        # t = None runs a first-report entry to its first report only, and a
-        # first-spy entry to its first spy.
-        for t in (None, 6) if method.first_report or method.first_spy else (6,):
-            run_experiment(ExperimentSpec(
-                GraphSpec(kind="balanced-tree", d=3, depth=4),
-                SpreadParams("trickle", theta=1, max_time=t),
-                AdversarySpec(adv, p=1.0 if adv == "spy" else None, estimation_time=t),
-                est, trials=1, master_seed=0))
+        # t = None runs an entry with a stop rule to its first report or first spy.
+        runs += [(GraphSpec(kind="balanced-tree", d=3, depth=4), est, adv, protocol, t)
+                 for protocol in method.theory for t in ((None, 6) if method.stop else (6,))]
+    for graph, est, adv, protocol, t in runs:
+        run_experiment(ExperimentSpec(
+            graph, SpreadParams(protocol, theta=1, max_time=t),
+            AdversarySpec(adv, p=1.0 if adv == "spy" else None, estimation_time=t),
+            est, trials=1, master_seed=0))
     assert called == set(LAYER_NAMES)
 
 
@@ -771,6 +774,32 @@ class TestBlocks:
             assert j < len(expected.X) < 50
         else:
             assert (len(expected.reports) == 1) if first_report else expected.stop_time == 5
+
+    # Every METHODS row on each protocol it runs on, at t = 5 and, for the
+    # spy stop, at t = infinity too; at t = infinity an eavesdropper
+    # first-timestamp trial runs first_report_trial, which makes no trace
+    # (the first-report case above).
+    TRACE_CASES = [(est, adv, protocol, t) for (est, adv), method in METHODS.items()
+                   for protocol in method.theory
+                   for t in ((None, 5) if method.stop == "spy" else (5,))]
+
+    @pytest.mark.parametrize("est, adv, protocol, t", TRACE_CASES,
+                             ids=[f"{e}-{a}-{p}-t{t}" for e, a, p, t in TRACE_CASES])
+    def test_trial_trace_is_the_trace_run_trial_makes(self, est, adv, protocol, t, monkeypatch):
+        spec = ExperimentSpec(GraphSpec(kind="balanced-tree", d=3, depth=5),
+                              SpreadParams(protocol, theta=1, max_time=t),
+                              AdversarySpec(adv, p=0.3 if adv == "spy" else None,
+                                            estimation_time=t),
+                              est, trials=1, master_seed=21)
+        traces = []
+        for name in ("simulate_trickle", "simulate_diffusion"):
+            def recording(*args, real=getattr(harness, name), **kwargs):
+                traces.append(real(*args, **kwargs))
+                return traces[-1]
+            monkeypatch.setattr(harness, name, recording)
+        run_experiment(spec)
+        assert len(traces) == 1
+        assert trial_trace(spec, harness.build_graph(spec.graph, spec.master_seed)) == traces[0]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
