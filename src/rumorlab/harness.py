@@ -6,9 +6,12 @@ which estimator runs with which adversary (first-timestamp in eavesdropper and
 spy forms), protocol and graph, and with which closed form.  run_experiment
 runs the trials in blocks of _BLOCK = 64: block b draws from one rng stream,
 trial_stream(master_seed, b), on which its trials simulate, observe and
-estimate in order.  It aggregates hits into a DetectionReport with a Wilson
-95% interval, a theory overlay where a closed form applies, and the
-strict-win rate where that form is the trickle strict-win bound.
+estimate in order.  Beside its stream, each block opens one memo of
+timestamp-rumor-centrality count rows, which its trials share and which is
+dropped when the block ends (rumorlab.trc).  run_experiment aggregates hits
+into a DetectionReport with a Wilson 95% interval, a theory overlay where a
+closed form applies, and the strict-win rate where that form is the trickle
+strict-win bound.
 sweep runs one spec per axis value and run_experiment is its one-point case:
 each distinct (GraphSpec, master_seed) graph is built once, by the caller or
 in the calling process, and shared by every point and worker.  A point's
@@ -22,10 +25,11 @@ and exits; every child has exited and been reaped before the call returns
 or raises.  Where os.fork does not exist, every chunk runs in the calling
 process.
 
-Reports are reproducible bit-for-bit: streams are keyed by block index, not
-worker, and each worker runs whole blocks, so the result is independent of
-the worker count, and the first n trials of a run are the trials of a run of
-n.  All tie-break draws happen on the block's stream after the trial's
+Reports are reproducible bit-for-bit: streams and memos belong to a block,
+not a worker, each worker runs whole blocks, and a memo row is reused only
+where all it depends on is equal, so the result is independent of the
+worker count, and the first n trials of a run are the trials of a run of n.
+All tie-break draws happen on the block's stream after the trial's
 simulation draws, so one trial's draw count shifts the later trials of its
 block, but no other block.
 """
@@ -70,12 +74,14 @@ class Method:
     """How one (estimator, adversary) pair runs.
 
     theory maps each protocol the pair runs on to the analytics.FORMULAS id of
-    its closed form there, or None.  estimate(obs, g, t, rng, theta)
-    returns an EstimateResult; it looks the layer functions up in this module
-    when the trial runs.  trees_only rejects graphs with cycles; keep_all keeps
-    every eavesdropper tap; stop is where a trial ends when t = infinity
-    (_stop): "report" at the first report, "spy" at the first spy, since
-    nothing after it can change the estimate, or None for the full spread.
+    its closed form there, or None.  estimate(obs, g, t, rng, theta, memo)
+    returns an EstimateResult; memo is the block's dict of count rows, which
+    only timestamp rumor centrality reads.  estimate looks the layer
+    functions up in this module when the trial runs.  trees_only rejects
+    graphs with cycles; keep_all keeps every eavesdropper tap; stop is where
+    a trial ends when t = infinity (_stop): "report" at the first report,
+    "spy" at the first spy, since nothing after it can change the estimate,
+    or None for the full spread.
     """
 
     theory: dict
@@ -85,28 +91,30 @@ class Method:
     stop: str | None = None
 
 
-def _rumor_center(obs, g, t, rng, theta):
+def _rumor_center(obs, g, t, rng, theta, memo):
     """The snapshot baseline: a uniform pick among the rumor centers."""
     centers = frozenset(rumor_centers(g, obs.snapshot))
     return EstimateResult(_pick_uniform(centers, rng), centers)
 
 
 _RC = Method({"trickle": None, "diffusion": "rc_constant"},
-             lambda obs, g, t, rng, theta: reporting_centrality(obs, g, rng), trees_only=True)
+             lambda obs, g, t, rng, theta, memo: reporting_centrality(obs, g, rng),
+             trees_only=True)
 
 METHODS = {
     ("first-timestamp", "eavesdropper"): Method(
         {"trickle": "trickle_ft_lb", "diffusion": "diffusion_ft"},
-        lambda obs, g, t, rng, theta: first_timestamp(obs, rng), stop="report"),
+        lambda obs, g, t, rng, theta, memo: first_timestamp(obs, rng), stop="report"),
     ("first-timestamp", "spy"): Method(
         {"trickle": "spy_ft_lb", "diffusion": "spy_ft_lb"},
-        lambda obs, g, t, rng, theta: spy_first_timestamp(obs, rng), stop="spy"),
+        lambda obs, g, t, rng, theta, memo: spy_first_timestamp(obs, rng), stop="spy"),
     ("ball-centrality", "eavesdropper"): Method(
         {"trickle": "trickle_ml_lb"},
-        lambda obs, g, t, rng, theta: ball_centrality(obs, g, rng)),
+        lambda obs, g, t, rng, theta, memo: ball_centrality(obs, g, rng)),
     ("timestamp-rumor-centrality", "eavesdropper"): Method(
         {"trickle": "trickle_ml_ub"},
-        lambda obs, g, t, rng, theta: timestamp_rumor_centrality(obs, g, int(t), rng, theta),
+        lambda obs, g, t, rng, theta, memo: timestamp_rumor_centrality(obs, g, int(t), rng, theta,
+                                                                      memo=memo),
         trees_only=True, keep_all=True),
     ("reporting-centrality", "eavesdropper"): _RC,
     ("reporting-centrality", "spy"): _RC,
@@ -358,11 +366,14 @@ def trial_trace(spec, g):
     return _spread(spec, g, rng, _source(spec, g, rng), stop)[1]
 
 
-def run_trial(spec, g, rng):
+def run_trial(spec, g, rng, memo):
     """One trial on graph g, drawing from rng: (hit, strict_win, stop_time or
     None), where strict_win means the source alone is the tie set.
 
-    A trial in which the adversary observed nothing is a counted miss.
+    memo is the block's dict of timestamp-rumor-centrality count rows, which
+    the estimator reads and fills; each row is keyed by all it depends on, so
+    sharing it changes no result.  A trial in which the adversary observed
+    nothing is a counted miss.
     """
     source = _source(spec, g, rng)
     adv = spec.adversary
@@ -387,18 +398,20 @@ def run_trial(spec, g, rng):
         obs = observe_snapshot(trace, t)
     if not (obs.first_reports or obs.spy_times or obs.snapshot):
         return (False, False, trace.stop_time)
-    result = method.estimate(obs, g, t, rng, spec.params.theta)
+    result = method.estimate(obs, g, t, rng, spec.params.theta, memo)
     return (result.chosen == source, result.candidates == {source}, trace.stop_time)
 
 
 def _run_block(spec, g, lo, hi):
-    """Trials lo..hi-1 on graph g; lo is a multiple of _BLOCK."""
+    """Trials lo..hi-1 on graph g; lo is a multiple of _BLOCK.  Each block
+    opens its stream and a memo of count rows, and drops both when it ends."""
     hits = strict = 0
     stops = []
     for i in range(lo, hi):
         if i % _BLOCK == 0:
             rng = trial_stream(spec.master_seed, i // _BLOCK)
-        hit, s, stop = run_trial(spec, g, rng)
+            memo = {}
+        hit, s, stop = run_trial(spec, g, rng, memo)
         hits += bool(hit)
         strict += bool(s)
         if stop is not None:

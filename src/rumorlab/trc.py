@@ -38,12 +38,21 @@ is that of a node whose children are all unobserved, counted the same way.
 A non-root node's table depends only on the directed edge (parent, node): its
 skeleton children are its neighbours other than the parent whose side holds a
 reporter, and neither they nor its taps depend on which candidate is the
-root.  One estimator call keeps every table, keyed by (node, parent), and the
-unobserved-subtree rows in one store shared by all of its candidates; the
-store is dropped when the call returns.  Every candidate is a reporter, so
+root.  One estimator call keeps every table, keyed by (node, parent), in one
+store shared by all of its candidates.  Every candidate is a reporter, so
 every candidate's skeleton is the same tree, the reporters' Steiner tree: the
 store builds it once per call, one tree_path per reporter past the first, and
 re-roots it for each candidate with one BFS.
+
+A table is a tuple, and it also outlives its call: the caller may pass a
+memo, a dict that the harness opens for each block of trials and drops when
+the block ends, and every table is looked up there before it is computed.
+Its key holds all the row depends on: the setting (d, depth, t, theta),
+whether the node is the root, its tap times, and its skeleton children's
+rows as a multiset of identities of tuples the memo itself holds, so equal
+keys mean equal rows.  On a cut tree the fresh children differ per directed
+edge, so the key also names the edge and the skeleton children there.  A
+call given no memo makes one of its own.
 
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
@@ -78,12 +87,14 @@ def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
 
 
 def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
-                               allow_high_degree=False):
+                               allow_high_degree=False, memo=None):
     """ML source estimate for a trickle eavesdropper observation.
 
     Needs a LazyRegularTree g, keep_all report times and t >= d + theta.
     Returns the argmax set of ordering counts with a uniform pick, and the
-    per-candidate counts as the score map.
+    per-candidate counts as the score map.  memo is a dict of count rows
+    that later calls may share, on any tree and setting; None makes one
+    for this call.
     """
     check_lazy_tree(g)
     if obs.variant != "eavesdropper":
@@ -109,7 +120,7 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
         raise InfeasibleObservationError("no reports to estimate from")
 
     candidates = [v for v, tau in obs.first_reports.items() if tau <= d + theta]
-    store = _Store(g, reports, t, theta, reports)
+    store = _Store(g, reports, t, theta, reports, {} if memo is None else memo)
     scores = {}
     for v in candidates:
         scores[v] = store.count(v) if _ball_feasible(g, v, obs.first_reports) else 0
@@ -135,35 +146,48 @@ def ordering_count(g, root, reports, t, theta=1):
     """
     check_lazy_tree(g)
     check_setting(g.d, theta, root_degree=g.root_degree, allow_high_degree=True)
-    return _Store(g, reports, t, theta, [*reports, root]).count(root)
+    return _Store(g, reports, t, theta, [*reports, root], {}).count(root)
 
 
 class _Store:
     """The count rows of one counting call, shared by all of its candidate
     roots: skeleton tables keyed by (node, parent), and the unobserved-subtree
     rows (one on the infinite tree, one per (node, parent) on finite trees).
-    A row is a list over the infection times 0..t.
+    A row is a tuple over the infection times 0..t.
+
+    Each skeleton table, and the infinite tree's unobserved-subtree row, is
+    taken from memo, which holds the rows of every earlier call given the
+    same memo (in the harness, the earlier trials of the block), or computed
+    and put there, so the tables outlive the call.
 
     A finite tree groups its fresh children by their rows: near a cut, the
     side of a node that faces its parent is not a function of its remaining
     depth, so the rows are made per directed edge."""
 
-    def __init__(self, g, reports, t, theta, terminals):
+    def __init__(self, g, reports, t, theta, terminals, memo):
         self.g = g
         self.reports = reports
         self.t = t
         self.theta = theta
         self.tables = {}
-        if g.node_count == INFINITY:
+        self.memo = memo
+        self.setting = (g.d, g.depth, t, theta)
+        self.finite = g.node_count != INFINITY
+        # The row of a node with no infection time.  No key names it: a
+        # skeleton child with this row gives its parent this row too.
+        self._zero = (0,) * (t + 1)
+        if self.finite:
+            self._fresh_rows = {}
+        else:
             # Every unobserved subtree of the infinite tree has one row: that
             # of an unobserved node whose d-1 children are unobserved too.
             # Its sweep reads the weight of slot y from the row it writes,
             # where count(y) was read off one step before.
-            self._fresh_row = [0] * (t + 1)
-            _sweep([(g.d - 1, self._fresh_row)], 0, (), t,
-                   range(max(1, t - g.d + 1), t + 1), self._fresh_row)
-        else:
-            self._fresh_rows = {}
+            self._fresh_row = memo.get((g.d, t))
+            if self._fresh_row is None:
+                row = [0] * (t + 1)
+                _sweep([(g.d - 1, row)], 0, (), t, range(max(1, t - g.d + 1), t + 1), row)
+                self._fresh_row = memo[g.d, t] = tuple(row)
         # The terminals' Steiner tree as adjacency lists: each terminal's path
         # toward the first one stops where it meets the tree built so far.
         anchor, *rest = terminals
@@ -190,9 +214,26 @@ class _Store:
         return self.tables[root, None][0]
 
     def _table(self, w, par, skel_kids):
-        """Count row over infection times for skeleton node w."""
-        t, theta = self.t, self.theta
+        """Count row over infection times for skeleton node w, from the memo
+        if an earlier table had the same key."""
         R = self.reports.get(w, ())
+        rows = [self.tables[c, w] for c in skel_kids]
+        if not all(map(any, rows)):
+            return self._zero  # a skeleton child with no infection time
+        # The infinite tree's fresh children follow from the setting, the
+        # root flag and the number of skeleton children; a cut tree's from
+        # the directed edge and which children are in the skeleton.
+        edge = (w, par, tuple(sorted(skel_kids))) if self.finite else None
+        key = (self.setting, par is None, R, tuple(sorted(map(id, rows))), edge)
+        table = self.memo.get(key)
+        if table is None:
+            table = self.memo[key] = self._row(w, par, R, rows, skel_kids)
+        return table
+
+    def _row(self, w, par, R, rows, skel_kids):
+        """Count row of skeleton node w with taps R, given the rows of its
+        skeleton children."""
+        t, theta = self.t, self.theta
         child_count = self.g.degree(w) - (par is not None)
         k = child_count + theta
         hidden = theta - len(R)
@@ -212,10 +253,9 @@ class _Store:
         # one ending at x+k < t realizes every slot, so nothing may hide.
         to_t = range(max(xs.start, t - k + hidden), xs.stop)
         short = range(xs.start, min(xs.stop, t - k) if not hidden else xs.start)
+        if not (to_t or short):
+            return self._zero  # no window
         table = [0] * (t + 1)
-        rows = [self.tables[c, w] for c in skel_kids]
-        if not (to_t or short) or not all(map(any, rows)):
-            return table  # no window, or a skeleton child with no infection time
         first = short.start if short else to_t.start
         classes = [(1, row) for row in rows]
         classes += self._fresh_classes(w, par, skel_kids,
@@ -224,7 +264,7 @@ class _Store:
             _sweep(classes, len(rows), R, t, to_t, table)
         for x in short:
             _sweep(classes, len(rows), R, x + k, range(x, x + 1), table)
-        return table
+        return tuple(table)
 
     def _fresh(self, node, par, lo):
         """Row of the unobserved subtree below node (parent par) on a finite
@@ -246,7 +286,7 @@ class _Store:
     def _fresh_classes(self, w, par, skel_kids, n_fresh, lo):
         """Children of w outside the skeleton, grouped into classes whose
         rows agree at every time from lo on, as (members, row)."""
-        if self.g.node_count == INFINITY:
+        if not self.finite:
             # The n_fresh fresh subtrees of the infinite tree are identical.
             return [(n_fresh, self._fresh_row)] if n_fresh else []
         groups = {}

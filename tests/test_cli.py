@@ -554,3 +554,85 @@ def test_parser_choices_are_the_harness_lists():
                 assert tuple(action.choices) == expected[action.dest], (name, action.dest)
                 seen.add((name, action.dest))
     assert len(seen) == 11  # three experiment lists in each command, plus two axes
+
+
+TREE = "simulate --protocol diffusion --graph tree --d 5 --max-infections 200 --trials 40"
+BALANCED = ("simulate --protocol diffusion --graph balanced-tree --d 3 --depth 7 "
+            "--max-infections 150 --trials 40")
+CUT = "simulate --protocol trickle --graph balanced-tree --d 3 --depth 3 --t 6 --trials 60"
+INFINITE_TRC = ("simulate --protocol trickle --graph tree --d 4 --estimator "
+                "timestamp-rumor-centrality")
+SPY_RR = ("simulate --protocol diffusion --graph random-regular --n 200 --d 4 --adversary spy "
+          "--spy-p 0.5 --estimator first-timestamp --trials 200")
+RR_COMPARE = "compare --graph random-regular --n 200 --d 4 --axis theta --values 1,2,3"
+TRICKLE_SPY = "simulate --protocol trickle --adversary spy --estimator first-timestamp --trials 200"
+
+# (id, command, the worker counts compared).  {circulant} is the golden
+# rows' 60-node circulant edge list.
+WORKER_COUNT_CASES = [
+    ("tree-rc", f"{TREE} --estimator reporting-centrality", (1, 2)),
+    ("tree-spy-ft", f"{TREE} --adversary spy --spy-p 0.7 --estimator first-timestamp", (1, 2)),
+    ("tree-rumor-centers", f"{TREE} --adversary snapshot --estimator rumor-centers", (1, 2)),
+    ("balanced-spy-rc",
+     f"{BALANCED} --adversary spy --spy-p 0.5 --estimator reporting-centrality", (1, 2)),
+    ("balanced-rumor-centers",
+     f"{BALANCED} --adversary snapshot --estimator rumor-centers", (1, 2)),
+    ("cut-trc", f"{CUT} --estimator timestamp-rumor-centrality", (1, 2)),
+    ("cut-ball", f"{CUT} --estimator ball-centrality", (1, 2)),
+    # t = 5 = d + theta: every slot window ends at t.  t = 6 adds windows
+    # that end before t, one sweep each.
+    ("tree-trc-t5", f"{INFINITE_TRC} --t 5 --trials 60", (1, 2)),
+    ("tree-trc-t6", f"{INFINITE_TRC} --t 6 --trials 60", (1, 2)),
+    # 333 trials at 3 workers: chunks of 128, 128 and 77 trials, so each
+    # chunk's blocks open their own TRC memos, the last block at 13 trials.
+    # At seed 0 a run whose chunks restarted at stream 0 read the same hits.
+    ("tree-trc-ragged", f"{INFINITE_TRC} --t 5 --trials 333 --seed 5", (1, 3)),
+    # Spy runs draw no report times, here off the tree, where the relay loop
+    # keeps each relay's sender; with --max-infections the K-th node must
+    # record its sender too, as the spy reads it.
+    ("rr-spy-ft", SPY_RR, (1, 2)),
+    ("rr-spy-ft-k60", f"{SPY_RR} --max-infections 60", (1, 2)),
+    # Trickle first reports on the tree pick each slot as it is served.
+    ("tree-trickle-ft",
+     "simulate --protocol trickle --graph tree --d 4 --estimator first-timestamp --trials 200",
+     (1, 2)),
+    ("rr-compare", f"{RR_COMPARE} --trials 200", (1, 2)),
+    # 333 trials at 3 workers: chunks of 128, 128 and 77 trials, over 6
+    # blocks of 64.
+    ("rr-compare-ragged", f"{RR_COMPARE} --trials 333", (1, 3)),
+    # 100 trials at 3 workers are 2 chunks of whole blocks, fewer than the
+    # workers: the call runs on 2 processes, itself and one child.
+    ("rr-few-chunks", "simulate --protocol diffusion --graph random-regular --n 200 --d 4 "
+                      "--estimator first-timestamp --trials 100", (1, 3)),
+    # A loaded snapshot draws each trial's source, so its first-report trials
+    # run off any tree root.
+    ("file-compare", "compare --graph file --graph-file {circulant} --axis theta "
+                     "--values 1,2,3 --trials 300", (1, 2)),
+    # Spy first-timestamp trials stop at a first spy drawn before the spread;
+    # in trickle, spies infected in its step tie with it, and at p = 0.05 a
+    # first spy often comes after the K-th infection, in its last step.  The
+    # file graph draws each trial's source first.
+    ("rr-trickle-spy",
+     f"{TRICKLE_SPY} --graph random-regular --n 200 --d 4 --max-infections 60 --spy-p 0.05",
+     (1, 2)),
+    ("file-trickle-spy", f"{TRICKLE_SPY} --graph file --graph-file {{circulant}} --spy-p 0.2",
+     (1, 2)),
+]
+
+
+class TestSameRowsAtAnyWorkerCount:
+    """Each command prints the same rows at both worker counts; only the
+    '#' config header, which names the worker count, may differ."""
+
+    @pytest.mark.parametrize("command, workers", [case[1:] for case in WORKER_COUNT_CASES],
+                             ids=[case[0] for case in WORKER_COUNT_CASES])
+    def test_rows_identical(self, capsys, tmp_path, command, workers):
+        circulant = tmp_path / "circulant.edges"
+        circulant.write_text("".join(f"{v} {(v + k) % 60}\n" for v in range(60) for k in (1, 7)))
+        argv = command.format(circulant=circulant).split()
+        rows = []
+        for w in workers:
+            code, out, _ = run_cli(capsys, *argv, "--workers", str(w))
+            assert code == 0
+            rows.append([line for line in out.splitlines() if not line.startswith("#")])
+        assert rows[0] and rows[0] == rows[1]

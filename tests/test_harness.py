@@ -749,6 +749,33 @@ class TestBlocks:
             run_experiment(block_spec(graph, "trickle", trials=n))
             assert outcomes == full[:n], n
 
+    def test_each_block_shares_one_trc_memo(self, monkeypatch):
+        # Blocks of 64, 64 and 22 trials: every TRC call of a block gets the
+        # block's memo, and the rows equal those of calls that share none.
+        spec = ExperimentSpec(GraphSpec(kind="tree", d=4),
+                              SpreadParams("trickle", theta=1, max_time=5),
+                              AdversarySpec("eavesdropper", estimation_time=5),
+                              "timestamp-rumor-centrality", trials=150, master_seed=17)
+        real = harness.timestamp_rumor_centrality
+        memos, scores = [], {True: [], False: []}
+
+        def run(share):
+            def estimate(*args, memo):
+                memos.append(memo)  # kept alive, so no two memos share an id
+                res = real(*args, memo=memo if share else None)
+                scores[share].append(res.score)
+                return res
+
+            monkeypatch.setattr(harness, "timestamp_rumor_centrality", estimate)
+            return outcome(run_experiment(spec))
+
+        assert run(True) == run(False)
+        assert scores[True] == scores[False]
+        shared = memos[:150]
+        assert len(shared) == 150 and all(shared)
+        assert [len({id(m) for m in shared[lo:lo + 64]}) for lo in (0, 64, 128)] == [1, 1, 1]
+        assert len({id(m) for m in shared}) == 3
+
     @pytest.mark.parametrize("spec, simulate, first_report", [
         # The FT experiment at t = infinity stops at its first report.
         (ft_spec(theta=0.3, root_degree=2, seed=5), simulate_diffusion, True),

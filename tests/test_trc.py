@@ -366,3 +366,54 @@ class TestSweepAgainstReference:
                 assert out[x] == want, (classes, n_skel, taps, e, xs, x)
                 shapes.add((n_skel > 0, len(classes) - n_skel > 1, want > 0))
         assert len(shapes) == 8
+
+
+SHARED_MEMO_SETTINGS = [
+    ("tree", d, theta, d + theta + extra)
+    for d in (3, 4, 6) for theta in (1, 2) for extra in (0, 1)
+] + [("cut", 3, 1, 6)]
+
+
+def memo_tree(kind, d):
+    return lazy_regular_tree(d) if kind == "tree" else lazy_regular_tree(d, depth=3)
+
+
+class TestSharedMemo:
+    """The harness passes one memo to every TRC call of a block, so a table
+    computed for one trial is reused by later ones.  Every score map through
+    a memo that earlier observations filled must equal a fresh call's.  A key
+    without the root flag or without the taps fails on the infinite tree
+    (d = 3 and 4, theta = 1, at both t); one without the setting fails across
+    settings, and one without the cut tree's edge fails there."""
+
+    def check_through_shared_memo(self, settings, n, memo):
+        """Interleaves n simulated observations of each setting through memo;
+        returns (observations, tables the fresh calls computed)."""
+        streams = [simulated_observations(lambda k=kind, d=d: memo_tree(k, d), d, theta, t,
+                                          500 + 10 * d + theta + t, n)
+                   for kind, d, theta, t in settings]
+        seen = fresh_tables = 0
+        for batch in zip(*streams):
+            for (kind, d, theta, t), (g, _, obs) in zip(settings, batch):
+                fresh = {}
+                expected = timestamp_rumor_centrality(obs, g, t, theta=theta, memo=fresh).score
+                assert timestamp_rumor_centrality(obs, g, t, theta=theta, memo=memo).score \
+                    == expected, (kind, d, theta, t, obs.all_reports)
+                seen += 1
+                fresh_tables += len(fresh)
+        return seen, fresh_tables
+
+    @pytest.mark.parametrize("kind,d,theta,t", SHARED_MEMO_SETTINGS)
+    def test_scores_equal_fresh_calls(self, kind, d, theta, t):
+        memo = {}
+        seen, fresh_tables = self.check_through_shared_memo([(kind, d, theta, t)], 500, memo)
+        assert seen == 500
+        # The memo is worth sharing: most tables are repeats.
+        assert len(memo) < fresh_tables / 2
+
+    def test_one_memo_across_settings(self):
+        # Rows of different settings (t, theta, d, a cut) meet in one memo.
+        settings = [("tree", 3, 1, 4), ("tree", 3, 1, 5), ("tree", 3, 2, 5),
+                    ("tree", 4, 1, 5), ("cut", 3, 1, 6), ("cut", 3, 1, 5)]
+        seen, _ = self.check_through_shared_memo(settings, 200, {})
+        assert seen == 1200
