@@ -245,6 +245,13 @@ def _check_compatible(spec):
             t = p.max_time
         if t is None:
             raise ValueError("timestamp rumor centrality needs an estimation time (--t)")
+        if p.max_infections is not None or (p.max_time is not None and p.max_time < t):
+            raise ValueError(f"timestamp rumor centrality counts a spread run through the "
+                             f"estimation time {t}: it takes no max_infections "
+                             "(--max-infections) and no max_time below t")
+        if spec.graph.d > 6:
+            raise ValueError(f"degree {spec.graph.d} exceeds the timestamp rumor "
+                             "centrality guardrail of 6")
         check_setting(spec.graph.d, p.theta, t, spec.graph.root_degree)
 
 
@@ -580,8 +587,8 @@ def _with_axis(spec, axis, value):
     if axis == "theta":
         return replace(spec, params=replace(spec.params, theta=value))
     if axis == "t":
-        spec = replace(spec, adversary=replace(spec.adversary, estimation_time=value))
-        return replace(spec, params=replace(spec.params, max_time=value))
+        return replace(spec, adversary=replace(spec.adversary, estimation_time=value),
+                       params=replace(spec.params, max_time=value))
     if axis == "p":
         return replace(spec, adversary=replace(spec.adversary, p=value))
     return replace(spec, trials=int(value))

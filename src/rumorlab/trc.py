@@ -17,8 +17,8 @@ configuration is an injective assignment of the realized slot times
 the node sits at its reported time, unobserved taps land past t, and each
 slot given to a child y recursively admits count(child, y) configurations.
 Subtrees containing no observed node collapse to a count depending only on
-the infection time, which keeps the pass linear in the observed skeleton
-rather than in the radius-t ball.
+the infection time and the subtree's shape, which keeps the pass linear in
+the observed skeleton rather than in the radius-t ball.
 
 Each node's counts form a row over the infection times 0..t.  The windows
 that end at the same time e are suffixes of the longest one, so one dynamic
@@ -29,11 +29,14 @@ one x alone.  The state records which skeleton children already hold a slot
 and how many children of each fresh class do, where a class groups the
 children outside the skeleton whose rows agree at every slot time (one class
 on the infinite tree).  Giving a slot to a class with m members, u of them
-used, multiplies by m - u, so with one class and no skeleton child the count
-is a falling factorial times the slots' counts.  A node with s skeleton
-children costs O((d + theta) * 2^s * (s + 1)) per window end on the infinite
-tree, polynomial in d for a bounded skeleton.  An unobserved subtree's row
-is that of a node whose children are all unobserved, counted the same way.
+used, multiplies by m - u.  A node with s skeleton children costs
+O((d + theta) * 2^s * (s + 1)) per window end on the infinite tree,
+polynomial in d for a bounded skeleton.  An unobserved subtree's row is that
+of a node whose children are all unobserved, counted the same way.  The
+infinite tree has one such row.  On a cut tree a subtree's shape is its top
+node's depth and whether it is entered from that node's tree parent; the
+root is unmodified, so subtrees of one shape are the same tree, and a call
+builds one row per shape.
 
 A non-root node's table depends only on the directed edge (parent, node): its
 skeleton children are its neighbours other than the parent whose side holds a
@@ -57,8 +60,8 @@ call given no memo makes one of its own.
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
 ball-intersection feasibility test, which never discards a positive-count
-candidate.  Degrees above 6 are refused unless explicitly allowed.  The tree
-is a LazyRegularTree, infinite or cut; any other graph is refused.
+candidate.  The tree is a LazyRegularTree, infinite or cut, of any degree;
+any other graph is refused.
 """
 
 from ._checks import integer
@@ -66,28 +69,22 @@ from .estimators import EstimateResult, InfeasibleObservationError, _pick_unifor
 from .graphs import INFINITY, check_lazy_tree, hop_distance, tree_path
 
 
-def check_setting(d, theta, t=None, root_degree=None, allow_high_degree=False):
+def check_setting(d, theta, t=None, root_degree=None):
     """Raise ValueError unless timestamp rumor centrality counts exactly with
     degree d, theta taps and estimation time t: integer theta >= 1, a root of
-    degree d (root_degree None means unmodified), d <= 6 unless
-    allow_high_degree, and integer t >= d + theta (not checked for t None).
+    degree d (root_degree None means unmodified), and integer t >= d + theta
+    (not checked for t None).
     """
     theta = integer("theta", theta, 1)
     if root_degree is not None and root_degree != d:
         # A modified-degree root could land inside an "unobserved subtree",
-        # where the closed-form count assumes full regularity.
+        # whose shared row assumes full regularity.
         raise ValueError("ordering counts need an unmodified regular tree")
-    if not allow_high_degree and d > 6:
-        raise ValueError(
-            f"degree {d} exceeds the default guardrail of 6; "
-            "pass allow_high_degree=True to override"
-        )
     if t is not None and (not float(t).is_integer() or t < d + theta):
         raise ValueError(f"need integer t >= d + theta = {d + theta}, got {t}")
 
 
-def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
-                               allow_high_degree=False, memo=None):
+def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1, memo=None):
     """ML source estimate for a trickle eavesdropper observation.
 
     Needs a LazyRegularTree g, keep_all report times and t >= d + theta.
@@ -102,7 +99,7 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1,
     if obs.all_reports is None:
         raise ValueError("timestamp rumor centrality needs keep_all report times")
     d = g.d
-    check_setting(d, theta, t, g.root_degree, allow_high_degree)
+    check_setting(d, theta, t, g.root_degree)
     theta, t = int(theta), int(t)
     reports = {}
     for v, times in obs.all_reports.items():
@@ -145,24 +142,23 @@ def ordering_count(g, root, reports, t, theta=1):
     the LazyRegularTree g.
     """
     check_lazy_tree(g)
-    check_setting(g.d, theta, root_degree=g.root_degree, allow_high_degree=True)
+    check_setting(g.d, theta, root_degree=g.root_degree)
     return _Store(g, reports, t, theta, [*reports, root], {}).count(root)
 
 
 class _Store:
     """The count rows of one counting call, shared by all of its candidate
     roots: skeleton tables keyed by (node, parent), and the unobserved-subtree
-    rows (one on the infinite tree, one per (node, parent) on finite trees).
-    A row is a tuple over the infection times 0..t.
+    rows (one on the infinite tree, one per shape on a cut tree).  A row is a
+    tuple over the infection times 0..t.
 
     Each skeleton table, and the infinite tree's unobserved-subtree row, is
     taken from memo, which holds the rows of every earlier call given the
     same memo (in the harness, the earlier trials of the block), or computed
     and put there, so the tables outlive the call.
 
-    A finite tree groups its fresh children by their rows: near a cut, the
-    side of a node that faces its parent is not a function of its remaining
-    depth, so the rows are made per directed edge."""
+    A cut tree groups a node's fresh children into classes by their rows,
+    since subtrees of different shapes can still share a row."""
 
     def __init__(self, g, reports, t, theta, terminals, memo):
         self.g = g
@@ -258,44 +254,59 @@ class _Store:
         table = [0] * (t + 1)
         first = short.start if short else to_t.start
         classes = [(1, row) for row in rows]
-        classes += self._fresh_classes(w, par, skel_kids,
-                                       child_count - len(skel_kids), first + 1)
+        if self.finite:
+            classes += self._fresh_classes(self._fresh_shapes(w, par, skel_kids), first + 1)
+        elif child_count > len(rows):
+            # The fresh subtrees of the infinite tree are identical.
+            classes.append((child_count - len(rows), self._fresh_row))
         if to_t:
             _sweep(classes, len(rows), R, t, to_t, table)
         for x in short:
             _sweep(classes, len(rows), R, x + k, range(x, x + 1), table)
         return tuple(table)
 
-    def _fresh(self, node, par, lo):
-        """Row of the unobserved subtree below node (parent par) on a finite
-        tree, exact from time lo on: all theta taps must land past t, so the
-        realized times x+1..t map injectively onto its children, each of them
-        an unobserved subtree too.  Needs lo <= t."""
-        got = self._fresh_rows.get((node, par))
+    def _fresh_shapes(self, w, par, skel_kids):
+        """Shapes of the children of skeleton node w (parent par) outside
+        the skeleton, on the cut tree."""
+        g, up, k, v = self.g, self.g.parent_of(w), 0, w
+        while v:
+            v, k = g.parent_of(v), k + 1
+        return [(False, k - 1) if c == up else (True, k + 1)
+                for c in g.neighbors(w) if c != par and c not in skel_kids]
+
+    def _fresh(self, shape, lo):
+        """Row of an unobserved subtree of the cut tree, exact from time lo
+        on: all theta taps must land past t, so the realized times x+1..t map
+        injectively onto its children, each of them an unobserved subtree
+        too.  Needs lo <= t.
+
+        The shape (down, k) is the subtree of a node at depth k entered from
+        its tree parent if down, else from one of its children.  The root is
+        unmodified, so every subtree of one shape is the same tree."""
+        got = self._fresh_rows.get(shape)
         if got is not None and got[0] <= lo:
             return got[1]
-        t = self.t
-        kids = self.g.degree(node) - 1
-        xs = range(max(lo, t - kids), t + 1)  # else some tap fires by t
+        (down, k), d, t = shape, self.g.d, self.t
+        if down:
+            kids = [(True, k + 1)] * (d - 1) if k < self.g.depth else []
+        else:
+            kids = [(True, k + 1)] * (d - 1 - (k > 0)) + [(False, k - 1)] * (k > 0)
+        xs = range(max(lo, t - len(kids)), t + 1)  # else some tap fires by t
         row = [0] * (t + 1)
-        classes = self._fresh_classes(node, par, (), kids, xs.start + 1) if xs.start < t else []
+        classes = self._fresh_classes(kids, xs.start + 1) if xs.start < t else []
         _sweep(classes, 0, (), t, xs, row)
-        self._fresh_rows[node, par] = lo, row
+        self._fresh_rows[shape] = lo, row
         return row
 
-    def _fresh_classes(self, w, par, skel_kids, n_fresh, lo):
-        """Children of w outside the skeleton, grouped into classes whose
-        rows agree at every time from lo on, as (members, row)."""
-        if not self.finite:
-            # The n_fresh fresh subtrees of the infinite tree are identical.
-            return [(n_fresh, self._fresh_row)] if n_fresh else []
+    def _fresh_classes(self, shapes, lo):
+        """Unobserved subtrees of the given shapes, grouped into classes
+        whose rows agree at every time from lo on, as (members, row)."""
         groups = {}
-        for c in self.g.neighbors(w):
-            if c != par and c not in skel_kids:
-                row = self._fresh(c, w, lo)
-                key = tuple(row[lo:])
-                m, _ = groups.get(key, (0, row))
-                groups[key] = m + 1, row
+        for shape in shapes:
+            row = self._fresh(shape, lo)
+            key = tuple(row[lo:])
+            m, _ = groups.get(key, (0, row))
+            groups[key] = m + 1, row
         return list(groups.values())
 
 
@@ -310,32 +321,9 @@ def _sweep(classes, n_skel, taps, e, xs, out):
     walks its slots from e down and reads x's count off once slot x+1 is
     done, from the states in which every skeleton child holds a slot.  A
     state packs, per class, the number of its children holding a slot into
-    one bit field of an integer.
+    one bit field of an integer.  Every count goes through this program, a
+    single class with no skeleton child included.
     """
-    lo = xs.start + 1
-    if not n_skel and len(classes) == 1:
-        # One class of m: n slots go to m!/(m-n)! ordered picks of children,
-        # each weighing the product of the slots' counts.
-        (m, row), = classes
-        val = 1
-        if e in xs:
-            out[e] = 1
-        for y in range(e, lo - 1, -1):
-            if y not in taps:
-                val *= row[y] * m
-                if not val:
-                    return
-                m -= 1
-            if y - 1 in xs:
-                out[y - 1] = val
-        return
-    due = {}  # slot -> skeleton children with no usable slot below it
-    for j in range(n_skel):
-        row = classes[j][1]
-        first = next((y for y in range(lo, e + 1) if row[y] and y not in taps), None)
-        if first is None:
-            return
-        due[first] = due.get(first, 0) | 1 << j
     fields = []
     offset = 0
     for m, row in classes:
@@ -346,7 +334,7 @@ def _sweep(classes, n_skel, taps, e, xs, out):
     dp = {0: 1}
     if e in xs:
         out[e] = int(not n_skel)
-    for y in range(e, lo - 1, -1):
+    for y in range(e, xs.start, -1):
         if y not in taps:
             ndp = {}
             for m, one, off, mask, row in fields:
@@ -357,9 +345,6 @@ def _sweep(classes, n_skel, taps, e, xs, out):
                         if used < m:
                             nxt = state + one
                             ndp[nxt] = ndp.get(nxt, 0) + val * wgt * (m - used)
-            need = due.get(y)
-            if need:
-                ndp = {s: v for s, v in ndp.items() if s & need == need}
             if not ndp:
                 return
             dp = ndp

@@ -195,6 +195,8 @@ class TestUsageErrors:
         ("--estimator", "ball-centrality", "--d", "4"),
         ("--adversary", "spy", "--spy-p", "0.5", "--d", "4"),
         ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--max-infections", "50"),
+        ("--estimator", "timestamp-rumor-centrality", "--d", "4", "--t", "6",
+         "--max-infections", "10"),
         ("--spy-p", "0.4", "--d", "4", "--t", "5"),
         ("--adversary", "snapshot", "--estimator", "rumor-centers", "--spy-p", "0.4",
          "--d", "4", "--t", "5"),

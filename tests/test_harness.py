@@ -191,6 +191,19 @@ class TestValidation:
                            AdversarySpec("eavesdropper"), "timestamp-rumor-centrality",
                            trials=10, master_seed=0)
 
+    @pytest.mark.parametrize("params,t,match", [
+        (SpreadParams("trickle", theta=1, max_time=6, max_infections=10), 6, "max_infections"),
+        (SpreadParams("trickle", theta=1, max_time=5, max_infections=10), None, "max_infections"),
+        (SpreadParams("trickle", theta=1, max_time=5), 6, "max_time"),
+    ])
+    def test_trc_spread_must_run_to_the_estimation_time(self, params, t, match):
+        # A spread that stops before t leaves TRC counting a horizon the
+        # trace never reached; each of these specs failed mid-run.
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(GraphSpec(kind="tree", d=4), params,
+                           AdversarySpec("eavesdropper", estimation_time=t),
+                           "timestamp-rumor-centrality", trials=10, master_seed=0)
+
     def test_sweep_specs_checks_every_point(self):
         base = ExperimentSpec(GraphSpec(kind="tree", d=4),
                               SpreadParams("trickle", theta=1, max_time=5),

@@ -135,13 +135,15 @@ class TestEstimator:
         with pytest.raises(ValueError, match="keep_all"):
             timestamp_rumor_centrality(obs, g, 3)
 
-    def test_degree_guardrail(self):
+    def test_high_degree_counts_without_a_flag(self):
+        # The d <= 6 guardrail is the spec's (test_harness); the library
+        # counts at any degree.
         g = lazy_regular_tree(8)
         obs = Observation("eavesdropper", first_reports={0: 1},
                           all_reports={0: (1,)})
-        with pytest.raises(ValueError, match="guardrail"):
-            timestamp_rumor_centrality(obs, g, 9)
-        timestamp_rumor_centrality(obs, g, 9, allow_high_degree=True)
+        res = timestamp_rumor_centrality(obs, g, 9)
+        assert res.candidates == {0}
+        assert res.score[0] == ordering_count(g, 0, {0: (1,)}, 9) > 0
 
     def test_modified_root_rejected(self):
         g = lazy_regular_tree(4, root_degree=2)
@@ -295,6 +297,38 @@ class TestCutTree:
             compared += 1
             reached += any(v in leaves for v in tr.X)
         assert compared >= 30 and reached >= 10
+
+
+class TestUnobservedRowsByShape:
+    def test_one_row_per_shape(self, monkeypatch):
+        # With an unmodified root, every unobserved subtree of the cut tree
+        # entered from the same side at the same depth is the same tree, so a
+        # call keys its rows by (side, depth): 2 * (depth + 1) shapes.  These
+        # calls build no more rows than that, rebuilds from an earlier time
+        # included.
+        depth, t, theta = 6, 6, 1
+        builds = []
+
+        class Counting(dict):
+            def __setitem__(self, key, value):
+                builds.append(key)
+                super().__setitem__(key, value)
+
+        init = trc._Store.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            self._fresh_rows = Counting()
+
+        monkeypatch.setattr(trc._Store, "__init__", counting_init)
+        g = lazy_regular_tree(3, depth=depth)
+        calls = 0
+        for _, _, obs in simulated_observations(lambda: g, 3, theta, t, 77, 60):
+            builds.clear()
+            timestamp_rumor_centrality(obs, g, t, theta=theta)
+            assert len(builds) <= 2 * (depth + 1), obs.all_reports
+            calls += len(builds) > 0
+        assert calls >= 30
 
 
 class TestSweepAgainstReference:
