@@ -20,7 +20,6 @@ from .analytics import (
     trickle_ft_lower_bound,
     trickle_ml_lower,
     trickle_ml_upper,
-    urn_simulate,
 )
 from .estimators import (
     EstimateResult,

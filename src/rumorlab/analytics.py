@@ -1,5 +1,4 @@
-"""Closed-form detection probabilities, their special functions, and the
-two-color urn behind the reporting-centrality constant.
+"""Closed-form detection probabilities and their special functions.
 
 The special functions are self-contained double-precision routines in the
 Cephes style; the test suite checks them against independent adaptive
@@ -233,36 +232,3 @@ FORMULAS = {
     "spy_ft_lb": lambda d, theta, t, p: spy_ft_bound(p),
 }
 
-
-# ---------------------------------------------------------------------------
-# Generalized urn for the reporting-centrality analysis
-# ---------------------------------------------------------------------------
-
-def urn_simulate(d, theta, steps, rng):
-    """Two-color urn for a single source-adjacent subtree.
-
-    Solid balls are active spreading edges, striped balls pending adversary
-    taps.  Drawing solid adds d-2 solid and theta striped; drawing striped
-    removes theta striped.  Start state is one solid ball.  Returns the
-    trajectory [(solid, striped)] of length steps+1 including the start;
-    striped/solid converges a.s. to theta/(d+theta-2).
-    """
-    d, theta = integer("d", d, 3), integer("theta", theta, 1)
-    solid, striped = 1, 0
-    add_solid = d - 2
-    traj = [(solid, striped)]
-    append = traj.append
-    rand = rng.random
-    for _ in range(steps):
-        if rand() * (solid + striped) < solid:
-            solid += add_solid
-            striped += theta
-        else:
-            # Striped counts move in multiples of theta, so a draw implies >= theta.
-            if striped < theta:
-                raise RuntimeError(
-                    f"urn invariant broken: striped={striped} < theta={theta}"
-                )
-            striped -= theta
-        append((solid, striped))
-    return traj

@@ -129,10 +129,10 @@ class LazyRegularTree:
             level_sizes = [1] + [root_degree * (d - 1) ** k for k in range(depth)]
             self.node_count = sum(level_sizes)
             self.first_leaf = self.node_count - level_sizes[-1]
-            # Only the cut tree tests for leaves and the node range; the
-            # infinite tree's hot queries stay as they are.
-            self.neighbors, self.degree = self._cut_neighbors, self._cut_degree
-            self.children, self.has_node = self._cut_children, self._cut_has_node
+            # Only the cut tree tests for leaves and for ids past the cut,
+            # which keeps both tests off the infinite tree's hot queries.
+            self.neighbors, self.children = self._cut_neighbors, self._cut_children
+            self.has_node = self._cut_has_node
 
     def nodes(self):
         if self.depth is None:
@@ -143,6 +143,8 @@ class LazyRegularTree:
         return isinstance(v, int) and v >= 0
 
     def neighbors(self, v):
+        if not (isinstance(v, int) and v >= 0):  # has_node, inlined for _ball
+            raise ValueError(f"unknown node {v}")
         r = self.root_degree
         if v == 0:
             return list(range(1, r + 1))
@@ -151,6 +153,8 @@ class LazyRegularTree:
         return [0 if v <= r else (v - r - 1) // c + 1, *range(first, first + c)]
 
     def children(self, v):
+        if not self.has_node(v):
+            raise ValueError(f"unknown node {v}")
         r = self.root_degree
         if v == 0:
             return range(1, r + 1)
@@ -159,7 +163,7 @@ class LazyRegularTree:
         return range(first, first + c)
 
     def degree(self, v):
-        return self.root_degree if v == 0 else self.d
+        return len(self.neighbors(v))
 
     def _cut_has_node(self, v):
         return isinstance(v, int) and 0 <= v < self.node_count
@@ -172,14 +176,12 @@ class LazyRegularTree:
         return [self.parent_of(v)] if v else []
 
     def _cut_children(self, v):
-        if not self.has_node(v):
-            raise ValueError(f"unknown node {v}")
-        return LazyRegularTree.children(self, v) if v < self.first_leaf else range(0)
-
-    def _cut_degree(self, v):
-        return len(self._cut_neighbors(v))
+        kids = LazyRegularTree.children(self, v)  # checks v by _cut_has_node
+        return kids if v < self.first_leaf else range(0)
 
     def parent_of(self, v):
+        """Parent of node v, None at the root.  Unchecked, for speed: callers
+        pass only ids they know are nodes."""
         if v <= self.root_degree:
             return None if v == 0 else 0
         return (v - self.root_degree - 1) // (self.d - 1) + 1
@@ -208,6 +210,14 @@ def _shuffle(x, getrandbits):
         x[i], x[j] = x[j], x[i]
 
 
+def check_random_regular(n, d):
+    """Raise ValueError unless a d-regular graph on n nodes exists."""
+    if n * d % 2:
+        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    if d >= n:
+        raise ValueError(f"need d < n, got n={n}, d={d}")
+
+
 def build_random_regular(n, d, seed):
     """Random simple d-regular graph on n nodes via the configuration model.
 
@@ -225,10 +235,7 @@ def build_random_regular(n, d, seed):
     import random as _random
 
     n, d = integer("n", n, 1), integer("d", d, 0)
-    if (n * d) % 2 != 0:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
-    if d >= n:
-        raise ValueError(f"need d < n, got n={n}, d={d}")
+    check_random_regular(n, d)
     getrandbits = _random.Random(seed).getrandbits
 
     def suitable(adj, leftover):

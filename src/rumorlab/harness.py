@@ -58,7 +58,7 @@ from .estimators import (
     rumor_centers,
     spy_first_timestamp,
 )
-from .graphs import build_random_regular, lazy_regular_tree, load_edge_list
+from .graphs import build_random_regular, check_random_regular, lazy_regular_tree, load_edge_list
 from .spreading import (
     SpreadParams,
     first_report_trial,
@@ -172,10 +172,7 @@ class GraphSpec:
         if self.kind == "random-regular":
             if self.n is None:
                 raise ValueError("random-regular needs n")
-            if self.n * self.d % 2:
-                raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
-            if self.d >= self.n:
-                raise ValueError(f"need d < n, got n={self.n}, d={self.d}")
+            check_random_regular(self.n, self.d)
         if self.kind == "file" and not self.path:
             raise ValueError("file graph needs path")
         for field, kind in _FIELD_KIND.items():

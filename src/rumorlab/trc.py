@@ -32,11 +32,10 @@ on the infinite tree).  Giving a slot to a class with m members, u of them
 used, multiplies by m - u.  A node with s skeleton children costs
 O((d + theta) * 2^s * (s + 1)) per window end on the infinite tree,
 polynomial in d for a bounded skeleton.  An unobserved subtree's row is that
-of a node whose children are all unobserved, counted the same way.  The
-infinite tree has one such row.  On a cut tree a subtree's shape is its top
-node's depth and whether it is entered from that node's tree parent; the
-root is unmodified, so subtrees of one shape are the same tree, and a call
-builds one row per shape.
+of a node whose children are all unobserved, counted the same way, and it
+depends on the subtree's shape alone: one shape on the infinite tree, and on
+a cut tree its top node's depth and whether it is entered from that node's
+tree parent (the root is unmodified, so subtrees of one shape are the same).
 
 A non-root node's table depends only on the directed edge (parent, node): its
 skeleton children are its neighbours other than the parent whose side holds a
@@ -51,11 +50,11 @@ A table is a tuple, and it also outlives its call: the caller may pass a
 memo, a dict that the harness opens for each block of trials and drops when
 the block ends, and every table is looked up there before it is computed.
 Its key holds all the row depends on: the setting (d, depth, t, theta),
-whether the node is the root, its tap times, and its skeleton children's
-rows as a multiset of identities of tuples the memo itself holds, so equal
-keys mean equal rows.  On a cut tree the fresh children differ per directed
-edge, so the key also names the edge and the skeleton children there.  A
-call given no memo makes one of its own.
+whether the node is the root, its tap times, its skeleton children's rows as
+a multiset of identities of tuples the memo itself holds, and on a cut tree
+its other children's shapes, so equal keys mean equal rows and no key names
+a node.  Each unobserved-subtree row is kept there under the setting and its
+shape.  A call given no memo makes one of its own.
 
 Candidates are the observed nodes whose first report is at most d+theta (the
 source's tap must land within its own d+theta slots), prefiltered by the
@@ -148,17 +147,14 @@ def ordering_count(g, root, reports, t, theta=1):
 
 class _Store:
     """The count rows of one counting call, shared by all of its candidate
-    roots: skeleton tables keyed by (node, parent), and the unobserved-subtree
-    rows (one on the infinite tree, one per shape on a cut tree).  A row is a
-    tuple over the infection times 0..t.
+    roots: skeleton tables keyed by (node, parent), each a tuple over the
+    infection times 0..t, and the unobserved-subtree rows, one per shape.
 
-    Each skeleton table, and the infinite tree's unobserved-subtree row, is
-    taken from memo, which holds the rows of every earlier call given the
-    same memo (in the harness, the earlier trials of the block), or computed
-    and put there, so the tables outlive the call.
-
-    A cut tree groups a node's fresh children into classes by their rows,
-    since subtrees of different shapes can still share a row."""
+    Every table and row is taken from memo, which holds the rows of every
+    earlier call given the same memo (in the harness, the earlier trials of
+    the block), or computed and put there, so they outlive the call.  A cut
+    tree groups a node's fresh children into classes by their rows, since
+    subtrees of different shapes can still share a row."""
 
     def __init__(self, g, reports, t, theta, terminals, memo):
         self.g = g
@@ -172,18 +168,8 @@ class _Store:
         # The row of a node with no infection time.  No key names it: a
         # skeleton child with this row gives its parent this row too.
         self._zero = (0,) * (t + 1)
-        if self.finite:
-            self._fresh_rows = {}
-        else:
-            # Every unobserved subtree of the infinite tree has one row: that
-            # of an unobserved node whose d-1 children are unobserved too.
-            # Its sweep reads the weight of slot y from the row it writes,
-            # where count(y) was read off one step before.
-            self._fresh_row = memo.get((g.d, t))
-            if self._fresh_row is None:
-                row = [0] * (t + 1)
-                _sweep([(g.d - 1, row)], 0, (), t, range(max(1, t - g.d + 1), t + 1), row)
-                self._fresh_row = memo[g.d, t] = tuple(row)
+        if not self.finite:
+            self._fresh_row = self._fresh(())
         # The terminals' Steiner tree as adjacency lists: each terminal's path
         # toward the first one stops where it meets the tree built so far.
         anchor, *rest = terminals
@@ -217,24 +203,26 @@ class _Store:
         if not all(map(any, rows)):
             return self._zero  # a skeleton child with no infection time
         # The infinite tree's fresh children follow from the setting, the
-        # root flag and the number of skeleton children; a cut tree's from
-        # the directed edge and which children are in the skeleton.
-        edge = (w, par, tuple(sorted(skel_kids))) if self.finite else None
-        key = (self.setting, par is None, R, tuple(sorted(map(id, rows))), edge)
+        # root flag and the number of skeleton children; a cut tree's are
+        # named by their shapes.
+        shapes = tuple(sorted(self._fresh_shapes(w, par, skel_kids))) if self.finite else None
+        key = (self.setting, par is None, R, tuple(sorted(map(id, rows))), shapes)
         table = self.memo.get(key)
         if table is None:
-            table = self.memo[key] = self._row(w, par, R, rows, skel_kids)
+            table = self.memo[key] = self._row(par is None, R, rows, shapes)
         return table
 
-    def _row(self, w, par, R, rows, skel_kids):
-        """Count row of skeleton node w with taps R, given the rows of its
-        skeleton children."""
+    def _row(self, root, R, rows, shapes):
+        """Count row of a skeleton node, the source if root, with taps R,
+        given the rows of its skeleton children and, on a cut tree, the
+        shapes of its others.  Every node of the infinite tree has degree d,
+        since check_setting keeps the root unmodified."""
         t, theta = self.t, self.theta
-        child_count = self.g.degree(w) - (par is not None)
+        child_count = len(rows) + len(shapes) if self.finite else self.g.d - (not root)
         k = child_count + theta
         hidden = theta - len(R)
 
-        if par is None:
+        if root:
             # The source's own taps must fit its slot window from x = 0.
             xs = range(0, 1 if not R or (R[0] >= 1 and R[-1] <= k) else 0)
         elif R:
@@ -255,7 +243,7 @@ class _Store:
         first = short.start if short else to_t.start
         classes = [(1, row) for row in rows]
         if self.finite:
-            classes += self._fresh_classes(self._fresh_shapes(w, par, skel_kids), first + 1)
+            classes += self._fresh_classes(shapes, first + 1)
         elif child_count > len(rows):
             # The fresh subtrees of the infinite tree are identical.
             classes.append((child_count - len(rows), self._fresh_row))
@@ -274,28 +262,33 @@ class _Store:
         return [(False, k - 1) if c == up else (True, k + 1)
                 for c in g.neighbors(w) if c != par and c not in skel_kids]
 
-    def _fresh(self, shape, lo):
-        """Row of an unobserved subtree of the cut tree, exact from time lo
-        on: all theta taps must land past t, so the realized times x+1..t map
-        injectively onto its children, each of them an unobserved subtree
-        too.  Needs lo <= t.
+    def _fresh(self, shape):
+        """Row of an unobserved subtree, exact at every time 1..t: all theta
+        taps must land past t, so the realized times x+1..t map injectively
+        onto its children, each of them an unobserved subtree too.
 
-        The shape (down, k) is the subtree of a node at depth k entered from
-        its tree parent if down, else from one of its children.  The root is
-        unmodified, so every subtree of one shape is the same tree."""
-        got = self._fresh_rows.get(shape)
-        if got is not None and got[0] <= lo:
-            return got[1]
-        (down, k), d, t = shape, self.g.d, self.t
-        if down:
-            kids = [(True, k + 1)] * (d - 1) if k < self.g.depth else []
+        On a cut tree the shape (down, k) is the subtree of a node at depth k
+        entered from its tree parent if down, else from one of its children.
+        On the infinite tree it is (), shared by the d-1 children, so the row
+        goes into the memo before its sweep runs: the sweep reads the weight
+        of slot y from the row it writes, where count(y) was read off one
+        step before."""
+        key = self.setting, shape
+        row = self.memo.get(key)
+        if row is not None:
+            return row
+        d, t = self.g.d, self.t
+        if not shape:
+            kids = [()] * (d - 1)
+        elif shape[0]:
+            kids = [(True, shape[1] + 1)] * (d - 1) if shape[1] < self.g.depth else []
         else:
+            k = shape[1]
             kids = [(True, k + 1)] * (d - 1 - (k > 0)) + [(False, k - 1)] * (k > 0)
-        xs = range(max(lo, t - len(kids)), t + 1)  # else some tap fires by t
-        row = [0] * (t + 1)
+        xs = range(max(1, t - len(kids)), t + 1)  # else some tap fires by t
+        row = self.memo[key] = [0] * (t + 1)
         classes = self._fresh_classes(kids, xs.start + 1) if xs.start < t else []
         _sweep(classes, 0, (), t, xs, row)
-        self._fresh_rows[shape] = lo, row
         return row
 
     def _fresh_classes(self, shapes, lo):
@@ -303,7 +296,7 @@ class _Store:
         whose rows agree at every time from lo on, as (members, row)."""
         groups = {}
         for shape in shapes:
-            row = self._fresh(shape, lo)
+            row = self._fresh(shape)
             key = tuple(row[lo:])
             m, _ = groups.get(key, (0, row))
             groups[key] = m + 1, row

@@ -32,8 +32,10 @@ diffusion trace's report list).  The trickle loop that shuffles each pool
 at infection is kept as a reference in distribution.  Timestamp rumor
 centrality's ordering count is re-counted one infection time at a time, each
 window by a forward dynamic program (the package sweeps all windows that end
-together at once).  scipy is imported inside the quadrature functions, so
-the rest loads on an interpreter without it.
+together at once).  The two-color urn behind the reporting-centrality
+constant is simulated here too; only the tests run it.  scipy is imported
+inside the quadrature functions, so the rest loads on an interpreter
+without it.
 """
 
 import math
@@ -952,3 +954,34 @@ def reference_assign(classes, n_slots, required):
             return 0
         dp = ndp
     return sum(dp.values())
+
+
+def urn_simulate(d, theta, steps, rng):
+    """Two-color urn for a single source-adjacent subtree: the process
+    behind the reporting-centrality constant.
+
+    Solid balls are active spreading edges, striped balls pending adversary
+    taps.  Drawing solid adds d-2 solid and theta striped; drawing striped
+    removes theta striped.  Start state is one solid ball.  Returns the
+    trajectory [(solid, striped)] of length steps+1 including the start;
+    striped/solid converges a.s. to theta/(d+theta-2).
+    """
+    d, theta = integer("d", d, 3), integer("theta", theta, 1)
+    solid, striped = 1, 0
+    add_solid = d - 2
+    traj = [(solid, striped)]
+    append = traj.append
+    rand = rng.random
+    for _ in range(steps):
+        if rand() * (solid + striped) < solid:
+            solid += add_solid
+            striped += theta
+        else:
+            # Striped counts move in multiples of theta, so a draw implies >= theta.
+            if striped < theta:
+                raise RuntimeError(
+                    f"urn invariant broken: striped={striped} < theta={theta}"
+                )
+            striped -= theta
+        append((solid, striped))
+    return traj

@@ -19,7 +19,6 @@ from rumorlab.analytics import (
     trickle_ft_lower_bound,
     trickle_ml_lower,
     trickle_ml_upper,
-    urn_simulate,
 )
 from rumorlab.estimators import ball_centrality, reporting_centrality, spy_first_timestamp
 from rumorlab.graphs import lazy_regular_tree
@@ -32,6 +31,7 @@ from oracles import (
     enumerate_histories,
     observation_atlas,
     reg_inc_beta_half_quadrature,
+    urn_simulate,
 )
 
 

@@ -16,9 +16,13 @@ from rumorlab.analytics import (
     trickle_ft_lower_bound,
     trickle_ml_lower,
     trickle_ml_upper,
+)
+from oracles import (
+    ei_quadrature,
+    reg_inc_beta_half_quadrature,
+    trickle_ft_integral,
     urn_simulate,
 )
-from oracles import ei_quadrature, reg_inc_beta_half_quadrature, trickle_ft_integral
 
 
 class TestExponentialIntegral:

@@ -14,14 +14,13 @@ from rumorlab.analytics import (
     trickle_ft_asymptotic,
     trickle_ft_lower_bound,
     trickle_ml_lower,
-    urn_simulate,
 )
 from rumorlab.graphs import lazy_regular_tree
 from rumorlab.harness import AdversarySpec, ExperimentSpec, GraphSpec
 from rumorlab.spreading import SpreadParams
 from rumorlab.trc import check_setting
 
-from oracles import enumerate_histories
+from oracles import enumerate_histories, urn_simulate
 
 TREE = lazy_regular_tree(3, depth=2)
 

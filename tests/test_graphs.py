@@ -168,6 +168,23 @@ class TestLazyRegularTree:
         for v in range(1, explicit.node_count + 2 * d):
             assert list(infinite.children(v)) == infinite.neighbors(v)[1:]
 
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_queries_reject_ids_the_tree_lacks(self, depth):
+        # Infinite or cut, the tree answers no query about a negative or a
+        # non-integer id, and the estimators that ask it fail the same way.
+        from rumorlab.adversary import Observation
+        from rumorlab.estimators import ball_centrality
+
+        g = lazy_regular_tree(3, depth=depth)
+        for v in (-1, -5, 2.5, 0.0, "1"):
+            assert not g.has_node(v)
+            for query in (g.neighbors, g.children, g.degree):
+                with pytest.raises(ValueError, match="unknown node"):
+                    query(v)
+        obs = Observation("eavesdropper", first_reports={0: 2, -1: 2})
+        with pytest.raises(ValueError, match="unknown node"):
+            ball_centrality(obs, g)
+
     def test_cut_tree_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="depth"):
             lazy_regular_tree(3, depth=-1)
@@ -264,10 +281,11 @@ class TestRandomRegular:
         assert list(a.edges()) == list(b.edges())
 
     def test_infeasible_rejected(self):
-        with pytest.raises(ValueError):
-            build_random_regular(5, 3, seed=0)  # n*d odd
-        with pytest.raises(ValueError):
-            build_random_regular(4, 4, seed=0)  # d >= n
+        # The messages a GraphSpec gives for the same recipes.
+        with pytest.raises(ValueError, match="n\\*d must be even"):
+            build_random_regular(5, 3, seed=0)
+        with pytest.raises(ValueError, match="d < n"):
+            build_random_regular(4, 4, seed=0)
 
     @pytest.mark.parametrize("n, d, name", [
         (50, 4.5, "d"), (50, float("nan"), "d"), (50, -2, "d"), (50, None, "d"),

@@ -299,36 +299,67 @@ class TestCutTree:
         assert compared >= 30 and reached >= 10
 
 
+class CountingMemo(dict):
+    """A memo that records every key stored in it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+    def shapes(self):
+        # An unobserved-subtree row is stored under (setting, shape).
+        return [key[1] for key in self.stored if len(key) == 2]
+
+
 class TestUnobservedRowsByShape:
-    def test_one_row_per_shape(self, monkeypatch):
+    def test_one_row_per_shape(self):
         # With an unmodified root, every unobserved subtree of the cut tree
-        # entered from the same side at the same depth is the same tree, so a
-        # call keys its rows by (side, depth): 2 * (depth + 1) shapes.  These
-        # calls build no more rows than that, rebuilds from an earlier time
-        # included.
+        # entered from the same side at the same depth is the same tree, so
+        # its row is keyed by (side, depth): 2 * (depth + 1) shapes.  Each is
+        # built once per memo, exact at every time, whether the memo serves
+        # one call or all of them.
         depth, t, theta = 6, 6, 1
-        builds = []
-
-        class Counting(dict):
-            def __setitem__(self, key, value):
-                builds.append(key)
-                super().__setitem__(key, value)
-
-        init = trc._Store.__init__
-
-        def counting_init(self, *args):
-            init(self, *args)
-            self._fresh_rows = Counting()
-
-        monkeypatch.setattr(trc._Store, "__init__", counting_init)
         g = lazy_regular_tree(3, depth=depth)
+        shared = CountingMemo()
         calls = 0
         for _, _, obs in simulated_observations(lambda: g, 3, theta, t, 77, 60):
-            builds.clear()
-            timestamp_rumor_centrality(obs, g, t, theta=theta)
-            assert len(builds) <= 2 * (depth + 1), obs.all_reports
-            calls += len(builds) > 0
+            own = CountingMemo()
+            timestamp_rumor_centrality(obs, g, t, theta=theta, memo=own)
+            timestamp_rumor_centrality(obs, g, t, theta=theta, memo=shared)
+            for memo in (own, shared):
+                shapes = memo.shapes()
+                assert len(shapes) == len(set(shapes)) <= 2 * (depth + 1), obs.all_reports
+            calls += len(own.shapes()) > 0
         assert calls >= 30
+
+    def test_infinite_tree_builds_one_row(self):
+        g, memo = lazy_regular_tree(4), CountingMemo()
+        for _, _, obs in simulated_observations(lambda: g, 4, 1, 6, 78, 30):
+            timestamp_rumor_centrality(obs, g, 6, memo=memo)
+        assert memo.shapes() == [()]
+
+
+class TestCutTreeTablesByShape:
+    def test_equal_shapes_at_other_edges_share_tables(self):
+        # A parent at depth 2 taps at 2 and its child at 3, under two
+        # different depth-2 nodes.  The tables name their fresh children by
+        # shape, not by node, so the second observation finds every table
+        # (and every unobserved-subtree row) in the memo.
+        g, memo = lazy_regular_tree(3, depth=6), CountingMemo()
+        scores = []
+        for p, kid in [(p, g.children(p)[0]) for p in g.children(1)]:
+            obs = Observation("eavesdropper", first_reports={p: 2, kid: 3},
+                              all_reports={p: (2,), kid: (3,)})
+            before = len(memo)
+            res = timestamp_rumor_centrality(obs, g, 4, memo=memo)
+            assert res.score == timestamp_rumor_centrality(obs, g, 4).score
+            scores.append((res.score[p], res.score[kid]))
+        assert len(memo) == before > 0
+        assert scores[0] == scores[1] and scores[0][0] > 0
 
 
 class TestSweepAgainstReference:
@@ -418,7 +449,8 @@ class TestSharedMemo:
     a memo that earlier observations filled must equal a fresh call's.  A key
     without the root flag or without the taps fails on the infinite tree
     (d = 3 and 4, theta = 1, at both t); one without the setting fails across
-    settings, and one without the cut tree's edge fails there."""
+    settings, and one without the cut tree's fresh-child shapes fails
+    there."""
 
     def check_through_shared_memo(self, settings, n, memo):
         """Interleaves n simulated observations of each setting through memo;
