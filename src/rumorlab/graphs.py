@@ -334,13 +334,13 @@ def hop_distance(g, u, v):
         return 0
     if g.is_lazy:
         # Parents have smaller ids than children, so the larger id is never
-        # the common ancestor: move it up until the two meet.
-        dist = 0
+        # the common ancestor: lift it to parent_of (inlined) until they meet.
+        r, c, dist = g.root_degree, g.d - 1, 0
         while u != v:
             if u > v:
-                u = g.parent_of(u)
+                u = 0 if u <= r else (u - r - 1) // c + 1
             else:
-                v = g.parent_of(v)
+                v = 0 if v <= r else (v - r - 1) // c + 1
             dist += 1
         return dist
     seen = {u}
@@ -374,13 +374,14 @@ def tree_path(g, u, v, stop=None):
     if not g.has_node(u) or not g.has_node(v):
         raise ValueError(f"unknown node in pair ({u}, {v})")
     stop = stop or ()
+    r, c = g.root_degree, g.d - 1
     up, vp = [u], [v]
     while u != v and u not in stop:
         if u > v:
-            u = g.parent_of(u)
+            u = 0 if u <= r else (u - r - 1) // c + 1
             up.append(u)
         else:
-            v = g.parent_of(v)
+            v = 0 if v <= r else (v - r - 1) // c + 1
             vp.append(v)
     if u not in stop:
         for w in reversed(vp[:-1]):

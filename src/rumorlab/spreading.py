@@ -19,7 +19,9 @@ a parent to a child nobody has infected yet, so they are the node's child
 id range and no fired relay is tested for infection; elsewhere they are
 neighbors(v) less the infected.  Trickle gives a new node its slots the same
 way: its child id range and taps from the tree's root, its uninfected
-neighbors and taps elsewhere.
+neighbors and taps elsewhere.  A node infected in the step that ends the
+run, at the horizon or at the max_infections-th infection, never serves a
+slot, so it builds no pool.
 
 Each simulator draws only what a trial reads: a trickle node picks a slot
 only when it serves one (a node never served draws nothing, and a last slot
@@ -237,8 +239,8 @@ def _trickle(g, params, rng, source, first_report, parents):
                     stop = True
             else:
                 skipped += 1
-        if first_report and reports:
-            break
+        if (first_report and reports) or stop or step + 1 > max_time:
+            break  # no node serves again, so none needs a pool
         for w in newly:
             if not tree:
                 pool = [u for u in neighbors(w) if u not in X]

@@ -43,8 +43,9 @@ reporter, and neither they nor its taps depend on which candidate is the
 root.  One estimator call keeps every table, keyed by (node, parent), in one
 store shared by all of its candidates.  Every candidate is a reporter, so
 every candidate's skeleton is the same tree, the reporters' Steiner tree: the
-store builds it once per call, one tree_path per reporter past the first, and
-re-roots it for each candidate with one BFS.
+store builds it once per call, one tree_path per reporter past the first.  A
+candidate's count descends from it and stops at every table already stored,
+so a later candidate computes only the edges whose direction flips.
 
 A table is a tuple, and it also outlives its call: the caller may pass a
 memo, a dict that the harness opens for each block of trials and drops when
@@ -100,26 +101,15 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1, memo=None):
     d = g.d
     check_setting(d, theta, t, g.root_degree)
     theta, t = int(theta), int(t)
-    reports = {}
-    for v, times in obs.all_reports.items():
-        clean = tuple(sorted(times))
-        if not all(float(x).is_integer() for x in clean):
-            raise ValueError(f"non-integer trickle report times at node {v}")
-        clean = tuple(int(x) for x in clean)
-        if clean and clean[-1] > t:
-            raise ValueError(f"report past estimation time at node {v}")
-        if len(clean) > theta:
-            raise ValueError(f"node {v} shows {len(clean)} taps but theta={theta}")
-        if clean:
-            reports[v] = clean
+    reports = _checked_reports(obs.all_reports, t, theta)
     if not reports:
         raise InfeasibleObservationError("no reports to estimate from")
 
-    candidates = [v for v, tau in obs.first_reports.items() if tau <= d + theta]
+    candidates = [v for v, R in reports.items() if R[0] <= d + theta]
     store = _Store(g, reports, t, theta, reports, {} if memo is None else memo)
     scores = {}
     for v in candidates:
-        scores[v] = store.count(v) if _ball_feasible(g, v, obs.first_reports) else 0
+        scores[v] = store.count(v) if _ball_feasible(g, v, reports) else 0
     best = max(scores.values(), default=0)
     if best <= 0:
         raise InfeasibleObservationError(
@@ -129,19 +119,42 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1, memo=None):
     return EstimateResult(_pick_uniform(ties, rng), ties, score=scores)
 
 
-def _ball_feasible(g, v, first_reports):
+def _checked_reports(reports, t, theta):
+    """reports (node -> tap times) as node -> sorted tuple of int times, with
+    empty tuples dropped; ValueError naming the node unless every time is an
+    integer <= t and no node shows more than theta taps."""
+    checked = {}
+    for v, times in reports.items():
+        clean = tuple(sorted(times))
+        if not all(float(x).is_integer() for x in clean):
+            raise ValueError(f"non-integer trickle report times at node {v}")
+        clean = tuple(int(x) for x in clean)
+        if clean and clean[-1] > t:
+            raise ValueError(f"report past estimation time at node {v}")
+        if len(clean) > theta:
+            raise ValueError(f"node {v} shows {len(clean)} taps but theta={theta}")
+        if clean:
+            checked[v] = clean
+    return checked
+
+
+def _ball_feasible(g, v, reports):
     # Sound prefilter: any feasible source sits within tau_w - 1 hops of
-    # every reporter w (X_w >= hop, first tap >= X_w + 1).
-    return all(hop_distance(g, v, w) <= tau - 1 for w, tau in first_reports.items())
+    # every reporter w (X_w >= hop, first tap tau_w = R[0] >= X_w + 1).
+    return all(hop_distance(g, v, w) <= R[0] - 1 for w, R in reports.items())
 
 
 def ordering_count(g, root, reports, t, theta=1):
     """Exact number of feasible trickle executions through time t with source
-    ``root`` matching ``reports`` (node -> sorted tuple of tap times <= t) on
-    the LazyRegularTree g.
+    ``root`` matching ``reports`` (node -> tap times, each an integer <= t,
+    at most theta per node) on the LazyRegularTree g.
     """
     check_lazy_tree(g)
     check_setting(g.d, theta, root_degree=g.root_degree)
+    theta, t = int(theta), integer("t", t, 0)
+    reports = _checked_reports(reports, t, theta)
+    if not _ball_feasible(g, root, reports):
+        return 0
     return _Store(g, reports, t, theta, [*reports, root], {}).count(root)
 
 
@@ -182,34 +195,31 @@ class _Store:
 
     def count(self, root):
         """Ordering count with source ``root``, a node of the skeleton."""
-        parent = {root: None}
-        order = [root]
-        for v in order:  # BFS: every parent before its children
-            for c in self.skeleton[v]:
-                if c not in parent:
-                    parent[c] = v
-                    order.append(c)
-        for w in reversed(order):
-            if (w, parent[w]) not in self.tables:
-                kids = [c for c in self.skeleton[w] if c != parent[w]]
-                self.tables[w, parent[w]] = self._table(w, parent[w], kids)
-        return self.tables[root, None][0]
+        return self._table(root, None)[0]
 
-    def _table(self, w, par, skel_kids):
-        """Count row over infection times for skeleton node w, from the memo
-        if an earlier table had the same key."""
+    def _table(self, w, par):
+        """Count row over infection times for skeleton node w entered from
+        par, by a descent that stops at every table this call holds: a later
+        root computes only the edges whose direction flips, at most t hops
+        deep from a ball-feasible root.  A new table comes from the memo if
+        an earlier table had the same key."""
+        table = self.tables.get((w, par))
+        if table is not None:
+            return table
+        skel_kids = [c for c in self.skeleton[w] if c != par]
+        rows = [self._table(c, w) for c in skel_kids]
         R = self.reports.get(w, ())
-        rows = [self.tables[c, w] for c in skel_kids]
-        if not all(map(any, rows)):
-            return self._zero  # a skeleton child with no infection time
-        # The infinite tree's fresh children follow from the setting, the
-        # root flag and the number of skeleton children; a cut tree's are
-        # named by their shapes.
-        shapes = tuple(sorted(self._fresh_shapes(w, par, skel_kids))) if self.finite else None
-        key = (self.setting, par is None, R, tuple(sorted(map(id, rows))), shapes)
-        table = self.memo.get(key)
-        if table is None:
-            table = self.memo[key] = self._row(par is None, R, rows, shapes)
+        table = self._zero  # if a skeleton child has no infection time
+        if all(map(any, rows)):
+            # The infinite tree's fresh children follow from the setting, the
+            # root flag and the number of skeleton children; a cut tree's are
+            # named by their shapes.
+            shapes = tuple(sorted(self._fresh_shapes(w, par, skel_kids))) if self.finite else None
+            key = (self.setting, par is None, R, tuple(sorted(map(id, rows))), shapes)
+            table = self.memo.get(key)
+            if table is None:
+                table = self.memo[key] = self._row(par is None, R, rows, shapes)
+        self.tables[w, par] = table
         return table
 
     def _row(self, root, R, rows, shapes):

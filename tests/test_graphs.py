@@ -385,7 +385,7 @@ def ball(g, center, radius):
 
 
 PATH_TREES = [pytest.param(d, r, None, id=f"{d}-{r}")
-              for d, r in [(2, None), (3, None), (5, None), (4, 2)]]
+              for d, r in [(2, None), (3, None), (5, None), (4, 2), (4, 1), (3, 5)]]
 PATH_TREES += [pytest.param(d, None, depth, id=f"{d}-cut{depth}")
                for d in (2, 3, 5) for depth in range(5)]
 

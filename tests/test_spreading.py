@@ -47,6 +47,20 @@ def test_protocol_tag_enforced():
         simulate_diffusion(lazy_regular_tree(3), SpreadParams("trickle"), trial_stream(0, 0))
 
 
+def record_neighbor_calls(g):
+    """Patch g.neighbors to append each node it is asked for to the list
+    returned."""
+    calls = []
+    neighbors = g.neighbors
+
+    def counting(v):
+        calls.append(v)
+        return neighbors(v)
+
+    g.neighbors = counting
+    return calls
+
+
 class TestTrickle:
     def test_source_at_time_zero_and_unique_infections(self):
         g = lazy_regular_tree(3)
@@ -177,14 +191,7 @@ class TestTrickle:
         # a cut tree's leaf): the source's own pool is the one neighbors call.
         # The streams are checked against neighbors filtering in
         # test_stream_parity; only the calls show the difference.
-        calls = []
-        neighbors = g.neighbors
-
-        def counting(v):
-            calls.append(v)
-            return neighbors(v)
-
-        g.neighbors = counting
+        calls = record_neighbor_calls(g)
         params = SpreadParams("trickle", theta=1, max_time=6)
         for i in range(4):
             calls.clear()
@@ -193,6 +200,19 @@ class TestTrickle:
         calls.clear()
         tr = simulate_trickle(g, params, trial_stream(62, 9), source=3)
         assert len(tr.X) > 1 and len(calls) > 1
+
+    @pytest.mark.parametrize("horizon", [{"max_time": 6}, {"max_infections": 12}])
+    def test_a_node_that_cannot_serve_builds_no_pool(self, horizon):
+        # A node infected in the step that ends the run never serves a slot,
+        # so only the nodes infected before the stop time look up neighbors.
+        g = lazy_regular_tree(4)
+        calls = record_neighbor_calls(g)
+        params = SpreadParams("trickle", theta=1, **horizon)
+        for i in range(6):
+            calls.clear()
+            tr = simulate_trickle(g, params, trial_stream(63, i), source=3)
+            late = sum(x == tr.stop_time for x in tr.X.values())
+            assert late > 0 and len(calls) == sum(x < tr.stop_time for x in tr.X.values())
 
 
 class TestDiffusion:

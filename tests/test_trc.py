@@ -152,6 +152,46 @@ class TestEstimator:
         with pytest.raises(ValueError, match="unmodified"):
             timestamp_rumor_centrality(obs, g, 5)
 
+    @pytest.mark.parametrize("times,message", [
+        ((9,), "past estimation time at node 1"),
+        ((2, 3, 4), "node 1 shows 3 taps but theta=1"),
+        ((2.5,), "non-integer trickle report times at node 1"),
+    ])
+    def test_ordering_count_checks_reports_as_the_estimator_does(self, times, message):
+        g = lazy_regular_tree(3)
+        obs = Observation("eavesdropper", first_reports={1: min(times)},
+                          all_reports={1: times})
+        for count in (lambda: ordering_count(g, 0, {1: times}, 6),
+                      lambda: timestamp_rumor_centrality(obs, g, 6)):
+            with pytest.raises(ValueError, match=message):
+                count()
+
+    def test_ordering_count_sorts_reports_and_drops_empty_ones(self):
+        g = lazy_regular_tree(3)
+        for _, reports, _ in simulated_observations(lambda: g, 3, 2, 6, 93, 5):
+            shuffled = {v: tuple(reversed(times)) for v, times in reports.items()}
+            shuffled[10**6] = ()
+            assert ordering_count(g, 0, shuffled, 6, 2) == ordering_count(g, 0, reports, 6, 2) > 0
+
+    def test_ordering_count_far_from_every_report(self):
+        # The descent from the root is as deep as the skeleton, and no
+        # reporter lies farther than t hops from a root with a count.
+        g = lazy_regular_tree(2)
+        assert ordering_count(g, 0, {4000: (5,)}, 6) == 0
+        assert ordering_count(g, 4000, {0: (5,)}, 6) == 0
+
+    def test_counts_from_all_reports_alone(self):
+        # Candidates and the ball prefilter's taus come from the checked
+        # all_reports, so first_reports is never read.
+        g = lazy_regular_tree(3)
+        stray = Observation("eavesdropper", first_reports={5: 1}, all_reports={3: (2,)})
+        with pytest.raises(InfeasibleObservationError):
+            timestamp_rumor_centrality(stray, g, 5)
+        for _, reports, obs in simulated_observations(lambda: g, 3, 1, 5, 94, 5):
+            stray = Observation("eavesdropper", first_reports={5: 1}, all_reports=reports)
+            assert (timestamp_rumor_centrality(stray, g, 5).score
+                    == timestamp_rumor_centrality(obs, g, 5).score)
+
     def test_corrupt_observation_raises(self):
         g = lazy_regular_tree(2)
         obs = Observation("eavesdropper", first_reports={1: 1, 2: 1},
