@@ -51,8 +51,10 @@ def _add_common(p):
 
 
 def _add_experiment(p, protocol=True):
-    if protocol:  # compare runs both protocols
+    if protocol:
         p.add_argument("--protocol", choices=("trickle", "diffusion"), required=True)
+    else:  # compare runs both protocols, in turn
+        p.set_defaults(protocol="trickle+diffusion")
     p.add_argument("--estimator", default="first-timestamp", choices=ESTIMATORS)
     p.add_argument("--adversary", default="eavesdropper", choices=ADVERSARIES)
     p.add_argument("--graph", default="tree", choices=GRAPH_KINDS)
@@ -68,7 +70,6 @@ def _add_experiment(p, protocol=True):
     p.add_argument("--max-infections", type=int,
                    help="infection-count horizon (K); stop_time is logged")
     p.add_argument("--spy-p", type=float, help="spy corruption probability")
-    p.add_argument("--dump-trace", help="write trial 0's trace CSV here")
     _add_common(p)
 
 
@@ -110,16 +111,6 @@ def _spec_from_args(args):
         raise UsageError(exc) from exc
 
 
-def _points_from_args(args):
-    """Every point spec of the sweep the flags describe, each built (and so
-    checked) before any point runs."""
-    base = _spec_from_args(args)
-    try:
-        return sweep_specs(base, args.axis, args.values)
-    except ValueError as exc:
-        raise UsageError(exc) from exc
-
-
 def _json_value(v):
     """v with each non-finite float as the string float() reads back."""
     if isinstance(v, list):
@@ -127,13 +118,11 @@ def _json_value(v):
     return str(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _config_header(args, extra=None):
+def _config_header(args):
     """The flags as one line of strict JSON (no bare Infinity or NaN)."""
     skip = ("func", "out")  # the file's own location is not provenance
     cfg = {k: _json_value(v) for k, v in sorted(vars(args).items())
            if k not in skip and v is not None}
-    if extra:
-        cfg.update(extra)
     return "# config " + json.dumps(cfg, sort_keys=True, default=str, allow_nan=False)
 
 
@@ -210,30 +199,23 @@ def cmd_simulate(args):
     return 0
 
 
-def _sweep_rows(args, specs):
-    """Run the points of one or more sweeps over args.values, in order."""
+def cmd_sweep(args):
+    """Each protocol of --protocol (compare's: trickle, then diffusion) across
+    one axis, in long format for external plotting.  Every point spec is
+    built, and so checked, before any point runs."""
+    header = _config_header(args)
+    specs = []
+    for protocol in args.protocol.split("+"):
+        args.protocol = protocol
+        spec = _spec_from_args(args)
+        try:
+            specs += sweep_specs(spec, args.axis, args.values)
+        except ValueError as exc:
+            raise UsageError(exc) from exc
     rows = [r.csv_fields() for r in run_points(specs)]
     for row, value in zip(rows, itertools.cycle(args.values)):
         row["axis"] = args.axis
         row["axis_value"] = value
-    return rows
-
-
-def cmd_sweep(args):
-    rows = _sweep_rows(args, _points_from_args(args))
-    columns = ("axis", "axis_value") + CSV_COLUMNS
-    _emit(_rows_to_output(rows, columns, _config_header(args), args.format), args.out)
-    return 0
-
-
-def cmd_compare(args):
-    """Both protocols across one axis, long format for external plotting."""
-    header = _config_header(args, extra={"protocol": "trickle+diffusion"})
-    specs = []
-    for protocol in ("trickle", "diffusion"):
-        args.protocol = protocol
-        specs += _points_from_args(args)
-    rows = _sweep_rows(args, specs)
     columns = ("axis", "axis_value") + CSV_COLUMNS
     _emit(_rows_to_output(rows, columns, header, args.format), args.out)
     return 0
@@ -272,19 +254,16 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run one Monte Carlo experiment")
     _add_experiment(p)
+    p.add_argument("--dump-trace", help="write trial 0's trace CSV here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run an experiment across one axis")
-    _add_experiment(p)
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--values", type=_float_list, required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="trickle vs diffusion across one axis")
-    _add_experiment(p, protocol=False)
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--values", type=_float_list, required=True)
-    p.set_defaults(func=cmd_compare)
+    for name, text in (("sweep", "run an experiment across one axis"),
+                       ("compare", "trickle vs diffusion across one axis")):
+        p = sub.add_parser(name, help=text)
+        _add_experiment(p, protocol=name == "sweep")
+        p.add_argument("--axis", required=True, choices=SWEEP_AXES)
+        p.add_argument("--values", type=_float_list, required=True)
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ingest", help="load an edge list, emit the id mapping")
     p.add_argument("--input", required=True)

@@ -87,12 +87,6 @@ class ExplicitGraph:
     def edge_count(self):
         return sum(len(n) for n in self._adj) // 2
 
-    def edges(self):
-        for v, nbrs in enumerate(self._adj):
-            for u in nbrs:
-                if v < u:
-                    yield (v, u)
-
 
 class LazyRegularTree:
     """d-regular tree rooted at node 0, numbered breadth first: infinite, or
@@ -100,10 +94,10 @@ class LazyRegularTree:
 
     The root's children are 1..root_degree and the children of node v >= 1
     are r+(v-1)(d-1)+1 .. r+v(d-1), with r the root degree, so every parent
-    has a smaller id than its children.  ``children(v)`` is that id range,
-    empty at the cut; ``neighbors(v)`` lists the parent first, then the
-    children in ascending order.  Nothing is stored per node:
-    the tree is immutable and one instance serves every trial and worker.
+    has a smaller id than its children.  ``neighbors(v)`` lists the parent
+    first, then the children in ascending order, none at the cut.  Nothing
+    is stored per node: the tree is immutable and one instance serves every
+    trial and worker.
 
     ``root_degree`` (default d) gives the root a different number of
     neighbors while every other node keeps degree d.  root_degree = d - 2 is
@@ -131,7 +125,7 @@ class LazyRegularTree:
             self.first_leaf = self.node_count - level_sizes[-1]
             # Only the cut tree tests for leaves and for ids past the cut,
             # which keeps both tests off the infinite tree's hot queries.
-            self.neighbors, self.children = self._cut_neighbors, self._cut_children
+            self.neighbors = self._cut_neighbors
             self.has_node = self._cut_has_node
 
     def nodes(self):
@@ -152,16 +146,6 @@ class LazyRegularTree:
         first = r + (v - 1) * c + 1
         return [0 if v <= r else (v - r - 1) // c + 1, *range(first, first + c)]
 
-    def children(self, v):
-        if not self.has_node(v):
-            raise ValueError(f"unknown node {v}")
-        r = self.root_degree
-        if v == 0:
-            return range(1, r + 1)
-        c = self.d - 1
-        first = r + (v - 1) * c + 1
-        return range(first, first + c)
-
     def degree(self, v):
         return len(self.neighbors(v))
 
@@ -174,10 +158,6 @@ class LazyRegularTree:
         if v < self.first_leaf:
             return LazyRegularTree.neighbors(self, v)
         return [self.parent_of(v)] if v else []
-
-    def _cut_children(self, v):
-        kids = LazyRegularTree.children(self, v)  # checks v by _cut_has_node
-        return kids if v < self.first_leaf else range(0)
 
     def parent_of(self, v):
         """Parent of node v, None at the root.  Unchecked, for speed: callers

@@ -311,7 +311,7 @@ def _diffusion(g, params, rng, source, first_report, reports, parents):
     stop_time = None  # stays None when no relay is left
     tree = g.is_lazy and source == 0
     if tree:
-        # Node v >= 1 has children r+(v-1)c+1 .. r+vc, none from first_leaf on.
+        # Children: 1..r of the root, r+(v-1)c+1 .. r+vc of v >= 1, none from first_leaf on.
         r, c, first_leaf = g.root_degree, g.d - 1, g.first_leaf
         parent = TreeParents(X, g.parent_of) if parents else None
     else:
@@ -325,7 +325,7 @@ def _diffusion(g, params, rng, source, first_report, reports, parents):
         X[v] = t
         if tree:
             if not v:
-                targets += g.children(0)
+                targets += range(1, r + 1) if first_leaf else ()
                 b = len(targets)
             elif v < first_leaf:
                 lo = r + (v - 1) * c

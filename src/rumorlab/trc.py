@@ -122,15 +122,15 @@ def timestamp_rumor_centrality(obs, g, t, rng=None, theta=1, memo=None):
 def _checked_reports(reports, t, theta):
     """reports (node -> tap times) as node -> sorted tuple of int times, with
     empty tuples dropped; ValueError naming the node unless every time is an
-    integer <= t and no node shows more than theta taps."""
+    integer in 1..t and no node shows more than theta taps."""
     checked = {}
     for v, times in reports.items():
         clean = tuple(sorted(times))
         if not all(float(x).is_integer() for x in clean):
             raise ValueError(f"non-integer trickle report times at node {v}")
         clean = tuple(int(x) for x in clean)
-        if clean and clean[-1] > t:
-            raise ValueError(f"report past estimation time at node {v}")
+        if clean and not 1 <= clean[0] <= clean[-1] <= t:
+            raise ValueError(f"report before step 1 or past estimation time at node {v}")
         if len(clean) > theta:
             raise ValueError(f"node {v} shows {len(clean)} taps but theta={theta}")
         if clean:
@@ -146,7 +146,7 @@ def _ball_feasible(g, v, reports):
 
 def ordering_count(g, root, reports, t, theta=1):
     """Exact number of feasible trickle executions through time t with source
-    ``root`` matching ``reports`` (node -> tap times, each an integer <= t,
+    ``root`` matching ``reports`` (node -> tap times, each an integer in 1..t,
     at most theta per node) on the LazyRegularTree g.
     """
     check_lazy_tree(g)
@@ -234,7 +234,7 @@ class _Store:
 
         if root:
             # The source's own taps must fit its slot window from x = 0.
-            xs = range(0, 1 if not R or (R[0] >= 1 and R[-1] <= k) else 0)
+            xs = range(0, 1 if not R or R[-1] <= k else 0)
         elif R:
             # Taps live in the slot window: R[-1] <= x + k and R[0] >= x + 1.
             xs = range(max(1, R[-1] - k), R[0])

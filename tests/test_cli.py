@@ -519,7 +519,6 @@ class TestSweepAndCompare:
                     diffusion_ft(4, float(row["axis_value"])).value
                 )
 
-
     def test_compare_takes_no_protocol(self, capsys):
         # The FOUND command: compare runs both protocols without --protocol.
         code, out, _ = run_cli(capsys, "compare", "--estimator", "first-timestamp",
@@ -531,6 +530,38 @@ class TestSweepAndCompare:
             main(["compare", "--protocol", "trickle", "--d", "4",
                   "--axis", "theta", "--values", "1"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_dump_trace_is_a_simulate_flag(self, tmp_path, command):
+        # sweep and compare once took --dump-trace and wrote nothing.
+        dump = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*experiment_args(command), "--d", "4", "--axis", "theta",
+                  "--values", "1,2", "--trials", "20", "--seed", "1",
+                  "--dump-trace", str(dump)])
+        assert exc.value.code == 2
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("graph", [
+        "--graph tree --d 4 --theta 1 --axis theta --values 1,2,3,4,5,6,7,8 --seed 1",
+        "--graph random-regular --n 2000 --d 8 --theta 1 --axis theta "
+        "--values 1,2,3,4,5,6,7,8 --seed 3",
+    ], ids=["tree", "random-regular"])
+    def test_compare_rows_are_the_sweep_rows(self, capsys, graph, workers):
+        # The README's compare commands, at a tiny size: below the config
+        # line, the trickle sweep's rows, then the diffusion sweep's.
+        argv = [*graph.split(), "--trials", "30", "--workers", workers]
+        outs = []
+        for command in (["compare"], ["sweep", "--protocol", "trickle"],
+                        ["sweep", "--protocol", "diffusion"]):
+            code, out, _ = run_cli(capsys, *command, *argv)
+            assert code == 0
+            outs.append(out.splitlines())
+        compare, trickle, diffusion = outs
+        assert [line[0] == "#" for line in compare] == [True] + [False] * 17
+        assert compare[1:] == trickle[1:] + diffusion[2:]
 
 
 class TestIngest:

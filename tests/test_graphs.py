@@ -156,17 +156,21 @@ class TestLazyRegularTree:
     def test_children_are_the_neighbors_but_the_parent(self, d, root_degree, depth):
         g = lazy_regular_tree(d, root_degree=root_degree, depth=depth)
         explicit = build_regular_tree(d, depth, root_degree=root_degree)
+        assert g.node_count == explicit.node_count
         for v in explicit.nodes():
-            kids = g.children(v)
-            assert type(kids) is range
-            # The parent is the one neighbor numbered below v.
-            assert list(kids) == [u for u in explicit.neighbors(v) if u > v]
+            nbrs = g.neighbors(v)
+            assert nbrs == explicit.neighbors(v)
+            # The parent is the one neighbor numbered below v, listed first.
+            assert nbrs[v > 0:] == [u for u in nbrs if u > v]
         with pytest.raises(ValueError, match="unknown node"):
-            g.children(explicit.node_count)
+            g.neighbors(explicit.node_count)
+        # Uncut, the root's children are 1..r and node v's the c = d-1 ids
+        # r+(v-1)c+1 .. r+vc, the ranges a spread from the root reads.
         infinite = lazy_regular_tree(d, root_degree=root_degree)
-        assert list(infinite.children(0)) == infinite.neighbors(0)
+        assert infinite.neighbors(0) == list(range(1, root_degree + 1))
         for v in range(1, explicit.node_count + 2 * d):
-            assert list(infinite.children(v)) == infinite.neighbors(v)[1:]
+            first = root_degree + (v - 1) * (d - 1) + 1
+            assert infinite.neighbors(v)[1:] == list(range(first, first + d - 1))
 
     @pytest.mark.parametrize("depth", [None, 3])
     def test_queries_reject_ids_the_tree_lacks(self, depth):
@@ -178,7 +182,7 @@ class TestLazyRegularTree:
         g = lazy_regular_tree(3, depth=depth)
         for v in (-1, -5, 2.5, 0.0, "1"):
             assert not g.has_node(v)
-            for query in (g.neighbors, g.children, g.degree):
+            for query in (g.neighbors, g.degree):
                 with pytest.raises(ValueError, match="unknown node"):
                     query(v)
         obs = Observation("eavesdropper", first_reports={0: 2, -1: 2})
@@ -278,7 +282,7 @@ class TestRandomRegular:
     def test_deterministic_given_seed(self):
         a = build_random_regular(30, 4, seed=5)
         b = build_random_regular(30, 4, seed=5)
-        assert list(a.edges()) == list(b.edges())
+        assert [a.neighbors(v) for v in a.nodes()] == [b.neighbors(v) for v in b.nodes()]
 
     def test_infeasible_rejected(self):
         # The messages a GraphSpec gives for the same recipes.

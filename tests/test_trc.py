@@ -154,6 +154,8 @@ class TestEstimator:
 
     @pytest.mark.parametrize("times,message", [
         ((9,), "past estimation time at node 1"),
+        ((-3,), "before step 1 or past estimation time at node 1"),
+        ((0,), "before step 1 or past estimation time at node 1"),
         ((2, 3, 4), "node 1 shows 3 taps but theta=1"),
         ((2.5,), "non-integer trickle report times at node 1"),
     ])
@@ -165,6 +167,11 @@ class TestEstimator:
                       lambda: timestamp_rumor_centrality(obs, g, 6)):
             with pytest.raises(ValueError, match=message):
                 count()
+
+    def test_tap_at_the_source_infection_time_rejected(self):
+        # A tap takes a slot, and the first slot is step 1, even at the root.
+        with pytest.raises(ValueError, match="before step 1 .* at node 0"):
+            ordering_count(lazy_regular_tree(3), 0, {0: (0,)}, 6)
 
     def test_ordering_count_sorts_reports_and_drops_empty_ones(self):
         g = lazy_regular_tree(3)
@@ -391,7 +398,7 @@ class TestCutTreeTablesByShape:
         # (and every unobserved-subtree row) in the memo.
         g, memo = lazy_regular_tree(3, depth=6), CountingMemo()
         scores = []
-        for p, kid in [(p, g.children(p)[0]) for p in g.children(1)]:
+        for p, kid in [(p, g.neighbors(p)[1]) for p in g.neighbors(1)[1:]]:
             obs = Observation("eavesdropper", first_reports={p: 2, kid: 3},
                               all_reports={p: (2,), kid: (3,)})
             before = len(memo)
