@@ -41,23 +41,24 @@ def exponential_integral(x):
     """Ei(x), the principal-value exponential integral.
 
     Branches: continued fraction for x <= -1 (the alternating series loses
-    ~e^|x| digits there), power series on (-1, 40), asymptotic series for
-    x >= 40.  Relative error ~1e-13 away from the real zero near 0.3725.
+    ~e^|x| digits there), power series for x > -1.  The series is capped at
+    1,000 terms, enough up to x ~ 713, where Ei is still finite; past that
+    a term overflows and the result is inf, as it is at x = inf.  Relative
+    error ~1e-13 away from the real zero near 0.3725.
     """
     if x == 0:
         raise ValueError("Ei is singular at x = 0")
     if x <= -1.0:
         return -_e1_continued_fraction(-x)
-    if x < 40.0:
-        return _ei_series(x)
-    return _ei_asymptotic(x)
+    return _ei_series(x)
 
 
 def _ei_series(x):
-    # Ei(x) = gamma + ln|x| + sum x^k / (k * k!)
+    # Ei(x) = gamma + ln|x| + sum x^k / (k * k!).  The cap ends the loop
+    # where the stop test never passes: an overflowed term, or x = nan.
     total = EULER_GAMMA + math.log(abs(x))
     term = 1.0
-    for k in range(1, 200):
+    for k in range(1, 1000):
         term *= x / k
         incr = term / k
         total += incr
@@ -65,20 +66,6 @@ def _ei_series(x):
             break
     return total
 
-
-def _ei_asymptotic(x):
-    # Ei(x) ~ e^x/x * sum k!/x^k; truncate at the smallest term.
-    total = 1.0
-    term = 1.0
-    for k in range(1, 200):
-        nxt = term * k / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-        if abs(term) < _EPS * abs(total):
-            break
-    return math.exp(x) / x * total
 
 def _e1_continued_fraction(z):
     # E1(z) via the modified Lentz continued fraction; solid for z >= 1.

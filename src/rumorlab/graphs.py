@@ -1,7 +1,7 @@
 """Topology construction and the tree/graph queries the estimators need.
 
-Two graph flavors share one read interface (``neighbors`` / ``degree`` /
-``has_node`` / ``node_count``):
+Two graph flavors share one read interface (``neighbors`` / ``has_node`` /
+``node_count``):
 
 * ``ExplicitGraph``: finite simple undirected graph with dense node ids
   0..n-1, built by the random-regular generator here or ingested from an
@@ -70,19 +70,13 @@ class ExplicitGraph:
     def node_count(self):
         return len(self._adj)
 
-    def nodes(self):
-        return range(len(self._adj))
-
     def has_node(self, v):
-        return 0 <= v < len(self._adj)
+        return isinstance(v, int) and 0 <= v < len(self._adj)
 
     def neighbors(self, v):
         if not 0 <= v < len(self._adj):
             raise ValueError(f"unknown node {v}")
         return self._adj[v]
-
-    def degree(self, v):
-        return len(self.neighbors(v))
 
     def edge_count(self):
         return sum(len(n) for n in self._adj) // 2
@@ -128,11 +122,6 @@ class LazyRegularTree:
             self.neighbors = self._cut_neighbors
             self.has_node = self._cut_has_node
 
-    def nodes(self):
-        if self.depth is None:
-            raise ValueError("the infinite tree has no finite node list")
-        return range(self.node_count)
-
     def has_node(self, v):
         return isinstance(v, int) and v >= 0
 
@@ -145,9 +134,6 @@ class LazyRegularTree:
         c = self.d - 1
         first = r + (v - 1) * c + 1
         return [0 if v <= r else (v - r - 1) // c + 1, *range(first, first + c)]
-
-    def degree(self, v):
-        return len(self.neighbors(v))
 
     def _cut_has_node(self, v):
         return isinstance(v, int) and 0 <= v < self.node_count

@@ -519,7 +519,7 @@ def brute_force_posterior(g, params, obs, t, candidates=None):
     if params.protocol != "trickle":
         raise ValueError("brute force enumerates trickle only")
     if candidates is None:
-        candidates = list(g.nodes())
+        candidates = list(range(g.node_count))
     key = observation_key_of(obs)
     posterior = {}
     for v in candidates:
@@ -877,7 +877,7 @@ def reference_ordering_count(g, root, reports, t, theta=1):
             return 1 if x == t else 0
         key = x if infinite else (node, par, x)
         if key not in memo:
-            kids = g.d - 1 if infinite else g.degree(node) - 1
+            kids = g.d - 1 if infinite else len(g.neighbors(node)) - 1
             ys = range(x + 1, t + 1)
             memo[key] = 0
             if t - x <= kids:  # else some tap fires by t
@@ -898,7 +898,7 @@ def reference_ordering_count(g, root, reports, t, theta=1):
         kids = [c for c in skeleton[w] if c != par]
         kid_tables = [table(c, w) for c in kids]
         taps = reports.get(w, ())
-        child_count = g.degree(w) - (par is not None)
+        child_count = len(g.neighbors(w)) - (par is not None)
         k = child_count + theta
         out = {}
         for x in [0] if par is None else range(1, t + 1):

@@ -136,11 +136,11 @@ def test_criterion_05_trc_equals_ml_oracle():
     theta, t = 1, 4
     window = [0, 1, 2, 3, 4, 5, 6]  # root plus both branches to depth 3
     atlas = observation_atlas(g, window, theta, t)
-    histories = {v: enumerate_histories(g, v, theta, t) for v in g.nodes()}
+    histories = {v: enumerate_histories(g, v, theta, t) for v in range(g.node_count)}
 
     assert len(atlas) > 100
     for key in atlas:
-        support = sorted(v for v in g.nodes() if key in histories[v])
+        support = sorted(v for v in range(g.node_count) if key in histories[v])
         candidates = sorted(v for v, times in key if min(times) <= 3)
         # the candidate rule covers the true support
         assert set(support) <= set(candidates), key

@@ -38,9 +38,15 @@ class TestExponentialIntegral:
         with pytest.raises(ValueError):
             exponential_integral(0)
 
-    @pytest.mark.parametrize("x", [-50, -20, -5, -0.5, -1e-2, 1e-2, 0.5, 5, 20, 50])
+    @pytest.mark.parametrize("x", [-50, -20, -5, -0.5, -1e-2, 1e-2, 0.5, 5, 20, 50, 80, 200, 700])
     def test_matches_quadrature_oracle(self, x):
         assert exponential_integral(x) == pytest.approx(ei_quadrature(x), rel=1e-8)
+
+    def test_finite_past_the_overflow_of_exp_and_infinite_at_inf(self):
+        # Ei(710) is below the largest double though e^710 is not; the
+        # value is mpmath's.
+        assert exponential_integral(710) == pytest.approx(3.1509156882062e305, rel=1e-12)
+        assert exponential_integral(math.inf) == math.inf
 
 
 class TestRegularizedIncompleteBeta:

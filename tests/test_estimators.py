@@ -291,12 +291,12 @@ def tree_cases():
         yield g, sorted(_ball_nodes(g, radius))
     for d, depth in ((3, 6), (4, 4)):
         g = lazy_regular_tree(d, depth=depth)
-        yield g, list(g.nodes())
+        yield g, list(range(g.node_count))
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(2, 60)
         g = prufer_tree([rng.randrange(n) for _ in range(n - 2)])
-        yield g, list(g.nodes())
+        yield g, list(range(g.node_count))
 
 
 def rooted(adj):

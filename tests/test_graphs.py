@@ -43,12 +43,12 @@ class TestBuildRegularTree:
         g = build_regular_tree(d, depth)
         assert g.node_count == tree_node_count(d, depth)
         if depth >= 1:
-            dist = {v: hop_distance(g, 0, v) for v in g.nodes()}
-            for v in g.nodes():
+            dist = {v: hop_distance(g, 0, v) for v in range(g.node_count)}
+            for v in range(g.node_count):
                 if dist[v] < depth:
-                    assert g.degree(v) == d
+                    assert len(g.neighbors(v)) == d
                 else:
-                    assert g.degree(v) == 1
+                    assert len(g.neighbors(v)) == 1
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -95,7 +95,6 @@ class TestLazyRegularTree:
     def test_root_degree_override(self):
         g = lazy_regular_tree(4, root_degree=2)
         assert len(g.neighbors(0)) == 2
-        assert g.degree(0) == 2
         child = g.neighbors(0)[0]
         assert len(g.neighbors(child)) == 4
 
@@ -122,7 +121,7 @@ class TestLazyRegularTree:
         g = lazy_regular_tree(3.0, root_degree=2.0, depth=2.0)
         assert (g.d, g.root_degree, g.depth) == (3, 2, 2)
         assert all(type(x) is int for x in (g.d, g.root_degree, g.depth, g.node_count))
-        assert list(g.nodes()) == list(range(7))
+        assert g.node_count == 7
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -132,24 +131,20 @@ class TestLazyRegularTree:
         g, explicit = lazy_regular_tree(d), build_regular_tree(d, k)
         for v in range(tree_node_count(d, k - 1)):
             assert g.neighbors(v) == explicit.neighbors(v)
-            assert g.degree(v) == explicit.degree(v) == d
+            assert len(g.neighbors(v)) == d
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     def test_cut_tree_is_the_balanced_tree(self, d, depth):
         g, explicit = lazy_regular_tree(d, depth=depth), build_regular_tree(d, depth)
         assert g.node_count == explicit.node_count == tree_node_count(d, depth)
-        assert list(g.nodes()) == list(explicit.nodes())
-        for v in explicit.nodes():
+        for v in range(explicit.node_count):
             assert g.has_node(v)
             assert g.neighbors(v) == explicit.neighbors(v)
-            assert g.degree(v) == explicit.degree(v)
         for v in (-1, explicit.node_count, explicit.node_count + d):
             assert not g.has_node(v) and not explicit.has_node(v)
             with pytest.raises(ValueError, match="unknown node"):
                 g.neighbors(v)
-            with pytest.raises(ValueError, match="unknown node"):
-                g.degree(v)
 
     @pytest.mark.parametrize("d,root_degree", [(2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5)])
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
@@ -157,7 +152,7 @@ class TestLazyRegularTree:
         g = lazy_regular_tree(d, root_degree=root_degree, depth=depth)
         explicit = build_regular_tree(d, depth, root_degree=root_degree)
         assert g.node_count == explicit.node_count
-        for v in explicit.nodes():
+        for v in range(explicit.node_count):
             nbrs = g.neighbors(v)
             assert nbrs == explicit.neighbors(v)
             # The parent is the one neighbor numbered below v, listed first.
@@ -182,9 +177,8 @@ class TestLazyRegularTree:
         g = lazy_regular_tree(3, depth=depth)
         for v in (-1, -5, 2.5, 0.0, "1"):
             assert not g.has_node(v)
-            for query in (g.neighbors, g.degree):
-                with pytest.raises(ValueError, match="unknown node"):
-                    query(v)
+            with pytest.raises(ValueError, match="unknown node"):
+                g.neighbors(v)
         obs = Observation("eavesdropper", first_reports={0: 2, -1: 2})
         with pytest.raises(ValueError, match="unknown node"):
             ball_centrality(obs, g)
@@ -197,14 +191,12 @@ class TestLazyRegularTree:
         g = lazy_regular_tree(3)
         assert g.node_count == math.inf
         assert g.has_node(10 ** 30) and not g.has_node(-1)
-        with pytest.raises(ValueError, match="infinite"):
-            g.nodes()
 
     def test_cut_tree_survives_pickling(self):
         g = pickle.loads(pickle.dumps(lazy_regular_tree(3, depth=2)))
-        assert [g.neighbors(v) for v in g.nodes()] == [
+        assert [g.neighbors(v) for v in range(g.node_count)] == [
             build_regular_tree(3, 2).neighbors(v) for v in range(10)]
-        assert g.degree(9) == 1 and not g.has_node(10)
+        assert len(g.neighbors(9)) == 1 and not g.has_node(10)
 
     def test_root_degree_matches_hand_built_tree(self):
         # d=3, root degree 2, depth 2: the root's children 1, 2 own 3, 4 and 5, 6.
@@ -219,7 +211,7 @@ class TestLazyRegularTree:
 class TestExplicitGraph:
     def test_sorts_and_drops_repeats(self):
         g = ExplicitGraph([[2, 1, 1], [0], [0, 0]])
-        assert [g.neighbors(v) for v in g.nodes()] == [[1, 2], [0], [0]]
+        assert [g.neighbors(v) for v in range(g.node_count)] == [[1, 2], [0], [0]]
         assert g.edge_count() == 2
 
     @pytest.mark.parametrize("adjacency, message", [
@@ -251,7 +243,7 @@ class TestExplicitGraph:
         leaves = 20_000
         g = ExplicitGraph([list(range(leaves, 0, -1))] + [[0]] * leaves)
         assert g.neighbors(0) == list(range(1, leaves + 1))
-        assert g.degree(leaves) == 1 and g.edge_count() == leaves
+        assert len(g.neighbors(leaves)) == 1 and g.edge_count() == leaves
 
 
 class TestRandomRegular:
@@ -259,19 +251,19 @@ class TestRandomRegular:
         for seed in (0, 1, 99):
             g = build_random_regular(4, 3, seed=seed)
             assert g.edge_count() == 6
-            assert all(g.degree(v) == 3 for v in g.nodes())
+            assert all(len(g.neighbors(v)) == 3 for v in range(g.node_count))
 
     def test_degree_sequence_constant(self):
         g = build_random_regular(10, 3, seed=7)
-        assert [g.degree(v) for v in g.nodes()] == [3] * 10
+        assert [len(g.neighbors(v)) for v in range(g.node_count)] == [3] * 10
 
     def test_locally_tree_like(self):
         # Triangle count is O(d^3), independent of n: expectation ~(d-1)^3/6.
         g = build_random_regular(1000, 8, seed=3)
-        nbr = [set(g.neighbors(v)) for v in g.nodes()]
+        nbr = [set(g.neighbors(v)) for v in range(g.node_count)]
         triangles = sum(
             1
-            for v in g.nodes()
+            for v in range(g.node_count)
             for u in nbr[v]
             if u > v
             for w in nbr[u]
@@ -282,7 +274,8 @@ class TestRandomRegular:
     def test_deterministic_given_seed(self):
         a = build_random_regular(30, 4, seed=5)
         b = build_random_regular(30, 4, seed=5)
-        assert [a.neighbors(v) for v in a.nodes()] == [b.neighbors(v) for v in b.nodes()]
+        assert ([a.neighbors(v) for v in range(a.node_count)]
+                == [b.neighbors(v) for v in range(b.node_count)])
 
     def test_infeasible_rejected(self):
         # The messages a GraphSpec gives for the same recipes.
@@ -363,6 +356,21 @@ class TestHopDistance:
         with pytest.raises(ValueError):
             hop_distance(g, 0, 99)
 
+    @pytest.mark.parametrize("graph", ["random-regular", "edge-list"])
+    def test_explicit_graphs_reject_ids_they_lack(self, graph, tmp_path):
+        # As the lazy tree does: a negative, past-the-end or non-integer id
+        # is no node, and a distance to it is an error, not "disconnected".
+        if graph == "random-regular":
+            g = build_random_regular(10, 3, seed=1)
+        else:
+            path = tmp_path / "edges.txt"
+            path.write_text("0 1\n1 2\n3 4\n")
+            g = load_edge_list(str(path))
+        for v in (-1, g.node_count, 1.5, 0.0, "1"):
+            assert not g.has_node(v)
+            with pytest.raises(ValueError, match="unknown node in pair"):
+                hop_distance(g, 0, v)
+
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25)
     def test_lazy_matches_bfs_and_triangle_inequality(self, seed):
@@ -402,7 +410,7 @@ def test_lazy_path_queries_match_bfs_on_explicit_tree(d, root_degree, depth):
     else:  # no generator builds this one: take the lazy tree's radius-4 ball
         ids = set(ball(g, 0, 4))
         explicit = ExplicitGraph([[u for u in g.neighbors(v) if u in ids] for v in sorted(ids)])
-    nodes = list(explicit.nodes())
+    nodes = range(explicit.node_count)
     rng = random.Random(d)
     for _ in range(200):
         a, b = rng.choice(nodes), rng.choice(nodes)
@@ -494,7 +502,7 @@ class TestAdjacencyInvariants:
         if (n * d) % 2:
             n += 1
         g = build_random_regular(n, d, seed=seed)
-        for v in g.nodes():
+        for v in range(g.node_count):
             nbrs = g.neighbors(v)
             assert v not in nbrs
             assert len(set(nbrs)) == len(nbrs)

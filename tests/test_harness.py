@@ -560,7 +560,7 @@ class TestExactTrickleAnchor:
         path = tmp_path / "small.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in SMALL_EDGES))
         g = load_edge_list(str(path))
-        self.check(GraphSpec("file", path=str(path)), g, 1, g.nodes(), 33)
+        self.check(GraphSpec("file", path=str(path)), g, 1, range(g.node_count), 33)
 
 
 def spy_ft_spec(graph, protocol, p, trials, seed, max_infections=None):
